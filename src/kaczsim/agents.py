@@ -16,7 +16,7 @@ Only x is ever broadcast; y stays local to its owner.
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
 without replacement.  In cyclic mode the per-chunk pseudoinverse or Gram
-factorization can be cached across steps.
+factorization (block_factor) is cached across steps.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import CorruptMessage, InvalidParameter
+from .errors import CorruptMessage, DimensionError, InvalidParameter
 
 CYCLE = "cycle"
 IID = "iid"
@@ -45,6 +45,9 @@ class AgentConfig:
     sampling: str = CYCLE
 
     def __post_init__(self):
+        if not (len(self.b) == len(self.rows) == self.A.shape[0]):
+            raise DimensionError(f"shard has {self.A.shape[0]} rows but len(b) = {len(self.b)}, "
+                                 f"len(rows) = {len(self.rows)}")
         if not (1 <= self.block_size <= self.A.shape[0]):
             raise InvalidParameter(f"block size {self.block_size} outside [1, {self.A.shape[0]}]")
         if not (0.0 < self.t_min <= self.t_max):
@@ -136,69 +139,38 @@ def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     return state.block
 
 
-def step_consistent(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
-                    cache: dict | None = None) -> AgentState:
-    """Average the snapshot, then project onto the sampled block equations."""
-    if cfg.augmented:
-        raise InvalidParameter("consistent step called on a regularized-mode agent")
-    w = aggregate(snapshot)
-    J = sample_block(state, cfg)
-    A_J = cfg.A[J]
-    b_J = cfg.b[J]
-    if cache is not None and state.chunk is not None:
-        op = cache.get(state.chunk)
-        if op is None:
-            op = cache[state.chunk] = linalg.pinv(A_J)
-        x = w + op @ (b_J - A_J @ w)
-    else:
-        x = linalg.kaczmarz_correction(A_J, b_J, w)
-    return replace(state, x=x, k=state.k + 1)
-
-
-def step_augmented(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
-                   cache: dict | None = None) -> AgentState:
-    """Average the snapshot, then apply the regularized block correction."""
-    if not cfg.augmented:
-        raise InvalidParameter("regularized step called on a consistent-mode agent")
-    lam = cfg.lam
-    w = aggregate(snapshot)
-    J = sample_block(state, cfg)
-    A_J = cfg.A[J]
-    r = cfg.b[J] - A_J @ w - lam * state.y[J]
-    if cache is not None and state.chunk is not None:
-        cho = cache.get(state.chunk)
-        if cho is None:
-            cho = cache[state.chunk] = linalg.gram_cholesky(A_J, lam)
-        alpha = scipy.linalg.cho_solve(cho, r)
-    else:
-        alpha = linalg.regularized_gram_solve(A_J, lam, r)
-    x = w + A_J.T @ alpha
-    y = state.y.copy()
-    y[J] = y[J] + lam * alpha
-    return replace(state, x=x, y=y, k=state.k + 1)
+def block_factor(A_J: np.ndarray, lam: float | None):
+    """The block's solve factor: pinv(A_J) in consistent mode, the Cholesky
+    factorization of A_J A_J^T + lam^2 I in regularized mode."""
+    if lam is None:
+        return linalg.pinv(A_J)
+    return linalg.gram_cholesky(A_J, lam)
 
 
 def step(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
          cache: dict | None = None) -> AgentState:
-    if cfg.augmented:
-        return step_augmented(state, cfg, snapshot, cache)
-    return step_consistent(state, cfg, snapshot, cache)
+    """Average the snapshot, then project onto the sampled block equations.
 
-
-def step_baseline(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot) -> AgentState:
-    """Reference update using the whole shard and no right-hand side:
-
-        x <- w + pinv(A_i) A_i (x - w)
-
-    It preserves A_i x across steps, so it solves the system only from an
-    initial estimate already satisfying the local equations.  The block
-    corrections above drop that initialization requirement; this form is
-    kept for comparison runs.
+    The block factor is memoised in cache[chunk] when a cache is given and
+    the block is a chunk (cyclic sampling); iid blocks are factored afresh.
     """
     w = aggregate(snapshot)
-    diff = state.x - w
-    x = w + linalg.pinv(cfg.A) @ (cfg.A @ diff)
-    return replace(state, x=x, k=state.k + 1, block=np.arange(cfg.local_rows), chunk=None)
+    J = sample_block(state, cfg)
+    A_J = cfg.A[J]
+    if cache is not None and state.chunk is not None:
+        factor = cache.get(state.chunk)
+        if factor is None:
+            factor = cache[state.chunk] = block_factor(A_J, cfg.lam)
+    else:
+        factor = block_factor(A_J, cfg.lam)
+    if not cfg.augmented:
+        return replace(state, x=w + factor @ (cfg.b[J] - A_J @ w), k=state.k + 1)
+    lam = cfg.lam
+    r = cfg.b[J] - A_J @ w - lam * state.y[J]
+    alpha = scipy.linalg.cho_solve(factor, r)
+    y = state.y.copy()
+    y[J] = y[J] + lam * alpha
+    return replace(state, x=w + A_J.T @ alpha, y=y, k=state.k + 1)
 
 
 def snapshot_payload(state: AgentState) -> np.ndarray:

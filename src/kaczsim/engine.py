@@ -334,7 +334,7 @@ def run(cfg: SimConfig) -> RunResult:
             entries.append((sender, m.payload, m.sender_iter))
         snapshot = NeighborSnapshot(entries)
         prev_time = rt.last_time
-        rt.state = agents_mod.step(rt.state, acfg, snapshot, cache=(rt.cache if acfg.sampling == agents_mod.CYCLE else None))
+        rt.state = agents_mod.step(rt.state, acfg, snapshot, cache=rt.cache)
         rt.last_time = now
         rt.t_cmp += cfg.cmp_cost[0] + cfg.cmp_cost[1] * len(rt.state.block) * acfg.dim
         rt.err = float(np.linalg.norm(rt.state.x - oracle))

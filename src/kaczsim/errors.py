@@ -5,10 +5,6 @@ class KaczsimError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidIndex(KaczsimError):
-    """A row or column index is out of range."""
-
-
 class DimensionError(KaczsimError):
     """Operand shapes are incompatible."""
 

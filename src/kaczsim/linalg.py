@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, InvalidIndex, InvalidParameter
+from .errors import DimensionError, InvalidParameter
 
 # Relative cutoff for treating a singular value as zero.
 RANK_RTOL = 1e-10
@@ -32,15 +32,6 @@ def as_vector(v) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={v.ndim}")
     return v
-
-
-def extract_rows(M, idx) -> np.ndarray:
-    """Copy the rows of M listed in idx, in idx order."""
-    M = as_matrix(M)
-    idx = np.asarray(idx, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= M.shape[0]):
-        raise InvalidIndex(f"row index out of range for {M.shape[0]}-row matrix: {idx}")
-    return M[idx].copy()
 
 
 @dataclass
@@ -99,41 +90,6 @@ def project_null(A_J, v) -> np.ndarray:
     f = svd(A_J)
     # v minus its component in the row space.
     return v - f.V @ (f.V.T @ v)
-
-
-def kaczmarz_correction(A_J, b_J, w) -> np.ndarray:
-    """One block Kaczmarz step: w + pinv(A_J) (b_J - A_J w).
-
-    Projects w onto the affine solution set of the block when the block is
-    consistent; otherwise lands on its least-squares substitute.
-    """
-    A_J = as_matrix(A_J)
-    b_J = as_vector(b_J)
-    w = as_vector(w)
-    if A_J.shape[0] != b_J.shape[0]:
-        raise DimensionError(f"rows {A_J.shape[0]} != len(b_J) {b_J.shape[0]}")
-    if A_J.shape[1] != w.shape[0]:
-        raise DimensionError(f"cols {A_J.shape[1]} != len(w) {w.shape[0]}")
-    return w + pinv(A_J) @ (b_J - A_J @ w)
-
-
-def regularized_gram_solve(A_J, lam: float, r, cho=None) -> np.ndarray:
-    """Solve (A_J A_J^T + lam^2 I) alpha = r.
-
-    The Gram matrix is symmetric positive definite for lam > 0, so a
-    Cholesky factorization is used.  Pass a precomputed factorization
-    (``gram_cholesky``) as ``cho`` to amortize repeated solves on the
-    same block.
-    """
-    if lam <= 0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
-    A_J = as_matrix(A_J)
-    r = as_vector(r)
-    if A_J.shape[0] != r.shape[0]:
-        raise DimensionError(f"rows {A_J.shape[0]} != len(r) {r.shape[0]}")
-    if cho is None:
-        cho = gram_cholesky(A_J, lam)
-    return scipy.linalg.cho_solve(cho, r)
 
 
 def gram_cholesky(A_J, lam: float):

@@ -3,7 +3,7 @@ import pytest
 
 from kaczsim import agents, linalg
 from kaczsim.agents import AgentConfig, NeighborSnapshot
-from kaczsim.errors import CorruptMessage, InvalidParameter
+from kaczsim.errors import CorruptMessage, DimensionError, InvalidParameter
 
 
 def make_cfg(A, b, block=None, lam=None, sampling=agents.CYCLE):
@@ -84,18 +84,39 @@ def test_iid_row_frequencies():
     assert np.all(np.abs(counts - expected) <= 0.05 * expected)
 
 
-# ------------------------------------------------------------ step_consistent
+# ------------------------------------------------------------- AgentConfig
+
+@pytest.mark.parametrize("change, error", [
+    ({"block_size": 0}, InvalidParameter),
+    ({"block_size": 4}, InvalidParameter),
+    ({"t_min": 0.0}, InvalidParameter),
+    ({"t_min": 2.0, "t_max": 1.0}, InvalidParameter),
+    ({"lam": 0.0}, InvalidParameter),
+    ({"lam": -1.0}, InvalidParameter),
+    ({"sampling": "sweep"}, InvalidParameter),
+    ({"b": np.ones(2)}, DimensionError),
+    ({"rows": np.arange(4)}, DimensionError),
+], ids=["block-zero", "block-over-rows", "t-min-zero", "t-min-over-t-max", "lam-zero",
+        "lam-negative", "sampling", "b-length", "rows-length"])
+def test_agent_config_validation(change, error):
+    fields = dict(agent_id=0, A=np.eye(3), b=np.ones(3), rows=np.arange(3), block_size=3)
+    with pytest.raises(error):
+        AgentConfig(**{**fields, **change})
+
+
+# ------------------------------------------------------- step, consistent mode
 
 def test_consistent_fixed_point_at_solution():
     g = np.random.default_rng(4)
-    A = g.normal(size=(4, 6))
-    x_sol = g.normal(size=6)
-    b = A @ x_sol
-    cfg = make_cfg(A, b, block=2)
-    state = fresh(cfg, init=x_sol)
-    out = agents.step_consistent(state, cfg, snap(x_sol, x_sol))
-    assert np.allclose(out.x, x_sol, atol=1e-10)
-    assert out.k == 1
+    for shape, block in (((4, 6), 2), ((2, 4), 2)):   # the second agent has one chunk
+        A = g.normal(size=shape)
+        x_sol = g.normal(size=shape[1])
+        b = A @ x_sol
+        cfg = make_cfg(A, b, block=block)
+        state = fresh(cfg, init=x_sol)
+        out = agents.step(state, cfg, snap(x_sol, x_sol))
+        assert np.allclose(out.x, x_sol, atol=1e-10)
+        assert out.k == 1
 
 
 def test_consistent_single_agent_square_system_one_step():
@@ -104,8 +125,17 @@ def test_consistent_single_agent_square_system_one_step():
     b = g.normal(size=3)
     cfg = make_cfg(A, b)
     state = fresh(cfg)
-    out = agents.step_consistent(state, cfg, snap(state.x))
+    out = agents.step(state, cfg, snap(state.x))
     assert np.allclose(out.x, np.linalg.solve(A, b), atol=1e-9)
+    # one-chunk agents: an identity block lands on b, a wide consistent block is solved
+    identity = make_cfg(np.eye(2), [2.0, -1.0])
+    out = agents.step(fresh(identity), identity, snap([9.0, 9.0]))
+    assert np.allclose(out.x, [2.0, -1.0], atol=1e-12)
+    A = g.normal(size=(2, 4))
+    b = A @ g.normal(size=4)
+    wide = make_cfg(A, b)
+    out = agents.step(fresh(wide), wide, snap(g.normal(size=4)))
+    assert np.linalg.norm(A @ out.x - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
 
 
 def test_two_agents_alternating_converge_to_min_norm():
@@ -121,7 +151,7 @@ def test_two_agents_alternating_converge_to_min_norm():
     for step in range(500):
         i = step % 2
         s = NeighborSnapshot([(0, states[0].x.copy(), 0), (1, states[1].x.copy(), 0)])
-        states[i] = agents.step_consistent(states[i], cfgs[i], s)
+        states[i] = agents.step(states[i], cfgs[i], s)
         if all(np.linalg.norm(st.x - x_star) <= 1e-6 for st in states):
             break
     assert all(np.linalg.norm(st.x - x_star) <= 1e-6 for st in states)
@@ -136,12 +166,19 @@ def test_consistent_step_preserves_off_block_error_component():
     neighbor = g.normal(size=5)
     s = snap(state.x, neighbor)
     w = agents.aggregate(s)
-    out = agents.step_consistent(state, cfg, s)
+    out = agents.step(state, cfg, s)
     A_J = A[out.block]
     # the update only moves within Row(A_J); the orthogonal part stays w's
     assert np.allclose(
         linalg.project_null(A_J, out.x), linalg.project_null(A_J, w), atol=1e-9
     )
+    # the same on one-chunk agents with arbitrary right-hand sides
+    for _ in range(20):
+        A = g.normal(size=(3, 6))
+        cfg = make_cfg(A, g.normal(size=3))
+        w = g.normal(size=6)
+        delta = agents.step(fresh(cfg), cfg, snap(w)).x - w
+        assert np.linalg.norm(linalg.project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
 
 
 def test_consistent_step_nonexpansive_toward_solutions():
@@ -154,7 +191,7 @@ def test_consistent_step_nonexpansive_toward_solutions():
         state = fresh(cfg, seed=trial, init=g.normal(size=4))
         others = [g.normal(size=4) for _ in range(2)]
         s = snap(state.x, *others)
-        out = agents.step_consistent(state, cfg, s)
+        out = agents.step(state, cfg, s)
         worst = max(np.linalg.norm(v - sol) for _, v, _ in s.entries)
         assert np.linalg.norm(out.x - sol) <= worst + 1e-12
 
@@ -169,18 +206,18 @@ def test_consistent_cache_matches_direct():
     s_cached = fresh(cfg, 2)
     for _ in range(6):
         probe = snap(s_direct.x)
-        s_direct = agents.step_consistent(s_direct, cfg, probe)
-        s_cached = agents.step_consistent(s_cached, cfg, snap(s_cached.x), cache=cache)
-        assert np.allclose(s_direct.x, s_cached.x, atol=1e-12)
+        s_direct = agents.step(s_direct, cfg, probe)
+        s_cached = agents.step(s_cached, cfg, snap(s_cached.x), cache=cache)
+        assert np.array_equal(s_direct.x, s_cached.x)
     assert set(cache) <= {0, 1, 2}
 
 
-# ------------------------------------------------------------- step_augmented
+# ------------------------------------------------------ step, regularized mode
 
 def test_augmented_hand_case():
     cfg = make_cfg([[1.0, 0.0]], [2.0], lam=1.0)
     state = fresh(cfg)
-    out = agents.step_augmented(state, cfg, snap(np.zeros(2)))
+    out = agents.step(state, cfg, snap(np.zeros(2)))
     assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
     assert np.allclose(out.y, [1.0], atol=1e-12)
     # the widened row is now satisfied: 1*1 + 1*1 = 2
@@ -197,7 +234,7 @@ def test_augmented_fixed_point():
     cfg = make_cfg(A, b, block=2, lam=lam)
     state = fresh(cfg, init=x_tilde)
     state.y[:] = y_tilde
-    out = agents.step_augmented(state, cfg, snap(x_tilde, x_tilde.copy()))
+    out = agents.step(state, cfg, snap(x_tilde, x_tilde.copy()))
     assert np.allclose(out.x, x_tilde, atol=1e-10)
     assert np.allclose(out.y, y_tilde, atol=1e-10)
 
@@ -209,7 +246,7 @@ def test_augmented_large_lambda_barely_moves():
     lam = 1e3
     cfg = make_cfg(A, b, lam=lam)
     state = fresh(cfg)
-    out = agents.step_augmented(state, cfg, snap(np.zeros(5)))
+    out = agents.step(state, cfg, snap(np.zeros(5)))
     alpha = (out.y - 0.0) / lam
     r = b  # w = 0 and y = 0
     sigma_max = np.linalg.norm(A, 2)
@@ -224,8 +261,8 @@ def test_augmented_small_lambda_matches_consistent():
     w = g.normal(size=6)
     cons = make_cfg(A, b)
     aug = make_cfg(A, b, lam=1e-5)
-    out_c = agents.step_consistent(fresh(cons, 3), cons, snap(w))
-    out_a = agents.step_augmented(fresh(aug, 3), aug, snap(w))
+    out_c = agents.step(fresh(cons, 3), cons, snap(w))
+    out_a = agents.step(fresh(aug, 3), aug, snap(w))
     assert np.linalg.norm(out_c.x - out_a.x) <= 1e-8
 
 
@@ -237,7 +274,7 @@ def test_augmented_y_outside_block_bit_identical():
     state = fresh(cfg)
     state.y[:] = g.normal(size=9)
     before = state.y.copy()
-    out = agents.step_augmented(state, cfg, snap(state.x, g.normal(size=4)))
+    out = agents.step(state, cfg, snap(state.x, g.normal(size=4)))
     outside = np.setdiff1d(np.arange(9), out.block)
     assert np.array_equal(out.y[outside], before[outside])
     assert not np.array_equal(out.y[out.block], before[out.block])
@@ -252,43 +289,10 @@ def test_augmented_cache_matches_direct():
     s_a = fresh(cfg, 5)
     s_b = fresh(cfg, 5)
     for _ in range(4):
-        s_a = agents.step_augmented(s_a, cfg, snap(s_a.x), cache=None)
-        s_b = agents.step_augmented(s_b, cfg, snap(s_b.x), cache=cache)
-        assert np.allclose(s_a.x, s_b.x, atol=1e-12)
-        assert np.allclose(s_a.y, s_b.y, atol=1e-12)
-
-
-def test_mode_mismatch_rejected():
-    cfg_c = make_cfg(np.eye(2), np.ones(2))
-    cfg_a = make_cfg(np.eye(2), np.ones(2), lam=1.0)
-    with pytest.raises(InvalidParameter):
-        agents.step_augmented(fresh(cfg_c), cfg_c, snap(np.zeros(2)))
-    with pytest.raises(InvalidParameter):
-        agents.step_consistent(fresh(cfg_a), cfg_a, snap(np.zeros(2)))
-
-
-# ------------------------------------------------------------- baseline update
-
-def test_baseline_step_preserves_local_equations():
-    g = np.random.default_rng(16)
-    A = g.normal(size=(3, 6))
-    x0 = g.normal(size=6)
-    cfg = make_cfg(A, A @ x0)
-    state = fresh(cfg, init=x0)
-    out = agents.step_baseline(state, cfg, snap(x0, g.normal(size=6)))
-    assert np.allclose(A @ out.x, A @ x0, atol=1e-10)
-
-
-def test_baseline_matches_full_block_step_when_equations_hold():
-    g = np.random.default_rng(17)
-    A = g.normal(size=(3, 6))
-    x0 = g.normal(size=6)
-    b = A @ x0
-    cfg = make_cfg(A, b)
-    neighbor = g.normal(size=6)
-    base = agents.step_baseline(fresh(cfg, init=x0), cfg, snap(x0, neighbor))
-    block = agents.step_consistent(fresh(cfg, init=x0), cfg, snap(x0, neighbor))
-    assert np.allclose(base.x, block.x, atol=1e-10)
+        s_a = agents.step(s_a, cfg, snap(s_a.x), cache=None)
+        s_b = agents.step(s_b, cfg, snap(s_b.x), cache=cache)
+        assert np.array_equal(s_a.x, s_b.x)
+        assert np.array_equal(s_a.y, s_b.y)
 
 
 # ------------------------------------------------------------ payload contract

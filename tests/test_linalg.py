@@ -1,40 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczsim import linalg
-from kaczsim.errors import DimensionError, InvalidIndex, InvalidParameter
+from kaczsim.errors import DimensionError, InvalidParameter
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-# ---------------------------------------------------------------- extract_rows
-
-def test_extract_rows_selects_in_order():
-    M = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = linalg.extract_rows(M, [0, 2])
-    assert np.array_equal(out, [[1.0, 2.0], [5.0, 6.0]])
-
-
-def test_extract_rows_identity():
-    M = rng().normal(size=(4, 3))
-    assert np.array_equal(linalg.extract_rows(M, [0, 1, 2, 3]), M)
-
-
-def test_extract_rows_out_of_range():
-    M = np.zeros((3, 2))
-    with pytest.raises(InvalidIndex):
-        linalg.extract_rows(M, [5])
-
-
-def test_extract_rows_returns_copy():
-    M = np.ones((2, 2))
-    out = linalg.extract_rows(M, [0])
-    out[0, 0] = 7.0
-    assert M[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------- project_null
@@ -78,53 +53,21 @@ def test_project_null_idempotent_nonexpansive_orthogonal(seed, m, n):
     assert np.linalg.norm(A @ p) <= 1e-9 * max(np.linalg.norm(A) * np.linalg.norm(v), 1.0)
 
 
-# -------------------------------------------------------- kaczmarz_correction
+# -------------------------------------------------------------- gram_cholesky
 
-def test_kaczmarz_correction_fixed_point():
-    g = rng(2)
-    A = g.normal(size=(2, 4))
-    w = g.normal(size=4)
-    b = A @ w
-    assert np.allclose(linalg.kaczmarz_correction(A, b, w), w, atol=1e-12)
+def gram_solve(A, lam, r):
+    return scipy.linalg.cho_solve(linalg.gram_cholesky(A, lam), r)
 
-
-def test_kaczmarz_correction_identity_block():
-    b = np.array([2.0, -1.0])
-    out = linalg.kaczmarz_correction(np.eye(2), b, np.array([9.0, 9.0]))
-    assert np.allclose(out, b, atol=1e-12)
-
-
-def test_kaczmarz_correction_solves_block():
-    g = rng(3)
-    A = g.normal(size=(2, 4))
-    b = A @ g.normal(size=4)  # consistent by construction
-    out = linalg.kaczmarz_correction(A, b, g.normal(size=4))
-    assert np.linalg.norm(A @ out - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_kaczmarz_correction_moves_within_row_space(seed):
-    g = rng(seed)
-    A = g.normal(size=(3, 6))
-    b = g.normal(size=3)
-    w = g.normal(size=6)
-    delta = linalg.kaczmarz_correction(A, b, w) - w
-    # delta must lie in Row(A): projecting it onto null(A) leaves nothing
-    assert np.linalg.norm(linalg.project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
-
-
-# ----------------------------------------------------- regularized_gram_solve
 
 def test_gram_solve_hand_case():
     # single row (1,0), lam=1: gram = 1 + 1 = 2, so r=2 -> alpha=1
-    out = linalg.regularized_gram_solve(np.array([[1.0, 0.0]]), 1.0, np.array([2.0]))
+    out = gram_solve(np.array([[1.0, 0.0]]), 1.0, np.array([2.0]))
     assert np.allclose(out, [1.0], atol=1e-12)
 
 
 def test_gram_solve_zero_rhs():
     A = rng(4).normal(size=(3, 5))
-    out = linalg.regularized_gram_solve(A, 0.7, np.zeros(3))
+    out = gram_solve(A, 0.7, np.zeros(3))
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -133,25 +76,8 @@ def test_gram_solve_residual_oracle():
     A = g.normal(size=(3, 6))
     r = g.normal(size=3)
     lam = 0.3
-    alpha = linalg.regularized_gram_solve(A, lam, r)
+    alpha = gram_solve(A, lam, r)
     assert np.allclose((A @ A.T + lam**2 * np.eye(3)) @ alpha, r, atol=1e-9)
-
-
-def test_gram_solve_rejects_nonpositive_lambda():
-    with pytest.raises(InvalidParameter):
-        linalg.regularized_gram_solve(np.eye(2), 0.0, np.zeros(2))
-    with pytest.raises(InvalidParameter):
-        linalg.regularized_gram_solve(np.eye(2), -1.0, np.zeros(2))
-
-
-def test_gram_solve_accepts_cached_factorization():
-    g = rng(6)
-    A = g.normal(size=(4, 7))
-    r = g.normal(size=4)
-    cho = linalg.gram_cholesky(A, 2.0)
-    direct = linalg.regularized_gram_solve(A, 2.0, r)
-    cached = linalg.regularized_gram_solve(A, 2.0, r, cho=cho)
-    assert np.array_equal(direct, cached)
 
 
 # ------------------------------------------------------------------------ svd
