@@ -375,6 +375,9 @@ def run(cfg: SimConfig) -> RunResult:
                 rt.c_sent += 1
                 rt.t_comm += delay
 
+        if rt.state.k >= cfg.k_max:
+            continue   # this agent is done; the run ends when no Iterate remains
+
         fs = failure[agent]
         if fs.enabled:
             fs.runs_left -= 1
@@ -387,9 +390,7 @@ def run(cfg: SimConfig) -> RunResult:
                 push(now + duration, "Resume", agent)
                 continue
 
-        if rt.state.k < cfg.k_max:
-            push(now + rt.sched.uniform(acfg.t_min, acfg.t_max), "Iterate", agent)
-        # else: this agent is done; the run ends when no Iterate remains
+        push(now + rt.sched.uniform(acfg.t_min, acfg.t_max), "Iterate", agent)
     else:
         stop_reason = "k_max"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaczsim import engine, linalg, problems, topology
+from kaczsim import engine, harness, linalg, problems, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InvalidParameter, NoConvergence
@@ -85,6 +85,16 @@ def test_k_max_stops_all_agents(consistent_instance):
     res = run_tolerant(cfg)
     assert res.stop_reason == "k_max"
     assert all(st.k == 7 for st in res.states)
+
+
+def test_k_max_holds_under_failure_injection():
+    inst = problems.generate(problems.ProblemSpec(m=60, n=20, density=0.3, seed=2, agents=4))
+    opts = harness.RunOptions(block_size=5, interval=2, failure_rho=1.0, failure_xi=3.0,
+                              k_max=50, seed=2)
+    res = harness.run_single(inst, opts)
+    assert res.stop_reason == "k_max"
+    assert max(st.k for st in res.states) == 50
+    assert max(len(times) for times in res.iterate_times) == 50
 
 
 # ---------------------------------------------------------------- fire_trigger
