@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, problems
-from .errors import KaczsimError
+from .errors import InvalidParameter, KaczsimError
 from .harness import RunOptions
 
 
@@ -53,7 +53,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def _resolve_options(args) -> RunOptions:
     opts = RunOptions()
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidParameter(f"config {args.config} is not valid JSON: {exc}") from exc
         opts = harness.options_from_document(doc, opts)
     overrides = {
         "block_size": args.block_size, "lam": args.lam, "sampling": args.sampling,

@@ -101,33 +101,65 @@ class RunOptions:
         return doc
 
 
+# Keys of a config document (the to_document layout).  "axis" and "value"
+# label a sweep cell in configs.json; the rest of that document already
+# holds the cell's resolved options, so they are accepted and not read.
+DOCUMENT_KEYS = {"agents", "agent", "topology", "trigger", "delay_bound", "tol", "k_max",
+                 "event_budget", "stop_mode", "failure", "seed", "axis", "value"}
+SECTION_KEYS = {"agent": {"block_size", "lam", "sampling", "t_min", "t_max"},
+                "topology": {"cap", "seed"},
+                "trigger": {"kind", "interval", "spacing"},
+                "failure": {"rho", "xi", "seed"}}
+
+
+def _check_keys(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise InvalidParameter(f"config {where} must be a JSON object")
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise InvalidParameter(f"unknown config key(s) {unknown} in {where}")
+
+
 def options_from_document(doc: dict, base: RunOptions | None = None) -> RunOptions:
-    """Parse a config JSON document (the to_document layout) over defaults."""
+    """Parse a config JSON document (the to_document layout) over defaults.
+
+    Unknown keys, an unknown trigger kind and unparsable values raise
+    InvalidParameter.
+    """
+    _check_keys(doc, DOCUMENT_KEYS, "document")
+    for name, keys in SECTION_KEYS.items():
+        if doc.get(name) is not None:
+            _check_keys(doc[name], keys, f"section {name!r}")
     opts = base or RunOptions()
-    if "agents" in doc and doc["agents"] is not None:
-        opts = replace(opts, agents=int(doc["agents"]))
-    agent = doc.get("agent", {})
-    for key in ("block_size", "sampling", "t_min", "t_max"):
-        if key in agent:
-            opts = replace(opts, **{key: agent[key]})
-    if "lam" in agent:
-        opts = replace(opts, lam=agent["lam"])
-    topo = doc.get("topology", {})
-    if "cap" in topo:
-        opts = replace(opts, topology_cap=topo["cap"])
-    if "seed" in topo:
-        opts = replace(opts, topology_seed=topo["seed"])
-    trig = doc.get("trigger", {})
-    if trig.get("kind") == "global":
-        opts = replace(opts, trigger="global", spacing=float(trig["spacing"]))
-    elif trig.get("kind") == "every_k":
-        opts = replace(opts, trigger="every_k", interval=int(trig["interval"]))
-    for key in ("delay_bound", "tol", "k_max", "event_budget", "stop_mode", "seed"):
-        if key in doc:
-            opts = replace(opts, **{key: doc[key]})
-    failure = doc.get("failure")
-    if failure:
-        opts = replace(opts, failure_rho=float(failure["rho"]), failure_xi=float(failure["xi"]))
+    try:
+        if "agents" in doc and doc["agents"] is not None:
+            opts = replace(opts, agents=int(doc["agents"]))
+        agent = doc.get("agent") or {}
+        for key in ("block_size", "sampling", "t_min", "t_max"):
+            if key in agent:
+                opts = replace(opts, **{key: agent[key]})
+        if "lam" in agent:
+            opts = replace(opts, lam=agent["lam"])
+        topo = doc.get("topology") or {}
+        if "cap" in topo:
+            opts = replace(opts, topology_cap=topo["cap"])
+        if "seed" in topo:
+            opts = replace(opts, topology_seed=topo["seed"])
+        trig = doc.get("trigger") or {}
+        if trig.get("kind") == "global":
+            opts = replace(opts, trigger="global", spacing=float(trig["spacing"]))
+        elif trig.get("kind") == "every_k":
+            opts = replace(opts, trigger="every_k", interval=int(trig["interval"]))
+        elif trig:
+            raise InvalidParameter(f"unknown trigger kind {trig.get('kind')!r}")
+        for key in ("delay_bound", "tol", "k_max", "event_budget", "stop_mode", "seed"):
+            if key in doc:
+                opts = replace(opts, **{key: doc[key]})
+        failure = doc.get("failure")
+        if failure:
+            opts = replace(opts, failure_rho=float(failure["rho"]), failure_xi=float(failure["xi"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed config document: missing or bad entry {exc}") from exc
     return opts
 
 

@@ -197,29 +197,30 @@ def load(directory) -> ProblemInstance:
         raise IoError(f"missing manifest {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
+        paths = {key: directory / manifest["files"][key] for key in ("A", "b", "x_planted", "x_star")}
+        shard_entries = [(int(e["rows"][0]), int(e["rows"][1]), directory / e["b"])
+                         for e in manifest["shards"]]
+        spec = ProblemSpec(**manifest["spec"]) if "spec" in manifest else None
     except json.JSONDecodeError as exc:
         raise IoError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    a_path = directory / manifest["files"]["A"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise IoError(f"malformed manifest {manifest_path}: missing or bad entry {exc}") from exc
+    a_path = paths["A"]
     if not a_path.exists():
         raise IoError(f"missing matrix file {a_path}")
     try:
         A = scipy.io.mmread(a_path).tocoo()
     except Exception as exc:
         raise IoError(f"corrupt matrix file {a_path}: {exc}") from exc
-    b = _read_vector(directory / manifest["files"]["b"])
-    x_planted = _read_vector(directory / manifest["files"]["x_planted"])
-    x_star = _read_vector(directory / manifest["files"]["x_star"])
+    b = _read_vector(paths["b"])
+    x_planted = _read_vector(paths["x_planted"])
+    x_star = _read_vector(paths["x_star"])
     dense = A.toarray()
     shards = []
-    for entry in manifest["shards"]:
-        start, stop = entry["rows"]
-        shard_b = _read_vector(directory / entry["b"])
+    for start, stop, b_path in shard_entries:
+        shard_b = _read_vector(b_path)
         rows = np.arange(start, stop)
         if shard_b.shape[0] != rows.shape[0]:
-            raise IoError(f"shard file {entry['b']} length {shard_b.shape[0]} != row range {stop - start}")
+            raise IoError(f"shard file {b_path.name} length {shard_b.shape[0]} != row range {stop - start}")
         shards.append(Shard(dense[rows].copy(), shard_b, rows))
-    spec = None
-    if "spec" in manifest:
-        s = manifest["spec"]
-        spec = ProblemSpec(s["m"], s["n"], s["density"], s["noise"], s["seed"], s["agents"])
     return ProblemInstance(A, b, x_planted, x_star, shards, spec)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -133,6 +134,9 @@ def test_options_document_round_trip():
     assert back.failure_rho == 0.25 and back.failure_xi == 1.5
     assert back.topology_cap == 3
     assert back.block_size == opts.block_size
+    # a sweep's configs.json entry also labels its cell; it parses the same
+    swept = harness.options_from_document({**opts.to_document(), "axis": "lambda", "value": [0.7]})
+    assert swept == back
 
 
 # ------------------------------------------------------------------------ CLI
@@ -220,3 +224,29 @@ def test_cli_bad_flags_exit_2(capsys):
 
 def test_cli_missing_instance_exit_1(tmp_path):
     assert run_cli("run", "--instance", str(tmp_path / "absent")) == 1
+
+
+BAD_INPUTS = {
+    "manifest-without-files": (lambda manifest: manifest.pop("files"), None),
+    "config-not-json": (None, "{block_size: 5"),
+    "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
+    "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
+    "config-unknown-trigger": (None, json.dumps({"trigger": {"kind": "sometimes"}})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
+    break_manifest, config_text = BAD_INPUTS[case]
+    inst_dir = tmp_path / "inst"
+    shutil.copytree(instance_dir, inst_dir)
+    argv = ["run", "--instance", str(inst_dir), "--out", str(tmp_path / "out")]
+    if break_manifest:
+        manifest = json.loads((inst_dir / "manifest.json").read_text())
+        break_manifest(manifest)
+        (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    if config_text:
+        (tmp_path / "cfg.json").write_text(config_text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
