@@ -434,16 +434,6 @@ def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> 
     )
 
 
-def schedule_times(result: RunResult) -> list[float]:
-    """Global broadcast ticks that elapsed during the run (GlobalSchedule only)."""
-    trig = result.config.trigger
-    if not isinstance(trig, GlobalSchedule):
-        return []
-    last = result.log[-1].time if result.log else 0.0
-    count = int(last // trig.spacing)
-    return [s * trig.spacing for s in range(1, count + 2)]
-
-
 def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> list[AuditViolation]:
     """Check that each broadcast cascade finishes before the next global tick.
 

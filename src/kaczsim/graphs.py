@@ -94,7 +94,6 @@ class DelayedGraph:
     depth: int
     agent: int                       # who iterated at this tick
     W: np.ndarray                    # ((depth+1)N) x ((depth+1)N), row-stochastic
-    edges: list[tuple[int, int]]     # (source node, target node) pairs
 
     def node(self, stage: int, agent: int) -> int:
         return stage * self.n_agents + agent
@@ -120,8 +119,7 @@ def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> Delaye
     for s in range(1, depth + 1):
         for p in range(n_agents):
             W[s * n_agents + p, (s - 1) * n_agents + p] = 1.0
-    edges = [(j, i) for i, j in zip(*np.nonzero(W))]
-    return DelayedGraph(n_agents, depth, record.agent, W, edges)
+    return DelayedGraph(n_agents, depth, record.agent, W)
 
 
 # -------------------------------------------------- projection polynomials
@@ -229,9 +227,6 @@ class TransitionMatrix:
 
     def row_complete(self, A) -> list[bool]:
         return [any(check_completeness(p, A) for p in row) for row in self.polys]
-
-    def row_sharp_complete(self, A) -> list[bool]:
-        return [row_union_complete(row, A) for row in self.polys]
 
 
 def build_transition_matrix(window: list[TickRecord], A, n_agents: int, depth: int,
