@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczsim import linalg
+from kaczsim import agents, linalg
 from kaczsim.errors import DimensionError, InvalidParameter
 
 
@@ -53,6 +53,47 @@ def test_project_null_idempotent_nonexpansive_orthogonal(seed, m, n):
     assert np.linalg.norm(A @ p) <= 1e-9 * max(np.linalg.norm(A) * np.linalg.norm(v), 1.0)
 
 
+# ------------------------------------------------------ consistent correction
+
+def kaczmarz_correction(A, b, w):
+    """The consistent block correction w + pinv(A) (b - A w) that agents.step applies."""
+    return w + agents.block_factor(A, None) @ (b - A @ w)
+
+
+def test_kaczmarz_correction_fixed_point():
+    g = rng(2)
+    A = g.normal(size=(2, 4))
+    w = g.normal(size=4)
+    b = A @ w
+    assert np.allclose(kaczmarz_correction(A, b, w), w, atol=1e-12)
+
+
+def test_kaczmarz_correction_identity_block():
+    b = np.array([2.0, -1.0])
+    out = kaczmarz_correction(np.eye(2), b, np.array([9.0, 9.0]))
+    assert np.allclose(out, b, atol=1e-12)
+
+
+def test_kaczmarz_correction_solves_block():
+    g = rng(3)
+    A = g.normal(size=(2, 4))
+    b = A @ g.normal(size=4)  # consistent by construction
+    out = kaczmarz_correction(A, b, g.normal(size=4))
+    assert np.linalg.norm(A @ out - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_kaczmarz_correction_moves_within_row_space(seed):
+    g = rng(seed)
+    A = g.normal(size=(3, 6))
+    b = g.normal(size=3)
+    w = g.normal(size=6)
+    delta = kaczmarz_correction(A, b, w) - w
+    # delta must lie in Row(A): projecting it onto null(A) leaves nothing
+    assert np.linalg.norm(linalg.project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
+
+
 # -------------------------------------------------------------- gram_cholesky
 
 def gram_solve(A, lam, r):
@@ -78,6 +119,17 @@ def test_gram_solve_residual_oracle():
     lam = 0.3
     alpha = gram_solve(A, lam, r)
     assert np.allclose((A @ A.T + lam**2 * np.eye(3)) @ alpha, r, atol=1e-9)
+
+
+def test_gram_solve_accepts_cached_factorization():
+    g = rng(6)
+    A = g.normal(size=(4, 7))
+    r = g.normal(size=4)
+    cho = agents.block_factor(A, 2.0)
+    direct = gram_solve(A, 2.0, r)
+    # a factor reused across solves gives the fresh result bit for bit
+    for _ in range(2):
+        assert np.array_equal(scipy.linalg.cho_solve(cho, r), direct)
 
 
 # ------------------------------------------------------------------------ svd
