@@ -15,12 +15,17 @@ Only x is ever broadcast; y stays local to its owner.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
-without replacement.  In cyclic mode the per-chunk pseudoinverse or Gram
-factorization (block_factor) is cached across steps.
+without replacement.  The chunk table is built once per agent
+(AgentConfig.chunks).  In cyclic mode a step given a cache memoises, per
+chunk, the chunk's row slice, the views A_J and b_J into the shard and the
+block's pseudoinverse or Gram factorization (block_factor), so a revisited
+chunk needs no indexing and no factorization; iid blocks are gathered and
+factored afresh every step.  The step updates the agent state in place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +35,9 @@ from .errors import CorruptMessage, DimensionError, InvalidParameter
 
 CYCLE = "cycle"
 IID = "iid"
+
+# The LAPACK routine scipy.linalg.cho_solve calls, without its wrapper.
+_potrs = scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -52,10 +60,12 @@ class AgentConfig:
             raise InvalidParameter(f"block size {self.block_size} outside [1, {self.A.shape[0]}]")
         if not (0.0 < self.t_min <= self.t_max):
             raise InvalidParameter(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
-        if self.lam is not None and self.lam <= 0:
-            raise InvalidParameter(f"lambda must be positive, got {self.lam}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise InvalidParameter(f"lambda must be positive and finite, got {self.lam}")
         if self.sampling not in (CYCLE, IID):
             raise InvalidParameter(f"unknown sampling mode {self.sampling!r}")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+            raise InvalidParameter(f"agent {self.agent_id}: shard A or b has non-finite entries")
 
     @property
     def augmented(self) -> bool:
@@ -68,6 +78,14 @@ class AgentConfig:
     @property
     def dim(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def chunks(self) -> list[np.ndarray]:
+        """make_chunks of this shard, built on first use; the arrays are read-only."""
+        chunks = make_chunks(self.local_rows, self.block_size)
+        for chunk in chunks:
+            chunk.flags.writeable = False
+        return chunks
 
 
 def make_chunks(local_rows: int, block_size: int) -> list[np.ndarray]:
@@ -104,30 +122,38 @@ def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.nda
     x = np.zeros(cfg.dim) if init is None else np.asarray(init, dtype=float).copy()
     if x.shape != (cfg.dim,):
         raise CorruptMessage(f"initial estimate has shape {x.shape}, expected ({cfg.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise CorruptMessage("initial estimate has non-finite entries")
     y = np.zeros(cfg.local_rows) if cfg.augmented else None
     return AgentState(x=x, y=y, k=0, block=np.arange(0), chunk=None, rng=block_rng)
 
 
 def aggregate(snapshot: NeighborSnapshot) -> np.ndarray:
-    """Arithmetic mean of all snapshot estimates."""
-    if not snapshot.entries:
+    """Arithmetic mean of all snapshot estimates.
+
+    np.add.reduce over axis 0 and one division is the reduction np.mean
+    performs, so the result is bit-identical to it.  A sequential sum is
+    not: for n = 1 the reduction runs along the contiguous axis, pairwise.
+    """
+    entries = snapshot.entries
+    if not entries:
         raise CorruptMessage("empty snapshot: self entry is mandatory")
-    dim = snapshot.entries[0][1].shape
-    for sender, vec, _ in snapshot.entries:
+    dim = entries[0][1].shape
+    vecs = []
+    for sender, vec, _ in entries:
         if vec.shape != dim:
             raise CorruptMessage(f"estimate from {sender} has shape {vec.shape}, expected {dim}")
-    return np.mean([vec for _, vec, _ in snapshot.entries], axis=0)
+        vecs.append(vec)
+    return np.add.reduce(vecs, axis=0) / len(vecs)
 
 
 def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     """Draw the next row block, updating the sampler bookkeeping on state."""
-    m = cfg.local_rows
     if cfg.sampling == IID:
-        size = min(cfg.block_size, m)
-        state.block = np.sort(state.rng.choice(m, size=size, replace=False))
+        state.block = np.sort(state.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False))
         state.chunk = None
         return state.block
-    chunks = make_chunks(m, cfg.block_size)
+    chunks = cfg.chunks
     if not state.order:
         order = list(state.rng.permutation(len(chunks)))
         # avoid repeating the previous chunk across a pass boundary
@@ -147,30 +173,56 @@ def block_factor(A_J: np.ndarray, lam: float | None):
     return linalg.gram_cholesky(A_J, lam)
 
 
+def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
+    """(rows, A_J, b_J, factor) for block J.  A chunk is a contiguous range,
+    so rows is a slice and A_J, b_J are views into the shard; an iid block
+    is gathered by fancy indexing."""
+    if chunk is None:
+        rows, A_J = J, cfg.A[J]
+    else:
+        rows = slice(int(J[0]), int(J[-1]) + 1)
+        # a no-op view on C-ordered shards; other layouts get the row-major
+        # copy fancy indexing would make, so the products round the same way
+        A_J = np.ascontiguousarray(cfg.A[rows])
+    return rows, A_J, cfg.b[rows], block_factor(A_J, cfg.lam)
+
+
 def step(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
          cache: dict | None = None) -> AgentState:
     """Average the snapshot, then project onto the sampled block equations.
 
-    The block factor is memoised in cache[chunk] when a cache is given and
-    the block is a chunk (cyclic sampling); iid blocks are factored afresh.
+    The block entry (rows, A_J, b_J, factor) is memoised in cache[chunk]
+    when a cache is given and the block is a chunk (cyclic sampling); iid
+    blocks are gathered and factored afresh.  The state is updated in
+    place (k, block, chunk, the sampler, x rebound to a new array, y's
+    block entries) and the same object is returned.
     """
     w = aggregate(snapshot)
     J = sample_block(state, cfg)
-    A_J = cfg.A[J]
     if cache is not None and state.chunk is not None:
-        factor = cache.get(state.chunk)
-        if factor is None:
-            factor = cache[state.chunk] = block_factor(A_J, cfg.lam)
+        entry = cache.get(state.chunk)
+        if entry is None:
+            entry = cache[state.chunk] = _block_entry(cfg, J, state.chunk)
     else:
-        factor = block_factor(A_J, cfg.lam)
-    if not cfg.augmented:
-        return replace(state, x=w + factor @ (cfg.b[J] - A_J @ w), k=state.k + 1)
+        entry = _block_entry(cfg, J, state.chunk)
+    rows, A_J, b_J, factor = entry
+    if cfg.lam is None:
+        state.x = w + factor @ (b_J - A_J @ w)
+        state.k += 1
+        return state
     lam = cfg.lam
-    r = cfg.b[J] - A_J @ w - lam * state.y[J]
-    alpha = scipy.linalg.cho_solve(factor, r)
-    y = state.y.copy()
-    y[J] = y[J] + lam * alpha
-    return replace(state, x=w + A_J.T @ alpha, y=y, k=state.k + 1)
+    y_J = state.y[rows]
+    r = b_J - A_J @ w - lam * y_J
+    if not np.isfinite(r).all():
+        raise ValueError("block residual has non-finite entries")
+    c, lower = factor
+    alpha, info = _potrs(c, r, lower=lower, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    state.x = w + A_J.T @ alpha
+    state.y[rows] = y_J + lam * alpha
+    state.k += 1
+    return state
 
 
 def snapshot_payload(state: AgentState) -> np.ndarray:

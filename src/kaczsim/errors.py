@@ -30,7 +30,7 @@ class InfeasibleTopology(KaczsimError):
 
 
 class CorruptMessage(KaczsimError):
-    """A received state vector has the wrong dimension."""
+    """A state vector has the wrong dimension, or an initial estimate is not finite."""
 
 
 class NoConvergence(KaczsimError):

@@ -21,6 +21,9 @@ import csv
 import hashlib
 import json
 import math
+import numbers
+import sys
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,6 +104,8 @@ class RunOptions:
         return doc
 
 
+RUN_OPTION_TYPES = typing.get_type_hints(RunOptions)
+
 # Keys of a config document (the to_document layout).  "axis" and "value"
 # label a sweep cell in configs.json; the rest of that document already
 # holds the cell's resolved options, so they are accepted and not read.
@@ -120,47 +125,66 @@ def _check_keys(section, allowed: set, where: str) -> None:
         raise InvalidParameter(f"unknown config key(s) {unknown} in {where}")
 
 
+def _typed(name: str, value):
+    """value as the type of RunOptions field `name`, or InvalidParameter.
+
+    Int fields take integers and integral floats; float fields take finite
+    numbers; neither takes a bool or a string.  None is taken only by the
+    optional fields (agents, lam, topology_cap).
+    """
+    kinds = typing.get_args(RUN_OPTION_TYPES[name]) or (RUN_OPTION_TYPES[name],)
+    if value is None and type(None) in kinds:
+        return None
+    if isinstance(value, str) and str in kinds:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if int in kinds and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            return int(value)
+        if float in kinds and abs(value) <= sys.float_info.max:   # finite; False for nan
+            return float(value)
+    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+    raise InvalidParameter(f"config value {name}={value!r} is not a valid {expected}")
+
+
 def options_from_document(doc: dict, base: RunOptions | None = None) -> RunOptions:
     """Parse a config JSON document (the to_document layout) over defaults.
 
-    Unknown keys, an unknown trigger kind and unparsable values raise
-    InvalidParameter.
+    Unknown keys, an unknown trigger kind, a missing entry and a value not
+    of its field's type (see _typed) raise InvalidParameter.
     """
     _check_keys(doc, DOCUMENT_KEYS, "document")
     for name, keys in SECTION_KEYS.items():
         if doc.get(name) is not None:
             _check_keys(doc[name], keys, f"section {name!r}")
-    opts = base or RunOptions()
+    values = {}
     try:
-        if "agents" in doc and doc["agents"] is not None:
-            opts = replace(opts, agents=int(doc["agents"]))
+        if doc.get("agents") is not None:
+            values["agents"] = doc["agents"]
         agent = doc.get("agent") or {}
-        for key in ("block_size", "sampling", "t_min", "t_max"):
+        for key in ("block_size", "sampling", "t_min", "t_max", "lam"):
             if key in agent:
-                opts = replace(opts, **{key: agent[key]})
-        if "lam" in agent:
-            opts = replace(opts, lam=agent["lam"])
+                values[key] = agent[key]
         topo = doc.get("topology") or {}
         if "cap" in topo:
-            opts = replace(opts, topology_cap=topo["cap"])
+            values["topology_cap"] = topo["cap"]
         if "seed" in topo:
-            opts = replace(opts, topology_seed=topo["seed"])
+            values["topology_seed"] = topo["seed"]
         trig = doc.get("trigger") or {}
         if trig.get("kind") == "global":
-            opts = replace(opts, trigger="global", spacing=float(trig["spacing"]))
+            values.update(trigger="global", spacing=trig["spacing"])
         elif trig.get("kind") == "every_k":
-            opts = replace(opts, trigger="every_k", interval=int(trig["interval"]))
+            values.update(trigger="every_k", interval=trig["interval"])
         elif trig:
             raise InvalidParameter(f"unknown trigger kind {trig.get('kind')!r}")
         for key in ("delay_bound", "tol", "k_max", "event_budget", "stop_mode", "seed"):
             if key in doc:
-                opts = replace(opts, **{key: doc[key]})
+                values[key] = doc[key]
         failure = doc.get("failure")
         if failure:
-            opts = replace(opts, failure_rho=float(failure["rho"]), failure_xi=float(failure["xi"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameter(f"malformed config document: missing or bad entry {exc}") from exc
-    return opts
+            values.update(failure_rho=failure["rho"], failure_xi=failure["xi"])
+    except KeyError as exc:
+        raise InvalidParameter(f"malformed config document: missing entry {exc}") from exc
+    return replace(base or RunOptions(), **{name: _typed(name, value) for name, value in values.items()})
 
 
 def config_hash(doc: dict) -> str:

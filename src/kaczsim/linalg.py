@@ -49,9 +49,6 @@ class SvdFactors:
     rank: int
     sigma_min: float
 
-    def reconstruct(self) -> np.ndarray:
-        return self.U @ (self.sigma[:, None] * self.V.T)
-
 
 def svd(A) -> SvdFactors:
     """Thin SVD with rank cut at RANK_RTOL * sigma_max."""

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kaczsim import agents, linalg
 from kaczsim.agents import AgentConfig, NeighborSnapshot
@@ -93,15 +96,26 @@ def test_iid_row_frequencies():
     ({"t_min": 2.0, "t_max": 1.0}, InvalidParameter),
     ({"lam": 0.0}, InvalidParameter),
     ({"lam": -1.0}, InvalidParameter),
+    ({"lam": np.nan}, InvalidParameter),
     ({"sampling": "sweep"}, InvalidParameter),
     ({"b": np.ones(2)}, DimensionError),
     ({"rows": np.arange(4)}, DimensionError),
+    ({"A": np.diag([1.0, np.nan, 1.0])}, InvalidParameter),
+    ({"b": np.array([1.0, 1.0, np.inf])}, InvalidParameter),
 ], ids=["block-zero", "block-over-rows", "t-min-zero", "t-min-over-t-max", "lam-zero",
-        "lam-negative", "sampling", "b-length", "rows-length"])
+        "lam-negative", "lam-nan", "sampling", "b-length", "rows-length", "A-nan", "b-inf"])
 def test_agent_config_validation(change, error):
     fields = dict(agent_id=0, A=np.eye(3), b=np.ones(3), rows=np.arange(3), block_size=3)
     with pytest.raises(error):
         AgentConfig(**{**fields, **change})
+
+
+def test_initial_state_rejects_non_finite_init():
+    cfg = make_cfg(np.eye(3), np.ones(3))
+    with pytest.raises(CorruptMessage):
+        fresh(cfg, init=[0.0, np.nan, 0.0])
+    with pytest.raises(CorruptMessage):
+        fresh(cfg, init=[0.0, 0.0])
 
 
 # ------------------------------------------------------- step, consistent mode
@@ -293,6 +307,98 @@ def test_augmented_cache_matches_direct():
         s_b = agents.step(s_b, cfg, snap(s_b.x), cache=cache)
         assert np.array_equal(s_a.x, s_b.x)
         assert np.array_equal(s_a.y, s_b.y)
+
+
+# ----------------------------------------------------- reference equivalence
+
+def reference_step(state, cfg, snapshot, cache):
+    """The step as first written: np.mean, make_chunks on every step, a
+    fancy-indexed block, cho_solve, and a new state from replace with a
+    copied y."""
+    w = np.mean([vec for _, vec, _ in snapshot.entries], axis=0)
+    m = cfg.local_rows
+    if cfg.sampling == agents.IID:
+        state.block = np.sort(state.rng.choice(m, size=min(cfg.block_size, m), replace=False))
+        state.chunk = None
+    else:
+        chunks = agents.make_chunks(m, cfg.block_size)
+        if not state.order:
+            order = list(state.rng.permutation(len(chunks)))
+            while len(chunks) > 1 and state.chunk is not None and order[0] == state.chunk:
+                order = list(state.rng.permutation(len(chunks)))
+            state.order = order
+        state.chunk = state.order.pop(0)
+        state.block = chunks[state.chunk]
+    J = state.block
+    A_J = cfg.A[J]
+    factor = cache.get(state.chunk) if state.chunk is not None else None
+    if factor is None:
+        factor = linalg.pinv(A_J) if cfg.lam is None else linalg.gram_cholesky(A_J, cfg.lam)
+        if state.chunk is not None:
+            cache[state.chunk] = factor
+    if cfg.lam is None:
+        return replace(state, x=w + factor @ (cfg.b[J] - A_J @ w), k=state.k + 1)
+    r = cfg.b[J] - A_J @ w - cfg.lam * state.y[J]
+    alpha = scipy.linalg.cho_solve(factor, r)
+    y = state.y.copy()
+    y[J] = y[J] + cfg.lam * alpha
+    return replace(state, x=w + A_J.T @ alpha, y=y, k=state.k + 1)
+
+
+def test_step_matches_reference_update():
+    seen = set()
+    for seed in range(64):
+        g = np.random.default_rng(100 + seed)
+        m = int(g.integers(1, 13))
+        n = 1 if seed % 4 == 0 else int(g.integers(2, 9))
+        lam = None if seed % 2 == 0 else float(g.uniform(0.05, 3.0))
+        sampling = agents.IID if seed % 3 == 0 else agents.CYCLE
+        cfg = make_cfg(g.normal(size=(m, n)), g.normal(size=m), block=int(g.integers(1, m + 1)),
+                       lam=lam, sampling=sampling)
+        init = g.normal(size=n)
+        state, ref = fresh(cfg, seed, init), fresh(cfg, seed, init)
+        cache = None if seed % 5 == 0 else {}
+        ref_cache: dict = {}
+        for _ in range(3 * len(cfg.chunks)):   # three passes in cyclic mode
+            d = int(g.integers(1, 9))
+            others = [(sender, g.normal(size=n), 0) for sender in range(1, d)]
+            out = agents.step(state, cfg, NeighborSnapshot([(0, state.x.copy(), 0)] + others), cache)
+            ref = reference_step(ref, cfg, NeighborSnapshot([(0, ref.x.copy(), 0)] + others), ref_cache)
+            assert out is state
+            assert np.array_equal(state.x, ref.x)
+            assert (state.y is None and ref.y is None) or np.array_equal(state.y, ref.y)
+            assert state.k == ref.k and state.chunk == ref.chunk
+            assert np.array_equal(state.block, ref.block)
+            seen.add((lam is None, sampling, n == 1, d))
+    assert {(c, s) for c, s, _, _ in seen} == {(c, s) for c in (True, False)
+                                              for s in (agents.CYCLE, agents.IID)}
+    assert any(one for _, _, one, _ in seen)
+    assert {d for *_, d in seen} == set(range(1, 9))
+
+
+def test_chunk_factored_once(monkeypatch):
+    calls = []
+    pinv, gram_cholesky = linalg.pinv, linalg.gram_cholesky
+    monkeypatch.setattr(linalg, "pinv", lambda A_J: calls.append("pinv") or pinv(A_J))
+    monkeypatch.setattr(linalg, "gram_cholesky",
+                        lambda A_J, lam: calls.append("cholesky") or gram_cholesky(A_J, lam))
+    g = np.random.default_rng(16)
+    A = g.normal(size=(11, 4))
+    b = g.normal(size=11)
+    for lam, routine in ((None, "pinv"), (0.5, "cholesky")):
+        for sampling in (agents.CYCLE, agents.IID):
+            cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
+            state = fresh(cfg)
+            cache: dict = {}
+            steps = 3 * len(cfg.chunks)
+            calls.clear()
+            for _ in range(steps):
+                agents.step(state, cfg, snap(state.x), cache=cache)
+            assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else steps)
+            # a cached chunk holds views into the shard, not copies
+            for rows, A_J, b_J, _ in cache.values():
+                assert np.shares_memory(A_J, cfg.A) and np.shares_memory(b_J, cfg.b)
+                assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
 
 
 # ------------------------------------------------------------ payload contract

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from kaczsim import cli, harness, problems
@@ -232,6 +233,11 @@ BAD_INPUTS = {
     "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
     "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
     "config-unknown-trigger": (None, json.dumps({"trigger": {"kind": "sometimes"}})),
+    "config-block-size-string": (None, json.dumps({"agent": {"block_size": "5"}})),
+    "config-tol-string": (None, json.dumps({"tol": "x"})),
+    "config-lam-string": (None, json.dumps({"agent": {"lam": "1"}})),
+    "config-k-max-string": (None, json.dumps({"k_max": "10"})),
+    "config-k-max-fraction": (None, json.dumps({"k_max": 10.5})),
 }
 
 
@@ -250,3 +256,25 @@ def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):
+    inst_dir = tmp_path / "inst"
+    shutil.copytree(instance_dir, inst_dir)
+    shard = inst_dir / "shard_00_b.txt"
+    values = shard.read_text().splitlines()
+    values[3] = "nan"
+    shard.write_text("\n".join(values) + "\n")
+    assert run_cli("run", "--instance", str(inst_dir), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lam", [None, 1.0], ids=["consistent", "regularized"])
+def test_non_finite_data_rejected_at_construction(lam):
+    g = np.random.default_rng(17)
+    A = g.normal(size=(20, 5))
+    b = g.normal(size=20)
+    b[3] = np.nan
+    inst = problems.from_arrays(A, b, agents=2)
+    with pytest.raises(InvalidParameter):
+        harness.run_single(inst, fast_options(lam=lam))
