@@ -168,6 +168,10 @@ class SimConfig:
             raise InvalidParameter(f"delay bound must be positive, got {self.delay_bound}")
         if self.tol <= 0:
             raise InvalidParameter(f"tol must be positive, got {self.tol}")
+        if self.k_max < 1:
+            raise InvalidParameter(f"k_max must be at least 1, got {self.k_max}")
+        if self.event_budget < 1:
+            raise InvalidParameter(f"event budget must be at least 1, got {self.event_budget}")
         if self.stop_mode not in ("first", "all"):
             raise InvalidParameter(f"unknown stop mode {self.stop_mode!r}")
         if self.topology.agents != len(self.agents):

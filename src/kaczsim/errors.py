@@ -52,7 +52,3 @@ class DelayBoundViolation(KaczsimError):
 
 class InvalidBasis(KaczsimError):
     """Supplied row-space basis is not orthonormal."""
-
-
-class BudgetExceeded(KaczsimError):
-    """Symbolic analysis window is too large for the configured budget."""

@@ -8,8 +8,9 @@ desk-scale instances:
 * the delayed graph over (agent, staleness stage) nodes with its
   row-stochastic weight matrix, one per global tick;
 * the stacked transition operator over a window of ticks, assembled as
-  interleaved restricted projections and weight matrices, with a symbolic
-  projection polynomial per block;
+  interleaved restricted projections and weight matrices, with the
+  inclusion-maximal row unions of each block row's projection products,
+  from which block-row completeness is read;
 * the hybrid norm (infinity norm over blocks of row-space-restricted
   spectral norms), whose value below one certifies contraction.
 
@@ -24,8 +25,7 @@ import scipy.sparse.csgraph
 
 from . import linalg
 from .engine import TickRecord
-from .errors import (BudgetExceeded, DelayBoundViolation, DimensionError,
-                     InvalidBasis, InvalidParameter)
+from .errors import DelayBoundViolation, DimensionError, InvalidBasis, InvalidParameter
 
 # ------------------------------------------------------------- communication
 
@@ -122,89 +122,33 @@ def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> Delaye
     return DelayedGraph(n_agents, depth, record.agent, W)
 
 
-# -------------------------------------------------- projection polynomials
+# ---------------------------------------------------------- transition matrix
 
-@dataclass
-class ProjectionPolynomial:
-    """Weighted sum of projection products, tracked by row-index labels.
+def _spans(A: np.ndarray):
+    """Memoised test: do the rows of A in a bitmask (bit r is row r) span Row(A)?
 
-    Each term is (coefficient, labels) with labels a tuple of row-index
-    tuples in application order; the empty label tuple is the identity.
+    The empty set spans nothing, so a mask of 0 is never complete.
     """
+    rank = linalg.svd(A).rank
+    memo: dict[int, bool] = {}
 
-    terms: list[tuple[float, tuple[tuple[int, ...], ...]]]
+    def spans(mask: int) -> bool:
+        if mask not in memo:
+            rows = [r for r in range(A.shape[0]) if mask >> r & 1]
+            memo[mask] = bool(rows) and linalg.svd(A[rows]).rank == rank
+        return memo[mask]
 
-    @property
-    def weight(self) -> float:
-        return float(sum(c for c, _ in self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-_P_ZERO = ProjectionPolynomial([])
+    return spans
 
 
-def poly_const(coef: float) -> ProjectionPolynomial:
-    return ProjectionPolynomial([(coef, ())]) if coef != 0.0 else _P_ZERO
-
-
-def poly_projection(rows) -> ProjectionPolynomial:
-    return ProjectionPolynomial([(1.0, (tuple(int(r) for r in rows),))])
-
-
-def _poly_mul(left: ProjectionPolynomial, right: ProjectionPolynomial) -> list:
-    """Terms of left*right (right applied first)."""
-    out = []
-    for cl, ll in left.terms:
-        for cr, lr in right.terms:
-            labels = lr + ll
-            # adjacent repeats collapse: a projection is idempotent
-            cleaned = []
-            for lab in labels:
-                if not cleaned or cleaned[-1] != lab:
-                    cleaned.append(lab)
-            out.append((cl * cr, tuple(cleaned)))
+def _maximal(masks) -> list[int]:
+    """Inclusion-maximal members of a set of row bitmasks, largest first."""
+    out: list[int] = []
+    for mask in sorted(set(masks), key=lambda x: (-x.bit_count(), x)):
+        if not any(mask | kept == kept for kept in out):
+            out.append(mask)
     return out
 
-
-def _poly_sum(parts: list[list]) -> ProjectionPolynomial:
-    acc: dict[tuple, float] = {}
-    for terms in parts:
-        for c, labels in terms:
-            acc[labels] = acc.get(labels, 0.0) + c
-    return ProjectionPolynomial([(c, labels) for labels, c in acc.items() if c != 0.0])
-
-
-def check_completeness(poly: ProjectionPolynomial, A) -> bool:
-    """True iff some term's union of row labels spans the row space of A."""
-    if poly.is_zero():
-        return False
-    A = linalg.as_matrix(A)
-    rank = linalg.svd(A).rank
-    for _, labels in poly.terms:
-        union = sorted({r for lab in labels for r in lab})
-        if union and linalg.svd(A[union]).rank == rank:
-            return True
-    return False
-
-
-def row_union_complete(polys_row: list[ProjectionPolynomial], A) -> bool:
-    """Sharp contraction criterion for one block row.
-
-    The row's restricted norm sum reaches its weight exactly when a unit
-    row-space vector is fixed by every projection appearing anywhere in the
-    row, so the row contracts iff the union of row labels over all terms of
-    all entries spans the row space.  A single covering term (the
-    check_completeness condition) is sufficient but not necessary.
-    """
-    A = linalg.as_matrix(A)
-    rank = linalg.svd(A).rank
-    union = sorted({r for p in polys_row for _, labels in p.terms for lab in labels for r in lab})
-    return bool(union) and linalg.svd(A[union]).rank == rank
-
-
-# ---------------------------------------------------------- transition matrix
 
 @dataclass
 class TransitionMatrix:
@@ -212,7 +156,7 @@ class TransitionMatrix:
     depth: int
     dim: int                                   # ambient dimension n
     dense: np.ndarray                          # ((depth+1)N n) x ((depth+1)N n)
-    polys: list[list[ProjectionPolynomial]]    # per block
+    row_sets: list[list[int]]                  # per block row: maximal row bitmasks
 
     @property
     def blocks(self) -> int:
@@ -222,93 +166,61 @@ class TransitionMatrix:
         n = self.dim
         return self.dense[i * n:(i + 1) * n, j * n:(j + 1) * n]
 
-    def weights(self) -> np.ndarray:
-        return np.array([[p.weight for p in row] for row in self.polys])
-
     def row_complete(self, A) -> list[bool]:
-        return [any(check_completeness(p, A) for p in row) for row in self.polys]
+        """Per block row: does some projection product's row union span Row(A)?"""
+        spans = _spans(linalg.as_matrix(A))
+        return [any(spans(mask) for mask in sets) for sets in self.row_sets]
 
 
-def build_transition_matrix(window: list[TickRecord], A, n_agents: int, depth: int,
-              term_budget: int = 250_000) -> TransitionMatrix:
+def build_transition_matrix(window: list[TickRecord], A, n_agents: int,
+                            depth: int) -> TransitionMatrix:
     """Stacked transition operator over a window of consecutive ticks.
 
     Interleaves the per-tick weight matrices with the block-diagonal
-    projections, exactly as the delayed error recursion multiplies out, and
-    mirrors the product symbolically so each block carries its projection
-    polynomial.  Raises BudgetExceeded when the symbolic expansion grows
-    past term_budget terms.
+    projections, exactly as the delayed error recursion multiplies out.
+    Multiplied out, every block is a sum of projection products with
+    positive coefficients (products of weights), so no term ever cancels.
+    The completeness report asks only whether some term's *union* of
+    projected rows spans Row(A), and that union does not depend on the
+    order of the projections.  Each block row therefore carries the set of
+    unions of its terms as row bitmasks, pruned to the inclusion-maximal
+    ones (spanning is monotone under inclusion); a union that spans is
+    stored as the all-rows mask, since every superset of it spans too.
     """
     A = linalg.as_matrix(A)
-    n = A.shape[1]
+    m, n = A.shape
     size_b = (depth + 1) * n_agents
-    size = size_b * n
+    full = (1 << m) - 1
+    spans = _spans(A)
 
-    proj_cache: dict[tuple[int, ...], np.ndarray] = {}
+    def close(mask: int) -> int:
+        return full if spans(mask) else mask
 
-    def projector(rows: tuple[int, ...]) -> np.ndarray:
+    proj_cache: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+
+    def projector(rows: tuple[int, ...]) -> tuple[np.ndarray, int]:
         if rows not in proj_cache:
             A_J = A[list(rows)]
-            proj_cache[rows] = np.eye(n) - linalg.pinv(A_J) @ A_J
+            proj_cache[rows] = (np.eye(n) - linalg.pinv(A_J) @ A_J,
+                                sum(1 << r for r in set(rows)))
         return proj_cache[rows]
 
-    # who projected at each window position (None outside the window)
-    tick_rows = {pos: tuple(int(r) for r in rec.rows) for pos, rec in enumerate(window)}
-    tick_agent = {pos: rec.agent for pos, rec in enumerate(window)}
-
-    dense = np.eye(size)
-    polys = [[poly_const(1.0) if i == j else _P_ZERO for j in range(size_b)] for i in range(size_b)]
-
-    def apply_weights(rec: TickRecord):
-        nonlocal dense, polys
-        dg = build_delayed_graph(rec, n_agents, depth)
-        dense = np.kron(dg.W, np.eye(n)) @ dense
-        new_polys = []
-        for i in range(size_b):
-            row = []
-            for j in range(size_b):
-                parts = [
-                    _poly_mul(poly_const(dg.W[i, k]), polys[k][j])
-                    for k in range(size_b)
-                    if dg.W[i, k] != 0.0 and not polys[k][j].is_zero()
-                ]
-                row.append(_poly_sum(parts))
-            new_polys.append(row)
-        polys = new_polys
-
-    def apply_projections(pos: int):
-        nonlocal dense, polys
-        # stage-s slot of agent i projects with whatever i applied at pos - s
-        blocks = []
-        labels = []
-        for s in range(depth + 1):
-            q = pos - s
-            for i in range(n_agents):
-                if q in tick_agent and tick_agent[q] == i:
-                    blocks.append(projector(tick_rows[q]))
-                    labels.append(tick_rows[q])
-                else:
-                    blocks.append(None)
-                    labels.append(None)
-        for bi, (blk, lab) in enumerate(zip(blocks, labels)):
-            if blk is None:
-                continue
-            rows = slice(bi * n, (bi + 1) * n)
-            dense[rows, :] = blk @ dense[rows, :]
-            proj = poly_projection(lab)
-            polys[bi] = [
-                _poly_sum([_poly_mul(proj, p)]) if not p.is_zero() else _P_ZERO
-                for p in polys[bi]
-            ]
-
+    dense = np.eye(size_b * n)
+    row_sets = [[0] for _ in range(size_b)]
     for pos, rec in enumerate(window):
-        apply_weights(rec)
-        apply_projections(pos)
-        total_terms = sum(len(p.terms) for row in polys for p in row)
-        if total_terms > term_budget:
-            raise BudgetExceeded(f"{total_terms} polynomial terms exceed budget {term_budget}")
+        W = build_delayed_graph(rec, n_agents, depth).W
+        dense = (W @ dense.reshape(size_b, -1)).reshape(dense.shape)
+        row_sets = [_maximal(mask for k in np.flatnonzero(W[i]) for mask in row_sets[k])
+                    for i in range(size_b)]
+        # stage-s slot of an agent projects with whatever it applied at pos - s
+        for s in range(min(depth, pos) + 1):
+            past = window[pos - s]
+            P, rows = projector(tuple(int(r) for r in past.rows))
+            bi = s * n_agents + past.agent
+            dense[bi * n:(bi + 1) * n, :] = P @ dense[bi * n:(bi + 1) * n, :]
+            row_sets[bi] = _maximal(close(mask | rows) for mask in row_sets[bi])
 
-    return TransitionMatrix(n_agents, depth, n, dense, polys)
+    return TransitionMatrix(n_agents, depth, n, dense, row_sets)
 
 
 def hybrid_norm_A(tm: TransitionMatrix, basis: np.ndarray) -> float:
@@ -348,15 +260,14 @@ def max_observed_stage(ticks: list[TickRecord]) -> int:
 
 
 def certification_report(ticks: list[TickRecord], A, n_agents: int,
-                         window: int, l_window: int | None = None,
-                         term_budget: int = 250_000) -> dict:
+                         window: int, l_window: int | None = None) -> dict:
     """Contraction certificate over the last `window` ticks of a trace."""
     if window < 0 or window > len(ticks):
         raise InvalidParameter(f"window {window} outside trace of {len(ticks)} ticks")
     A = linalg.as_matrix(A)
     tail = ticks[len(ticks) - window:]
     depth = max_observed_stage(tail)
-    tm = build_transition_matrix(tail, A, n_agents, depth, term_budget=term_budget)
+    tm = build_transition_matrix(tail, A, n_agents, depth)
     basis = linalg.row_space_basis(A)
     seq = comm_graph_sequence(tail, n_agents)
     l_window = l_window if l_window is not None else max(1, min(len(seq), 2 * n_agents))

@@ -194,7 +194,7 @@ def config_hash(doc: dict) -> str:
 
 def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     """Materialize a simulator config (and its oracle) from an instance."""
-    n_agents = opts.agents or len(inst.shards)
+    n_agents = opts.agents if opts.agents is not None else len(inst.shards)
     shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.dense(), inst.b, n_agents)
     lam = opts.lam if opts.lam else None   # 0 or None -> consistent update
     acfgs = [
@@ -249,7 +249,7 @@ def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: R
             n = derive_agent_count(inst.m, inst.n, float(theta1))
             cells.append(SweepCell(c, (float(theta1),), replace(base, agents=n, topology_cap=None)))
     elif axis == "neighbors":
-        n = base.agents or len(inst.shards)
+        n = base.agents if base.agents is not None else len(inst.shards)
         for c, theta2 in enumerate(values):
             cap = max(2, math.ceil(n * float(theta2)))
             cells.append(SweepCell(c, (float(theta2),), replace(base, topology_cap=cap)))

@@ -21,7 +21,7 @@ import scipy.io
 import scipy.sparse
 
 from . import rng
-from .errors import DegenerateInstance, IoError, TooManyAgents
+from .errors import DegenerateInstance, InvalidParameter, IoError, TooManyAgents
 from .linalg import min_norm_solve
 
 MANIFEST_NAME = "manifest.json"
@@ -77,6 +77,8 @@ class ProblemInstance:
 
 def partition_sizes(m: int, agents: int) -> list[int]:
     """Contiguous block sizes differing by at most one, larger blocks first."""
+    if agents < 1:
+        raise InvalidParameter(f"need at least one agent, got {agents}")
     if agents > m:
         raise TooManyAgents(f"{agents} agents for {m} rows")
     base, extra = divmod(m, agents)

@@ -20,7 +20,6 @@ min(cap, N-1) or exhausts the legal edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,15 +35,6 @@ class Topology:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.agents) for j in self.neighbors[i] if i < j]
-
-    def to_edge_list(self) -> str:
-        return "".join(f"{i} {j}\n" for i, j in self.edges())
-
-    def save_edge_list(self, path) -> None:
-        Path(path).write_text(self.to_edge_list())
 
 
 def _coords(i: int) -> tuple[int, int]:

@@ -354,4 +354,8 @@ def test_config_validation():
     with pytest.raises(InvalidParameter):
         SimConfig(topo, acfg, inst.x_star, 1.0, EveryK(5), stop_mode="weird")
     with pytest.raises(InvalidParameter):
+        SimConfig(topo, acfg, inst.x_star, 1.0, EveryK(5), k_max=0)
+    with pytest.raises(InvalidParameter):
+        SimConfig(topo, acfg, inst.x_star, 1.0, EveryK(5), event_budget=0)
+    with pytest.raises(InvalidParameter):
         FailurePlan(1.5, 1.0)

@@ -6,8 +6,8 @@ import pytest
 from kaczsim import engine, graphs, linalg, problems, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import TickRecord
-from kaczsim.errors import (BudgetExceeded, DelayBoundViolation,
-                            InvalidBasis, InvalidParameter, NoConvergence)
+from kaczsim.errors import (DelayBoundViolation, InvalidBasis, InvalidParameter,
+                            NoConvergence)
 
 
 def make_tick(tick, agent, rows, used):
@@ -214,7 +214,7 @@ def test_empty_window_is_identity():
     A = np.random.default_rng(3).normal(size=(4, 3))
     tm = graphs.build_transition_matrix([], A, 2, 1)
     assert np.array_equal(tm.dense, np.eye(4 * 3))
-    assert np.allclose(tm.weights(), np.eye(4))
+    assert tm.row_sets == [[0]] * 4
 
 
 def test_weights_row_stochastic_for_any_window():
@@ -222,8 +222,10 @@ def test_weights_row_stochastic_for_any_window():
     A = g.normal(size=(4, 3))
     schedule = [0, 1, 0, 1, 1]
     pattern = [0, 2, 1, 3, 2]
-    tm = graphs.build_transition_matrix(two_agent_window(A, schedule, pattern), A, 2, 1)
-    assert np.allclose(tm.weights().sum(axis=1), 1.0, atol=1e-12)
+    weights = np.eye(4)
+    for rec in two_agent_window(A, schedule, pattern):
+        weights = graphs.build_delayed_graph(rec, 2, 1).W @ weights
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_full_coverage_connected_window_contracts():
@@ -249,57 +251,112 @@ def test_isolated_deficient_agent_has_unit_norm():
     assert abs(hn - 1.0) <= 1e-9
 
 
-def test_budget_exceeded():
-    g = np.random.default_rng(8)
-    A = g.normal(size=(4, 3))
-    schedule = [0, 1] * 6
-    pattern = [0, 2, 1, 3] * 3
-    with pytest.raises(BudgetExceeded):
-        graphs.build_transition_matrix(two_agent_window(A, schedule, pattern), A, 2, 1, term_budget=10)
-
-
 # ------------------------------------------------------------- completeness
 
 def test_check_completeness_cases():
     g = np.random.default_rng(9)
     A = g.normal(size=(3, 2))  # rank 2; any 2 random rows span
-    full = graphs.poly_projection([0, 1, 2])
-    assert graphs.check_completeness(full, A)
-    assert not graphs.check_completeness(graphs.ProjectionPolynomial([]), A)
-    assert not graphs.check_completeness(graphs.poly_const(1.0), A)
+
+    def complete(row_sets):
+        tm = graphs.TransitionMatrix(1, 0, 2, np.eye(2), [row_sets])
+        return tm.row_complete(A) == [True]
+
+    assert complete([0b111])
+    assert not complete([])       # no term at all
+    assert not complete([0])      # identity term: no rows projected
     # proper subset with full rank is enough
-    subset = graphs.ProjectionPolynomial([(1.0, ((0,), (2,)))])
-    assert graphs.check_completeness(subset, A)
+    assert complete([0b101])
     # rank-deficient union is not
-    single = graphs.ProjectionPolynomial([(1.0, ((1,),))])
-    assert not graphs.check_completeness(single, A)
+    assert not complete([0b010])
 
 
 def test_sharp_row_criterion_matches_contraction_exhaustively():
-    """Block-row contraction happens exactly when the union of row labels over
-    all terms spans Row(A); a single covering term is sufficient but not
+    """Block-row contraction happens exactly when the union of projected rows
+    over all terms spans Row(A); a single covering term is sufficient but not
     necessary (sums of partial products can still contract)."""
     g = np.random.default_rng(10)
     A = g.normal(size=(4, 3))
     basis = linalg.row_space_basis(A)
+    rank = linalg.svd(A).rank
     schedule = [0, 1] * 3
     agent_rows = [[0, 1], [2, 3]]
     saw_gap = False
     for pattern in itertools.product(*[agent_rows[a] for a in schedule]):
         tm = graphs.build_transition_matrix(two_agent_window(A, schedule, pattern), A, 2, 1)
-        for i, row in enumerate(tm.polys):
+        term_complete = tm.row_complete(A)
+        for i, sets in enumerate(tm.row_sets):
             rowsum = sum(
                 float(np.linalg.norm(basis.T @ tm.block(i, j) @ basis, 2))
                 for j in range(tm.blocks)
             )
-            sharp = graphs.row_union_complete(row, A)
+            union = [r for r in range(A.shape[0]) if any(mask >> r & 1 for mask in sets)]
+            sharp = bool(union) and linalg.svd(A[union]).rank == rank
             assert sharp == (rowsum < 1.0 - 1e-9)
-            term_level = any(graphs.check_completeness(p, A) for p in row)
-            if term_level:
+            if term_complete[i]:
                 assert sharp  # single-term completeness implies the sharp one
             elif sharp:
                 saw_gap = True
     assert saw_gap
+
+
+def _random_window(g, n_agents, depth, shards):
+    window = []
+    for t in range(int(g.integers(1, 7))):
+        a = int(g.integers(n_agents))
+        k = int(g.integers(1, len(shards[a]) + 1))
+        rows = sorted(g.choice(shards[a], size=k, replace=False).tolist())
+        used = [(a, 0)]
+        for sender in range(n_agents):
+            if sender != a and g.random() < 0.7:
+                used.append((sender, int(g.integers(0, depth + 1))))   # stale stages too
+        window.append(make_tick(t, a, rows, used))
+    return window
+
+
+def _path_unions(window, n_agents, depth, slot, pos):
+    """Brute-force oracle: the row union of every nonzero-weight path that ends
+    in block row `slot` after window position `pos`, one union per path."""
+    if pos < 0:
+        return [frozenset()]
+    here = frozenset()
+    for s in range(min(depth, pos) + 1):
+        past = window[pos - s]
+        if s * n_agents + past.agent == slot:
+            here = frozenset(int(r) for r in past.rows)
+    W = graphs.build_delayed_graph(window[pos], n_agents, depth).W
+    return [u | here
+            for k in range(W.shape[1]) if W[slot, k] != 0.0
+            for u in _path_unions(window, n_agents, depth, k, pos - 1)]
+
+
+def test_row_complete_matches_path_enumeration():
+    g = np.random.default_rng(21)
+    checked = incomplete = 0
+    for case in range(36):
+        n_agents, depth = int(g.integers(2, 4)), int(g.integers(0, 3))
+        m = int(g.integers(n_agents + 1, 7))
+        A = g.normal(size=(m, int(g.integers(2, 5))))
+        if case % 3 == 0:
+            A[-1] = 2.0 * A[0]        # a repeated row direction
+            A[:, -1] = A[:, 0]        # and rank-deficient columns
+        rank = linalg.svd(A).rank
+
+        def spans(rows):
+            rows = sorted(rows)
+            return bool(rows) and linalg.svd(A[rows]).rank == rank
+
+        shards = np.array_split(np.arange(m), n_agents)
+        window = _random_window(g, n_agents, depth, shards)
+        tm = graphs.build_transition_matrix(window, A, n_agents, depth)
+        complete = tm.row_complete(A)
+        for i in range(tm.blocks):
+            unions = _path_unions(window, n_agents, depth, i, len(window) - 1)
+            assert complete[i] == any(spans(u) for u in unions)
+            sharp = [r for r in range(m) if any(mask >> r & 1 for mask in tm.row_sets[i])]
+            assert spans(sharp) == spans(frozenset().union(*unions))
+            checked += 1
+            incomplete += not complete[i]
+    assert checked > 100 and incomplete > 10   # both outcomes are exercised
 
 
 # ------------------------------------------------------------- hybrid norm
@@ -307,12 +364,9 @@ def test_sharp_row_criterion_matches_contraction_exhaustively():
 def test_hybrid_norm_zero_and_identity():
     A = np.eye(3)
     basis = linalg.row_space_basis(A)
-    zero = graphs.TransitionMatrix(1, 1, 3, np.zeros((6, 6)),
-                                   [[graphs.ProjectionPolynomial([])] * 2] * 2)
+    zero = graphs.TransitionMatrix(1, 1, 3, np.zeros((6, 6)), [[], []])
     assert graphs.hybrid_norm_A(zero, basis) == 0.0
-    ident = graphs.TransitionMatrix(1, 1, 3, np.eye(6),
-                                    [[graphs.poly_const(1.0) if i == j else graphs.ProjectionPolynomial([])
-                                      for j in range(2)] for i in range(2)])
+    ident = graphs.TransitionMatrix(1, 1, 3, np.eye(6), [[0], [0]])
     assert graphs.hybrid_norm_A(ident, basis) == pytest.approx(1.0)
 
 

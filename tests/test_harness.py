@@ -198,6 +198,15 @@ def test_cli_certify(tmp_path):
         assert key in report
 
 
+def test_cli_certify_long_window(tmp_path):
+    out = tmp_path / "cert"
+    assert run_cli("certify", "--m", "4", "--n", "3", "--agents", "2",
+                   "--window", "64", "--out", str(out)) == 0
+    report = json.loads((out / "certify.json").read_text())
+    assert report["window"] == 64
+    assert report["complete_rows"] and all(report["complete_rows"])
+
+
 def test_cli_env_var_output(tmp_path, instance_dir, monkeypatch):
     monkeypatch.setenv("KACZSIM_OUT", str(tmp_path / "from_env"))
     assert run_cli("run", "--instance", str(instance_dir), "--block-size", "5",
@@ -238,6 +247,9 @@ BAD_INPUTS = {
     "config-lam-string": (None, json.dumps({"agent": {"lam": "1"}})),
     "config-k-max-string": (None, json.dumps({"k_max": "10"})),
     "config-k-max-fraction": (None, json.dumps({"k_max": 10.5})),
+    "config-k-max-negative": (None, json.dumps({"k_max": -5})),
+    "config-event-budget-negative": (None, json.dumps({"event_budget": -1})),
+    "config-agents-zero": (None, json.dumps({"agents": 0})),
 }
 
 

@@ -69,13 +69,3 @@ def test_fill_saturates_degrees():
 def test_is_connected_negative_case():
     t = topology.Topology(2, 1, [[], []])
     assert not topology.is_connected(t)
-
-
-def test_edge_list_export(tmp_path):
-    t = topology.build_pascal(4, 3, seed=0)
-    path = tmp_path / "edges.txt"
-    t.save_edge_list(path)
-    lines = path.read_text().strip().splitlines()
-    parsed = [tuple(map(int, line.split())) for line in lines]
-    assert sorted(parsed) == sorted(t.edges())
-    assert all(i < j for i, j in parsed)
