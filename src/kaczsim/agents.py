@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import CorruptMessage, DimensionError, InvalidParameter
+from .errors import CorruptMessage, DimensionError, Diverged, InvalidParameter
 
 CYCLE = "cycle"
 IID = "iid"
@@ -214,7 +214,7 @@ def step(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
     y_J = state.y[rows]
     r = b_J - A_J @ w - lam * y_J
     if not np.isfinite(r).all():
-        raise ValueError("block residual has non-finite entries")
+        raise Diverged("block residual has non-finite entries")
     c, lower = factor
     alpha, info = _potrs(c, r, lower=lower, overwrite_b=True)
     if info != 0:

@@ -13,10 +13,19 @@ iterations (K ~ ceil(Exp(mean 1/xi))), halts for an Exp(mean xi) stretch of
 simulated seconds, then resumes and redraws.  Halted agents neither iterate
 nor broadcast; their mailboxes keep accepting deliveries.
 
-The run stops at the first agent within tolerance of the oracle (or all
-agents, in "all" mode), or when every agent exhausts k_max, or when the
-event budget is spent; the latter two raise NoConvergence carrying the
-full result.
+Per-agent iteration intervals and message delays are drawn from the
+agent's scheduling and delay streams 64 at a time (uniform_draws); a batch
+hands out the doubles the one-at-a-time calls would, in the same order.
+
+The log is a list of typed Event records (kind, agent and the kind's int
+and float fields); Event.detail formats them as the events.csv text.
+
+The run stops with stop_reason "tol" at the first agent within tolerance
+of the oracle (or all agents, in "all" mode: a count of agents within
+tolerance is kept as they enter and leave); "diverged" at the first
+Iterate whose error, or whose block residual, is non-finite; "k_max" when
+every agent exhausts k_max; "budget" when the event budget is spent.  All
+but "tol" raise NoConvergence carrying the full result.
 """
 from __future__ import annotations
 
@@ -24,17 +33,21 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import agents as agents_mod
 from . import rng
 from .agents import AgentConfig, AgentState, NeighborSnapshot
-from .errors import InvalidParameter, NoConvergence
+from .errors import Diverged, InvalidParameter, NoConvergence
 from .topology import Topology
 
 # queue priorities at equal times
-_PRIO = {"Deliver": 0, "Resume": 1, "Iterate": 2}
+_DELIVER, _RESUME, _ITERATE = 0, 1, 2
+
+# scheduling and delay doubles drawn per batch
+_DRAW_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -86,8 +99,7 @@ class FailureState:
         return float(self.stream.exponential(xi))
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: int
     receiver: int
     payload: np.ndarray
@@ -96,12 +108,42 @@ class Message:
     sender_iter: int
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One log entry.  Each kind fills the typed fields it has and leaves
+    the others at their defaults:
+
+    Iterate    k (iteration), count (snapshot entries d), value (error)
+    Broadcast  k, count (neighbors)
+    Deliver    peer (sender), k (sender iteration), kept (False: stale)
+    Halt       value (resume time)
+    Converge   value (error)
+    Resume     none
+    """
+
     time: float
     kind: str      # Iterate | Broadcast | Deliver | Halt | Resume | Converge
     agent: int
-    detail: str
+    peer: int = -1
+    k: int = -1
+    count: int = -1
+    value: float = 0.0
+    kept: bool = False
+
+    @property
+    def detail(self) -> str:
+        """The fields as text, the events.csv `detail` column."""
+        kind = self.kind
+        if kind == "Deliver":
+            return f"from={self.peer};iter={self.k};{'kept' if self.kept else 'stale'}"
+        if kind == "Iterate":
+            return f"k={self.k};d={self.count};err={self.value:.6e}"
+        if kind == "Broadcast":
+            return f"k={self.k};n={self.count}"
+        if kind == "Halt":
+            return f"until={self.value:.6f}"
+        if kind == "Converge":
+            return f"err={self.value:.6e}"
+        return ""
 
 
 @dataclass(frozen=True)
@@ -188,7 +230,7 @@ class RunResult:
     err_trace: list[tuple[int, int, float]]   # (event index, agent, error)
     iterate_times: list[list[float]]
     converged: bool
-    stop_reason: str                          # tol | k_max | budget
+    stop_reason: str                          # tol | k_max | budget | diverged
     config: SimConfig
 
 
@@ -226,6 +268,13 @@ def inject_failures(plan: FailurePlan | None, n_agents: int) -> list[FailureStat
     return states
 
 
+def uniform_draws(stream: np.random.Generator, low: float, high: float):
+    """The doubles successive stream.uniform(low, high) calls return, drawn in
+    batches: a batch fills element by element with the scalar call's formula."""
+    while True:
+        yield from stream.uniform(low, high, _DRAW_BATCH).tolist()
+
+
 class _Runtime:
     """Mutable per-agent bookkeeping for one run."""
 
@@ -233,9 +282,10 @@ class _Runtime:
         self.cfg = cfg
         self.state = state
         self.cache: dict = {}
-        self.sched = sched
-        self.delay = delay
-        self.mailbox: dict[int, Message] = {}
+        self.gaps = uniform_draws(sched, cfg.t_min, cfg.t_max)   # iteration intervals
+        self.delays = uniform_draws(delay, 0.0, 1.0)             # message delay fractions
+        # keep-latest snapshot entries (sender, estimate, sender iteration), in sender order
+        self.mailbox: dict[int, tuple[int, np.ndarray, int]] = {}
         self.last_time = 0.0
         self.err = math.inf
         self.within_tol = False
@@ -255,10 +305,17 @@ def _value_tick(iter_ticks: list[int], h: int, now_tick: int) -> int:
     return now_tick
 
 
+def _distance(x: np.ndarray, y: np.ndarray) -> float:
+    """|x - y|, bit for bit what np.linalg.norm computes for 1-D floats."""
+    d = x - y
+    return math.sqrt(d.dot(d))
+
+
 def run(cfg: SimConfig) -> RunResult:
     n = len(cfg.agents)
     oracle = np.asarray(cfg.oracle, dtype=float)
     ls_ref = oracle if cfg.ls_reference is None else np.asarray(cfg.ls_reference, dtype=float)
+    tol = cfg.tol
 
     failure = inject_failures(cfg.failure, n)
     runtimes: list[_Runtime] = []
@@ -273,9 +330,11 @@ def run(cfg: SimConfig) -> RunResult:
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
                       rng.stream(cfg.seed, rng.DELAY, i))
-        rt.err = float(np.linalg.norm(state.x - oracle))
-        rt.within_tol = rt.err <= cfg.tol
+        rt.err = _distance(state.x, oracle)
+        rt.within_tol = rt.err <= tol
         runtimes.append(rt)
+    within = sum(rt.within_tol for rt in runtimes)   # agents within tol, kept up to date
+    stop_all = cfg.stop_mode == "all"
 
     log: list[Event] = []
     messages: list[Message] = []
@@ -283,118 +342,135 @@ def run(cfg: SimConfig) -> RunResult:
     err_trace: list[tuple[int, int, float]] = []
     iterate_times: list[list[float]] = [[] for _ in range(n)]
 
-    heap: list[tuple[float, int, int, int, str, Message | None]] = []
-    seq = 0
-
-    def push(time: float, kind: str, agent: int, msg: Message | None = None):
-        nonlocal seq
-        heapq.heappush(heap, (time, _PRIO[kind], agent, seq, kind, msg))
-        seq += 1
-
+    # heap entries (time, priority, agent, insertion seq, Deliver snapshot entry)
+    heap: list[tuple[float, int, int, int, tuple | None]] = []
     for i, rt in enumerate(runtimes):
-        push(rt.sched.uniform(rt.cfg.t_min, rt.cfg.t_max), "Iterate", i)
+        heapq.heappush(heap, (next(rt.gaps), _ITERATE, i, i, None))
+    seq = n
+
+    budget, k_max, delay_bound = cfg.event_budget, cfg.k_max, cfg.delay_bound
+    neighbors_of = cfg.topology.neighbors
+    trigger = cfg.trigger
+    every = trigger.interval if isinstance(trigger, EveryK) else 0
+    c0, c1 = cfg.cmp_cost
+    xi = cfg.failure.xi if cfg.failure is not None else 0.0
+    # Event and Message are built with tuple.__new__, all fields given, which
+    # skips the Python-level NamedTuple constructor on the hot path
+    new = tuple.__new__
+    emit = log.append
+    push = heapq.heappush
+    pop = heapq.heappop
 
     converged = False
     stop_reason = "budget"
-    tick_count = 0
+    tick = 0
     now = 0.0
 
-    def emit(time: float, kind: str, agent: int, detail: str) -> None:
-        log.append(Event(time, kind, agent, detail))
-
     while heap:
-        if len(log) >= cfg.event_budget:
+        if len(log) >= budget:
             stop_reason = "budget"
             break
-        now, _, agent, _, kind, msg = heapq.heappop(heap)
+        now, prio, agent, _, entry = pop(heap)
         rt = runtimes[agent]
 
-        if kind == "Deliver":
-            held = rt.mailbox.get(msg.sender)
-            if held is None or msg.sender_iter > held.sender_iter:
-                rt.mailbox[msg.sender] = msg
-                status = "kept"
-            else:
-                status = "stale"
-            emit(now, "Deliver", agent, f"from={msg.sender};iter={msg.sender_iter};{status}")
+        if prio == _DELIVER:
+            sender, _, sender_iter = entry
+            mailbox = rt.mailbox
+            held = mailbox.get(sender)
+            kept = held is None or sender_iter > held[2]
+            if kept:
+                mailbox[sender] = entry
+                if held is None:   # a new sender: restore sender order
+                    rt.mailbox = dict(sorted(mailbox.items()))
+            emit(new(Event, (now, "Deliver", agent, sender, sender_iter, -1, 0.0, kept)))
             continue
 
-        if kind == "Resume":
+        if prio == _RESUME:
             fs = failure[agent]
             fs.active = False
-            fs.runs_left = fs.draw_run_length(cfg.failure.xi)
-            emit(now, "Resume", agent, "")
-            push(now + rt.sched.uniform(rt.cfg.t_min, rt.cfg.t_max), "Iterate", agent)
+            fs.runs_left = fs.draw_run_length(xi)
+            emit(new(Event, (now, "Resume", agent, -1, -1, -1, 0.0, False)))
+            push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
+            seq += 1
             continue
 
-        # Iterate
+        # Iterate.  step rebinds state.x and never writes into it, so the
+        # self entry needs no copy.
         acfg = rt.cfg
-        tick = tick_count
-        tick_count += 1
-
-        entries = [(agent, rt.state.x.copy(), rt.state.k)]
-        for sender in sorted(rt.mailbox):
-            m = rt.mailbox[sender]
-            entries.append((sender, m.payload, m.sender_iter))
-        snapshot = NeighborSnapshot(entries)
+        state = rt.state
+        entries = [(agent, state.x, state.k), *rt.mailbox.values()]
         prev_time = rt.last_time
-        rt.state = agents_mod.step(rt.state, acfg, snapshot, cache=rt.cache)
+        try:
+            state = rt.state = agents_mod.step(state, acfg, NeighborSnapshot(entries), cache=rt.cache)
+        except Diverged:
+            stop_reason = "diverged"
+            break
+        k = state.k
         rt.last_time = now
-        rt.t_cmp += cfg.cmp_cost[0] + cfg.cmp_cost[1] * len(rt.state.block) * acfg.dim
-        rt.err = float(np.linalg.norm(rt.state.x - oracle))
-        rt.within_tol = rt.err <= cfg.tol
+        rt.t_cmp += c0 + c1 * len(state.block) * acfg.dim
+        err = rt.err = _distance(state.x, oracle)
+        if (err <= tol) != rt.within_tol:
+            rt.within_tol = not rt.within_tol
+            within += 1 if rt.within_tol else -1
         iterate_times[agent].append(now)
         rt.iter_ticks.append(tick)
 
-        emit(now, "Iterate", agent, f"k={rt.state.k};d={len(entries)};err={rt.err:.6e}")
-        err_trace.append((len(log), agent, rt.err))
+        emit(new(Event, (now, "Iterate", agent, -1, k, len(entries), err, False)))
+        err_trace.append((len(log), agent, err))
 
         if cfg.record_trace:
             used = []
             for sender, _, h in entries:
                 q = _value_tick(runtimes[sender].iter_ticks, h, tick)
                 used.append((sender, tick - q))
-            ticks.append(TickRecord(tick, now, agent, rt.state.k, rt.state.chunk,
-                                    acfg.rows[rt.state.block], tuple(used), len(entries), rt.err,
-                                    x=rt.state.x.copy() if cfg.record_states else None))
+            ticks.append(TickRecord(tick, now, agent, k, state.chunk,
+                                    acfg.rows[state.block], tuple(used), len(entries), err,
+                                    x=state.x.copy() if cfg.record_states else None))
+        tick += 1
 
         # stop checks come before the broadcast: a converged run ends here
-        if (cfg.stop_mode == "first" and rt.within_tol) or (
-            cfg.stop_mode == "all" and all(r.within_tol for r in runtimes)
-        ):
-            emit(now, "Converge", agent, f"err={rt.err:.6e}")
-            converged = True
-            stop_reason = "tol"
+        if rt.within_tol:
+            if not stop_all or within == n:
+                emit(new(Event, (now, "Converge", agent, -1, -1, -1, err, False)))
+                converged = True
+                stop_reason = "tol"
+                break
+        elif not math.isfinite(err):
+            stop_reason = "diverged"
             break
 
-        if fire_trigger(rt.state.k, prev_time, now, cfg.trigger):
-            neighbors = cfg.topology.neighbors[agent]
-            emit(now, "Broadcast", agent, f"k={rt.state.k};n={len(neighbors)}")
-            payload = agents_mod.snapshot_payload(rt.state)
+        if (k % every == 0) if every else fire_trigger(k, prev_time, now, trigger):
+            neighbors = neighbors_of[agent]
+            emit(new(Event, (now, "Broadcast", agent, -1, k, len(neighbors), 0.0, False)))
+            payload = agents_mod.snapshot_payload(state)
+            entry = (agent, payload, k)
             for nbr in neighbors:
-                delay = cfg.delay_bound * (1.0 - rt.delay.uniform())  # (0, delay_bound]
-                m = Message(agent, nbr, payload, now, now + delay, rt.state.k)
-                messages.append(m)
-                push(m.arrival_time, "Deliver", nbr, m)
+                delay = delay_bound * (1.0 - next(rt.delays))  # (0, delay_bound]
+                arrival = now + delay
+                messages.append(new(Message, (agent, nbr, payload, now, arrival, k)))
+                push(heap, (arrival, _DELIVER, nbr, seq, entry))
+                seq += 1
                 rt.c_sent += 1
                 rt.t_comm += delay
 
-        if rt.state.k >= cfg.k_max:
+        if k >= k_max:
             continue   # this agent is done; the run ends when no Iterate remains
 
         fs = failure[agent]
         if fs.enabled:
             fs.runs_left -= 1
             if fs.runs_left <= 0:
-                duration = fs.draw_downtime(cfg.failure.xi)
+                duration = fs.draw_downtime(xi)
                 fs.active = True
                 rt.halts += 1
                 rt.downtime += duration
-                emit(now, "Halt", agent, f"until={now + duration:.6f}")
-                push(now + duration, "Resume", agent)
+                emit(new(Event, (now, "Halt", agent, -1, -1, -1, now + duration, False)))
+                push(heap, (now + duration, _RESUME, agent, seq, None))
+                seq += 1
                 continue
 
-        push(now + rt.sched.uniform(acfg.t_min, acfg.t_max), "Iterate", agent)
+        push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
+        seq += 1
     else:
         stop_reason = "k_max"
 

@@ -212,13 +212,13 @@ def build_transition_matrix(window: list[TickRecord], A, n_agents: int,
         dense = (W @ dense.reshape(size_b, -1)).reshape(dense.shape)
         row_sets = [_maximal(mask for k in np.flatnonzero(W[i]) for mask in row_sets[k])
                     for i in range(size_b)]
-        # stage-s slot of an agent projects with whatever it applied at pos - s
-        for s in range(min(depth, pos) + 1):
-            past = window[pos - s]
-            P, rows = projector(tuple(int(r) for r in past.rows))
-            bi = s * n_agents + past.agent
-            dense[bi * n:(bi + 1) * n, :] = P @ dense[bi * n:(bi + 1) * n, :]
-            row_sets[bi] = _maximal(close(mask | rows) for mask in row_sets[bi])
+        # only the iterating agent's stage-0 slot is projected: a stage-s
+        # slot is the stage-0 slot of s ticks ago shifted in unchanged, so it
+        # already carries that tick's projection (P @ P = P)
+        P, rows = projector(tuple(int(r) for r in rec.rows))
+        bi = rec.agent
+        dense[bi * n:(bi + 1) * n, :] = P @ dense[bi * n:(bi + 1) * n, :]
+        row_sets[bi] = _maximal(close(mask | rows) for mask in row_sets[bi])
 
     return TransitionMatrix(n_agents, depth, n, dense, row_sets)
 

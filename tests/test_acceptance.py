@@ -282,8 +282,7 @@ def test_criterion_09_structural_invariants(consistent_instance):
         halt_spans: dict[int, list[tuple[float, float]]] = {}
         for ev in res.log:
             if ev.kind == "Halt":
-                halt_spans.setdefault(ev.agent, []).append(
-                    (ev.time, float(ev.detail.split("=")[1])))
+                halt_spans.setdefault(ev.agent, []).append((ev.time, ev.value))
         for agent, times in enumerate(res.iterate_times):
             for a, b in zip(times, times[1:]):
                 spans = [s for s in halt_spans.get(agent, []) if a <= s[0] < b]
@@ -294,13 +293,12 @@ def test_criterion_09_structural_invariants(consistent_instance):
         for ev in res.log:
             if ev.kind != "Deliver":
                 continue
-            fields = dict(kv.split("=") for kv in ev.detail.split(";")[:2])
-            key = (ev.agent, int(fields["from"]))
-            if ev.detail.endswith("kept"):
-                assert kept.get(key, -1) < int(fields["iter"])
-                kept[key] = int(fields["iter"])
+            key = (ev.agent, ev.peer)
+            if ev.kept:
+                assert kept.get(key, -1) < ev.k
+                kept[key] = ev.k
             else:
-                assert kept.get(key, -1) >= int(fields["iter"])
+                assert kept.get(key, -1) >= ev.k
         # every per-tick weight matrix is row-stochastic
         depth = graphs.max_observed_stage(res.ticks)
         for rec in res.ticks:

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from kaczsim import engine, harness, linalg, problems, topology
+from kaczsim import engine, harness, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
-from kaczsim.engine import EveryK, FailurePlan, GlobalSchedule, SimConfig
+from kaczsim.engine import Event, EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InvalidParameter, NoConvergence
 
 
@@ -97,6 +100,97 @@ def test_k_max_holds_under_failure_injection():
     assert max(len(times) for times in res.iterate_times) == 50
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rel_tol", [1e-1, 1e-2])
+def test_stop_all_converges_at_first_iterate_with_every_agent_within_tol(
+        consistent_instance, seed, rel_tol):
+    inst = consistent_instance
+    cfg = build_cfg(inst, seed=seed, stop_mode="all", tol=rel_tol * np.linalg.norm(inst.x_star))
+    res = engine.run(cfg)
+    # brute force over err_trace: every agent's latest error, starting from x = 0
+    latest = [float(np.linalg.norm(inst.x_star))] * len(inst.shards)
+    expected = None
+    for ev_idx, agent, err in res.err_trace:
+        latest[agent] = err
+        if all(e <= cfg.tol for e in latest):
+            expected = ev_idx
+            break
+    assert expected is not None
+    iterate, converge = res.log[expected - 1], res.log[expected]
+    assert iterate.kind == "Iterate" and converge.kind == "Converge"
+    assert converge.agent == iterate.agent and converge.value == iterate.value
+    assert len(res.log) == expected + 1
+
+
+def test_stop_all_counts_agents_leaving_tol(consistent_instance):
+    """The run above at seed 1, rel_tol 0.1 has agents leave the tolerance
+    ball before all are in it, so the within-tol count goes both ways."""
+    inst = consistent_instance
+    cfg = build_cfg(inst, seed=1, stop_mode="all", tol=0.1 * np.linalg.norm(inst.x_star))
+    res = engine.run(cfg)
+    inside = [False] * len(inst.shards)
+    leaves = 0
+    for _, agent, err in res.err_trace:
+        leaves += inside[agent] and err > cfg.tol
+        inside[agent] = err <= cfg.tol
+    assert leaves > 0
+    assert all(inside) and res.stop_reason == "tol"
+
+
+@pytest.mark.parametrize("lam", [None, 1.0], ids=["consistent", "regularized"])
+def test_non_finite_run_stops_as_diverged(lam):
+    inst = problems.generate(problems.ProblemSpec(m=30, n=8, density=0.5, seed=1, agents=3))
+    cfg = harness.build_sim_config(inst, harness.RunOptions(lam=lam, block_size=5))
+    cfg = dataclasses.replace(cfg, init=[np.full(8, 1e308)] * 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence) as info:
+            engine.run(cfg)
+    res = info.value.result
+    assert res.stop_reason == "diverged"
+    assert not res.converged
+    iterates = [ev for ev in res.log if ev.kind == "Iterate"]
+    if lam is None:
+        # the first Iterate's error is non-finite and ends the run
+        assert len(iterates) == 1 and res.log[-1] is iterates[0]
+        assert not math.isfinite(iterates[0].value)
+    else:
+        # the first step's block residual is non-finite: no iterate is produced
+        assert iterates == []
+    assert sum(st.k for st in res.states) == len(iterates)
+
+
+# ------------------------------------------------------------------ typed events
+
+def test_event_detail_formats_each_kind():
+    cases = [
+        (Event(1.5, "Iterate", 2, k=7, count=3, value=1.23456789e-4), "k=7;d=3;err=1.234568e-04"),
+        (Event(1.5, "Iterate", 2, k=1, count=1, value=math.inf), "k=1;d=1;err=inf"),
+        (Event(1.5, "Broadcast", 2, k=10, count=4), "k=10;n=4"),
+        (Event(1.5, "Deliver", 1, peer=3, k=9, kept=True), "from=3;iter=9;kept"),
+        (Event(1.5, "Deliver", 1, peer=3, k=8, kept=False), "from=3;iter=8;stale"),
+        (Event(2.0, "Halt", 0, value=4.2500004), "until=4.250000"),
+        (Event(4.25, "Resume", 0), ""),
+        (Event(9.0, "Converge", 2, value=9.999996e-6), "err=9.999996e-06"),
+    ]
+    for ev, detail in cases:
+        assert ev.detail.encode() == detail.encode()
+    assert {ev.kind for ev, _ in cases} == {"Iterate", "Broadcast", "Deliver", "Halt",
+                                           "Resume", "Converge"}
+
+
+@pytest.mark.parametrize("low, high", [(0.5, 1.0), (0.05, 0.1), (2.0, 2.0), (0.0, 1.0)])
+def test_batched_draws_equal_scalar_calls(low, high):
+    draws = engine.uniform_draws(rng.stream(5, rng.SCHEDULING, 2), low, high)
+    batched = [next(draws) for _ in range(150)]   # crosses two batch boundaries
+    stream = rng.stream(5, rng.SCHEDULING, 2)
+    if (low, high) == (0.0, 1.0):   # the delay stream's call
+        scalar = [stream.uniform() for _ in range(150)]
+    else:
+        scalar = [stream.uniform(low, high) for _ in range(150)]
+    assert all(type(x) is float for x in batched)
+    assert batched == scalar
+
+
 # ---------------------------------------------------------------- fire_trigger
 
 def test_fire_trigger_every_k():
@@ -157,10 +251,9 @@ def test_mailbox_keeps_latest_and_drops_stale():
     for ev in res.log:
         if ev.kind != "Deliver":
             continue
-        fields = dict(kv.split("=") for kv in ev.detail.split(";")[:2])
-        sender, it = int(fields["from"]), int(fields["iter"])
+        sender, it = ev.peer, ev.k
         key = (ev.agent, sender)
-        if ev.detail.endswith("kept"):
+        if ev.kept:
             assert kept.get(key, -1) < it      # stored iterations increase
             kept[key] = it
         else:
@@ -208,7 +301,7 @@ def test_halted_agents_skip_iterates_and_broadcasts(consistent_instance):
     cfg = build_cfg(consistent_instance, seed=1, budget=20_000, tol=1e-12,
                     failure=FailurePlan(0.5, 1.5, seed=3))
     res = run_tolerant(cfg)
-    halts = [(ev.agent, ev.time, float(ev.detail.split("=")[1])) for ev in res.log if ev.kind == "Halt"]
+    halts = [(ev.agent, ev.time, ev.value) for ev in res.log if ev.kind == "Halt"]
     assert halts
     for agent, start, until in halts:
         for ev in res.log:
@@ -225,7 +318,7 @@ def test_gaps_respect_bounds_outside_halts(consistent_instance):
     halt_spans = {}
     for ev in res.log:
         if ev.kind == "Halt":
-            halt_spans.setdefault(ev.agent, []).append((ev.time, float(ev.detail.split("=")[1])))
+            halt_spans.setdefault(ev.agent, []).append((ev.time, ev.value))
     for agent, times in enumerate(res.iterate_times):
         for a, b in zip(times, times[1:]):
             spans = [s for s in halt_spans.get(agent, []) if a <= s[0] < b]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 
@@ -279,6 +280,25 @@ def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):
     shard.write_text("\n".join(values) + "\n")
     assert run_cli("run", "--instance", str(inst_dir), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lam", ["0", "1"], ids=["consistent", "regularized"])
+def test_cli_run_diverged(tmp_path, instance_dir, capsys, monkeypatch, lam):
+    build = harness.build_sim_config
+
+    def huge_init(inst, opts):
+        cfg = build(inst, opts)
+        return dataclasses.replace(cfg, init=[np.full(cfg.agents[0].dim, 1e308)] * len(cfg.agents))
+
+    monkeypatch.setattr(harness, "build_sim_config", huge_init)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "--instance", str(instance_dir), "--lam", lam, "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("stopped (diverged): ")
+    assert "Traceback" not in captured.err
+    assert (out / "events.csv").exists()
 
 
 @pytest.mark.parametrize("lam", [None, 1.0], ids=["consistent", "regularized"])
