@@ -287,7 +287,6 @@ class _Runtime:
         # keep-latest snapshot entries (sender, estimate, sender iteration), in sender order
         self.mailbox: dict[int, tuple[int, np.ndarray, int]] = {}
         self.last_time = 0.0
-        self.err = math.inf
         self.within_tol = False
         self.c_sent = 0
         self.t_comm = 0.0
@@ -330,8 +329,7 @@ def run(cfg: SimConfig) -> RunResult:
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
                       rng.stream(cfg.seed, rng.DELAY, i))
-        rt.err = _distance(state.x, oracle)
-        rt.within_tol = rt.err <= tol
+        rt.within_tol = _distance(state.x, oracle) <= tol
         runtimes.append(rt)
     within = sum(rt.within_tol for rt in runtimes)   # agents within tol, kept up to date
     stop_all = cfg.stop_mode == "all"
@@ -354,8 +352,8 @@ def run(cfg: SimConfig) -> RunResult:
     every = trigger.interval if isinstance(trigger, EveryK) else 0
     c0, c1 = cfg.cmp_cost
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
-    # Event and Message are built with tuple.__new__, all fields given, which
-    # skips the Python-level NamedTuple constructor on the hot path
+    # per-iteration and per-message records are built with tuple.__new__,
+    # all fields given, which skips the Python-level NamedTuple constructor
     new = tuple.__new__
     emit = log.append
     push = heapq.heappush
@@ -389,7 +387,7 @@ def run(cfg: SimConfig) -> RunResult:
             fs = failure[agent]
             fs.active = False
             fs.runs_left = fs.draw_run_length(xi)
-            emit(new(Event, (now, "Resume", agent, -1, -1, -1, 0.0, False)))
+            emit(Event(now, "Resume", agent))
             push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
             seq += 1
             continue
@@ -408,7 +406,7 @@ def run(cfg: SimConfig) -> RunResult:
         k = state.k
         rt.last_time = now
         rt.t_cmp += c0 + c1 * len(state.block) * acfg.dim
-        err = rt.err = _distance(state.x, oracle)
+        err = _distance(state.x, oracle)
         if (err <= tol) != rt.within_tol:
             rt.within_tol = not rt.within_tol
             within += 1 if rt.within_tol else -1
@@ -431,7 +429,7 @@ def run(cfg: SimConfig) -> RunResult:
         # stop checks come before the broadcast: a converged run ends here
         if rt.within_tol:
             if not stop_all or within == n:
-                emit(new(Event, (now, "Converge", agent, -1, -1, -1, err, False)))
+                emit(Event(now, "Converge", agent, value=err))
                 converged = True
                 stop_reason = "tol"
                 break
@@ -464,7 +462,7 @@ def run(cfg: SimConfig) -> RunResult:
                 fs.active = True
                 rt.halts += 1
                 rt.downtime += duration
-                emit(new(Event, (now, "Halt", agent, -1, -1, -1, now + duration, False)))
+                emit(Event(now, "Halt", agent, value=now + duration))
                 push(heap, (now + duration, _RESUME, agent, seq, None))
                 seq += 1
                 continue
