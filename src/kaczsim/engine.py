@@ -23,7 +23,8 @@ and float fields); Event.detail formats them as the events.csv text.
 The run stops with stop_reason "tol" at the first agent within tolerance
 of the oracle (or all agents, in "all" mode: a count of agents within
 tolerance is kept as they enter and leave); "diverged" at the first
-Iterate whose error, or whose block residual, is non-finite; "k_max" when
+Iterate whose error is non-finite, before it broadcasts (a non-finite
+block residual makes the produced estimate non-finite); "k_max" when
 every agent exhausts k_max; "budget" when the event budget is spent.  All
 but "tol" raise NoConvergence carrying the full result.
 """
@@ -40,7 +41,7 @@ import numpy as np
 from . import agents as agents_mod
 from . import rng
 from .agents import AgentConfig, AgentState, NeighborSnapshot
-from .errors import Diverged, InvalidParameter, NoConvergence
+from .errors import InvalidParameter, NoConvergence
 from .topology import Topology
 
 # queue priorities at equal times
@@ -349,12 +350,8 @@ def run(cfg: SimConfig) -> RunResult:
     budget, k_max, delay_bound = cfg.event_budget, cfg.k_max, cfg.delay_bound
     neighbors_of = cfg.topology.neighbors
     trigger = cfg.trigger
-    every = trigger.interval if isinstance(trigger, EveryK) else 0
     c0, c1 = cfg.cmp_cost
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
-    # per-iteration and per-message records are built with tuple.__new__,
-    # all fields given, which skips the Python-level NamedTuple constructor
-    new = tuple.__new__
     emit = log.append
     push = heapq.heappush
     pop = heapq.heappop
@@ -380,7 +377,7 @@ def run(cfg: SimConfig) -> RunResult:
                 mailbox[sender] = entry
                 if held is None:   # a new sender: restore sender order
                     rt.mailbox = dict(sorted(mailbox.items()))
-            emit(new(Event, (now, "Deliver", agent, sender, sender_iter, -1, 0.0, kept)))
+            emit(Event(now, "Deliver", agent, sender, sender_iter, kept=kept))
             continue
 
         if prio == _RESUME:
@@ -398,11 +395,7 @@ def run(cfg: SimConfig) -> RunResult:
         state = rt.state
         entries = [(agent, state.x, state.k), *rt.mailbox.values()]
         prev_time = rt.last_time
-        try:
-            state = rt.state = agents_mod.step(state, acfg, NeighborSnapshot(entries), cache=rt.cache)
-        except Diverged:
-            stop_reason = "diverged"
-            break
+        state = rt.state = agents_mod.step(state, acfg, NeighborSnapshot(entries), cache=rt.cache)
         k = state.k
         rt.last_time = now
         rt.t_cmp += c0 + c1 * len(state.block) * acfg.dim
@@ -413,7 +406,7 @@ def run(cfg: SimConfig) -> RunResult:
         iterate_times[agent].append(now)
         rt.iter_ticks.append(tick)
 
-        emit(new(Event, (now, "Iterate", agent, -1, k, len(entries), err, False)))
+        emit(Event(now, "Iterate", agent, k=k, count=len(entries), value=err))
         err_trace.append((len(log), agent, err))
 
         if cfg.record_trace:
@@ -437,15 +430,15 @@ def run(cfg: SimConfig) -> RunResult:
             stop_reason = "diverged"
             break
 
-        if (k % every == 0) if every else fire_trigger(k, prev_time, now, trigger):
+        if fire_trigger(k, prev_time, now, trigger):
             neighbors = neighbors_of[agent]
-            emit(new(Event, (now, "Broadcast", agent, -1, k, len(neighbors), 0.0, False)))
+            emit(Event(now, "Broadcast", agent, k=k, count=len(neighbors)))
             payload = agents_mod.snapshot_payload(state)
             entry = (agent, payload, k)
             for nbr in neighbors:
                 delay = delay_bound * (1.0 - next(rt.delays))  # (0, delay_bound]
                 arrival = now + delay
-                messages.append(new(Message, (agent, nbr, payload, now, arrival, k)))
+                messages.append(Message(agent, nbr, payload, now, arrival, k))
                 push(heap, (arrival, _DELIVER, nbr, seq, entry))
                 seq += 1
                 rt.c_sent += 1

@@ -46,10 +46,6 @@ class NoConvergence(KaczsimError):
         self.result = result
 
 
-class Diverged(KaczsimError):
-    """An agent step met a non-finite block residual."""
-
-
 class DelayBoundViolation(KaczsimError):
     """An observed delay stage exceeds the declared depth of a delayed graph."""
 

@@ -148,15 +148,12 @@ def test_non_finite_run_stops_as_diverged(lam):
     res = info.value.result
     assert res.stop_reason == "diverged"
     assert not res.converged
+    # the first Iterate's error is non-finite and ends the run before it broadcasts
     iterates = [ev for ev in res.log if ev.kind == "Iterate"]
-    if lam is None:
-        # the first Iterate's error is non-finite and ends the run
-        assert len(iterates) == 1 and res.log[-1] is iterates[0]
-        assert not math.isfinite(iterates[0].value)
-    else:
-        # the first step's block residual is non-finite: no iterate is produced
-        assert iterates == []
-    assert sum(st.k for st in res.states) == len(iterates)
+    assert len(iterates) == 1 and res.log[-1] is iterates[0]
+    assert not math.isfinite(iterates[0].value)
+    assert sum(st.k for st in res.states) == 1
+    assert res.messages == []
 
 
 # ------------------------------------------------------------------ typed events
