@@ -26,7 +26,9 @@ tolerance is kept as they enter and leave); "diverged" at the first
 Iterate whose error is non-finite, before it broadcasts (a non-finite
 block residual makes the produced estimate non-finite); "k_max" when
 every agent exhausts k_max; "budget" when the event budget is spent.  All
-but "tol" raise NoConvergence carrying the full result.
+but "tol" raise NoConvergence carrying the full result.  A run ignores
+NumPy's overflow and invalid-value warnings: a diverging estimate
+overflows on its way to the "diverged" stop, which reports it.
 """
 from __future__ import annotations
 
@@ -311,6 +313,7 @@ def _distance(x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(cfg: SimConfig) -> RunResult:
     n = len(cfg.agents)
     oracle = np.asarray(cfg.oracle, dtype=float)

@@ -8,6 +8,9 @@ exactly and the construction stays a pure function of the seed.
 On disk an instance is a directory holding A in Matrix Market coordinate
 format, vectors as one-value-per-line text with 17 significant digits, and
 a JSON manifest with the shard row ranges.
+
+A stays sparse: the oracle solves take it as it is, and each shard's rows
+are densified on their own, so the full m x n matrix is never built.
 """
 from __future__ import annotations
 
@@ -39,10 +42,10 @@ class ProblemSpec:
     def __post_init__(self):
         if not (self.m >= self.agents >= 1):
             raise TooManyAgents(f"need m >= agents >= 1, got m={self.m}, agents={self.agents}")
-        if not (0.0 < self.density <= 1.0):
-            raise ValueError(f"density must lie in (0, 1], got {self.density}")
-        if self.noise < 0.0:
-            raise ValueError(f"noise must be nonnegative, got {self.noise}")
+        if not (0.0 < self.density <= 1.0):   # False for nan
+            raise InvalidParameter(f"density must lie in (0, 1], got {self.density}")
+        if not (0.0 <= self.noise < math.inf):
+            raise InvalidParameter(f"noise must be finite and nonnegative, got {self.noise}")
 
 
 @dataclass
@@ -85,13 +88,18 @@ def partition_sizes(m: int, agents: int) -> list[int]:
     return [base + 1] * extra + [base] * (agents - extra)
 
 
-def partition(A_dense: np.ndarray, b: np.ndarray, agents: int) -> list[Shard]:
-    sizes = partition_sizes(A_dense.shape[0], agents)
+def _shard(A: scipy.sparse.csr_matrix, start: int, stop: int, b: np.ndarray) -> Shard:
+    """Shard of rows start:stop of A, densified on their own, with right-hand side b."""
+    return Shard(A[start:stop].toarray(), b, np.arange(start, stop))
+
+
+def partition(A, b: np.ndarray, agents: int) -> list[Shard]:
+    """Contiguous row shards of the sparse matrix A, sized by partition_sizes."""
+    A = A.tocsr()
     shards = []
     start = 0
-    for size in sizes:
-        rows = np.arange(start, start + size)
-        shards.append(Shard(A_dense[rows].copy(), b[rows].copy(), rows))
+    for size in partition_sizes(A.shape[0], agents):
+        shards.append(_shard(A, start, start + size, b[start:start + size].copy()))
         start += size
     return shards
 
@@ -137,11 +145,11 @@ def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance
         A = scipy.sparse.coo_matrix(np.asarray(A, dtype=float))
     A = A.tocoo()
     b = np.asarray(b, dtype=float)
-    dense = A.toarray()
-    x_star = min_norm_solve(dense, b)
+    csr = A.tocsr()
+    x_star = min_norm_solve(csr, b)
     if x_planted is None:
         x_planted = x_star.copy()
-    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, partition(dense, b, agents), spec)
+    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, partition(csr, b, agents), spec)
 
 
 def _write_vector(path: Path, v: np.ndarray) -> None:
@@ -205,7 +213,7 @@ def load(directory) -> ProblemInstance:
         spec = ProblemSpec(**manifest["spec"]) if "spec" in manifest else None
     except json.JSONDecodeError as exc:
         raise IoError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, InvalidParameter) as exc:
         raise IoError(f"malformed manifest {manifest_path}: missing or bad entry {exc}") from exc
     a_path = paths["A"]
     if not a_path.exists():
@@ -217,12 +225,14 @@ def load(directory) -> ProblemInstance:
     b = _read_vector(paths["b"])
     x_planted = _read_vector(paths["x_planted"])
     x_star = _read_vector(paths["x_star"])
-    dense = A.toarray()
+    csr = A.tocsr()
     shards = []
     for start, stop, b_path in shard_entries:
+        if not 0 <= start < stop <= A.shape[0]:
+            raise IoError(f"malformed manifest {manifest_path}: shard rows [{start}, {stop}) "
+                          f"outside the {A.shape[0]} rows of A")
         shard_b = _read_vector(b_path)
-        rows = np.arange(start, stop)
-        if shard_b.shape[0] != rows.shape[0]:
+        if shard_b.shape[0] != stop - start:
             raise IoError(f"shard file {b_path.name} length {shard_b.shape[0]} != row range {stop - start}")
-        shards.append(Shard(dense[rows].copy(), shard_b, rows))
+        shards.append(_shard(csr, start, stop, shard_b))
     return ProblemInstance(A, b, x_planted, x_star, shards, spec)

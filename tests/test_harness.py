@@ -227,6 +227,17 @@ def test_cli_config_file_with_flag_override(tmp_path, instance_dir):
     assert doc["agent"]["block_size"] == 5
 
 
+@pytest.mark.parametrize("flag", [("--density", "2"), ("--sigma", "-1"), ("--sigma", "nan")],
+                         ids=["density-2", "sigma-negative", "sigma-nan"])
+def test_cli_gen_bad_spec_exit_1(tmp_path, capsys, flag):
+    out = tmp_path / "inst"
+    assert run_cli("gen", "--m", "30", "--n", "8", *flag, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (out / "b.txt").exists()
+
+
 def test_cli_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["sweep", "--axis", "nope"])
@@ -239,6 +250,8 @@ def test_cli_missing_instance_exit_1(tmp_path):
 
 BAD_INPUTS = {
     "manifest-without-files": (lambda manifest: manifest.pop("files"), None),
+    "manifest-shard-past-end": (lambda manifest: manifest["shards"][-1].update(
+        rows=[r + 1 for r in manifest["shards"][-1]["rows"]]), None),
     "config-not-json": (None, "{block_size: 5"),
     "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
     "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
@@ -292,12 +305,12 @@ def test_cli_run_diverged(tmp_path, instance_dir, capsys, monkeypatch, lam):
 
     monkeypatch.setattr(harness, "build_sim_config", huge_init)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli("run", "--instance", str(instance_dir), "--lam", lam, "--out", str(out))
+    code = run_cli("run", "--instance", str(instance_dir), "--lam", lam, "--out", str(out))
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("stopped (diverged): ")
     assert "Traceback" not in captured.err
+    assert "RuntimeWarning" not in captured.err
     assert (out / "events.csv").exists()
 
 

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczsim import agents, linalg
+from kaczsim import agents, linalg, problems
 from kaczsim.errors import DimensionError, InvalidParameter
 
 
@@ -258,3 +262,95 @@ def test_augmented_solution_bound_and_consistency(seed, lam):
         bound = linalg.regularization_error_bound(linalg.svd(A).sigma_min, lam)
         rel = np.linalg.norm(x_star - x_reg) / np.linalg.norm(x_star)
         assert bound - rel >= -1e-10
+
+
+# ------------------------------------ oracle selection: LSQR above SVD_MAX_ENTRIES
+
+def large_system(kind: str):
+    """A system above SVD_MAX_ENTRIES: overdetermined full rank (sparse),
+    underdetermined (dense), or rank-deficient (rank 40 of 120, sparse)."""
+    g = rng(20)
+    if kind == "overdetermined":
+        A = scipy.sparse.csr_matrix(g.normal(size=(400, 120)) * (g.random((400, 120)) < 0.2))
+    elif kind == "underdetermined":
+        A = g.normal(size=(120, 300))
+    else:
+        A = scipy.sparse.csr_matrix(g.normal(size=(300, 40)) @ g.normal(size=(40, 120)))
+    assert A.shape[0] * A.shape[1] > linalg.SVD_MAX_ENTRIES
+    return A, g.normal(size=A.shape[0])
+
+
+def refuse_svd(*args, **kwargs):
+    raise AssertionError("dense SVD called above SVD_MAX_ENTRIES")
+
+
+def dense_svd(monkeypatch, solve, *args):
+    """solve(*args) on the dense SVD path, whatever the size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "SVD_MAX_ENTRIES", math.inf)
+        return solve(*args)
+
+
+def lsqr_only(monkeypatch, solve, *args):
+    """solve(*args) with np.linalg.svd refusing, so only the LSQR path can pass."""
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", refuse_svd)
+        return solve(*args)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# both oracles, each returning one vector (augmented: x_reg then y_reg)
+ORACLES = [linalg.min_norm_solve,
+           lambda A, b: np.concatenate(linalg.augmented_min_norm_solve(A, b, 1.0))]
+
+
+@pytest.mark.parametrize("kind", ["overdetermined", "underdetermined", "rank-deficient"])
+def test_min_norm_lsqr_matches_svd(monkeypatch, kind):
+    A, b = large_system(kind)
+    x = lsqr_only(monkeypatch, linalg.min_norm_solve, A, b)
+    assert rel(x, dense_svd(monkeypatch, linalg.min_norm_solve, A, b)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+def test_augmented_lsqr_matches_svd(monkeypatch, lam):
+    A, b = large_system("overdetermined")
+    x, y = lsqr_only(monkeypatch, linalg.augmented_min_norm_solve, A, b, lam)
+    x_svd, y_svd = dense_svd(monkeypatch, linalg.augmented_min_norm_solve, A, b, lam)
+    assert rel(x, x_svd) <= 1e-10
+    assert rel(y, y_svd) <= 1e-10
+
+
+@pytest.mark.parametrize("solve", ORACLES, ids=["min_norm", "augmented"])
+def test_lsqr_without_convergence_falls_back_to_svd(monkeypatch, solve):
+    A, b = large_system("overdetermined")
+    expected = dense_svd(monkeypatch, solve, A, b)
+    calls = []
+
+    def stalled_lsqr(A, b, **kwargs):
+        calls.append(kwargs)
+        return np.zeros(A.shape[1]), 7   # istop 7: iteration limit reached
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lsqr", stalled_lsqr)
+    assert np.array_equal(solve(A, b), expected)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("solve", ORACLES, ids=["min_norm", "augmented"])
+def test_lsqr_path_keeps_input_checks(monkeypatch, solve):
+    A, b = large_system("overdetermined")
+    with pytest.raises(DimensionError):
+        lsqr_only(monkeypatch, solve, A, b[:-1])
+    A = A.copy()
+    A.data[5] = np.inf
+    with pytest.raises(InvalidParameter):
+        lsqr_only(monkeypatch, solve, A, b)
+
+
+def test_generate_above_cutoff_skips_dense_svd(monkeypatch):
+    spec = problems.ProblemSpec(m=300, n=120, density=0.1, noise=0.1, seed=4, agents=3)
+    inst = lsqr_only(monkeypatch, problems.generate, spec)
+    x_svd = dense_svd(monkeypatch, linalg.min_norm_solve, inst.dense(), inst.b)
+    assert rel(inst.x_star, x_svd) <= 1e-10
