@@ -58,8 +58,8 @@ class AgentConfig:
                                  f"len(rows) = {len(self.rows)}")
         if not (1 <= self.block_size <= self.A.shape[0]):
             raise InvalidParameter(f"block size {self.block_size} outside [1, {self.A.shape[0]}]")
-        if not (0.0 < self.t_min <= self.t_max):
-            raise InvalidParameter(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+        if not (0.0 < self.t_min <= self.t_max < np.inf):
+            raise InvalidParameter(f"need 0 < t_min <= t_max < inf, got [{self.t_min}, {self.t_max}]")
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise InvalidParameter(f"lambda must be positive and finite, got {self.lam}")
         if self.sampling not in (CYCLE, IID):
@@ -111,13 +111,6 @@ class AgentState:
     order: list[int] = field(default_factory=list)  # remaining chunks this pass
 
 
-@dataclass
-class NeighborSnapshot:
-    """Latest known estimates, one entry per sender; self always present."""
-
-    entries: list[tuple[int, np.ndarray, int]]   # (sender, estimate, sender iteration)
-
-
 def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.ndarray | None = None) -> AgentState:
     x = np.zeros(cfg.dim) if init is None else np.asarray(init, dtype=float).copy()
     if x.shape != (cfg.dim,):
@@ -128,23 +121,15 @@ def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.nda
     return AgentState(x=x, y=y, k=0, block=np.arange(0), chunk=None, rng=block_rng)
 
 
-def aggregate(snapshot: NeighborSnapshot) -> np.ndarray:
-    """Arithmetic mean of all snapshot estimates.
+def aggregate(entries: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
+    """Arithmetic mean of the estimates in snapshot entries (sender,
+    estimate, sender iteration).
 
     np.add.reduce over axis 0 and one division is the reduction np.mean
     performs, so the result is bit-identical to it.  A sequential sum is
     not: for n = 1 the reduction runs along the contiguous axis, pairwise.
     """
-    entries = snapshot.entries
-    if not entries:
-        raise CorruptMessage("empty snapshot: self entry is mandatory")
-    dim = entries[0][1].shape
-    vecs = []
-    for sender, vec, _ in entries:
-        if vec.shape != dim:
-            raise CorruptMessage(f"estimate from {sender} has shape {vec.shape}, expected {dim}")
-        vecs.append(vec)
-    return np.add.reduce(vecs, axis=0) / len(vecs)
+    return np.add.reduce([vec for _, vec, _ in entries], axis=0) / len(entries)
 
 
 def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
@@ -187,9 +172,10 @@ def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
     return rows, A_J, cfg.b[rows], block_factor(A_J, cfg.lam)
 
 
-def step(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
+def step(state: AgentState, cfg: AgentConfig, entries: list[tuple[int, np.ndarray, int]],
          cache: dict | None = None) -> AgentState:
-    """Average the snapshot, then project onto the sampled block equations.
+    """Average the snapshot entries (self and the latest estimate from each
+    neighbor heard from), then project onto the sampled block equations.
 
     The block entry (rows, A_J, b_J, factor) is memoised in cache[chunk]
     when a cache is given and the block is a chunk (cyclic sampling); iid
@@ -197,7 +183,7 @@ def step(state: AgentState, cfg: AgentConfig, snapshot: NeighborSnapshot,
     place (k, block, chunk, the sampler, x rebound to a new array, y's
     block entries) and the same object is returned.
     """
-    w = aggregate(snapshot)
+    w = aggregate(entries)
     J = sample_block(state, cfg)
     if cache is not None and state.chunk is not None:
         entry = cache.get(state.chunk)

@@ -73,6 +73,13 @@ def _resolve_options(args) -> RunOptions:
     return opts
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidParameter(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_gen(args) -> int:
     spec = problems.ProblemSpec(m=args.m, n=args.n, density=args.density,
                                 noise=args.sigma, seed=args.seed, agents=args.agents)
@@ -105,8 +112,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     inst = problems.load(args.instance)
     base = _resolve_options(args)
-    values = [float(v) for v in args.values.split(",")]
-    xi_values = [float(v) for v in args.xi_values.split(",")] if args.xi_values else None
+    values = _numbers(args.values, "--values")
+    xi_values = _numbers(args.xi_values, "--xi-values") if args.xi_values else None
     outcome = harness.sweep(inst, args.axis, values, base, reps=args.reps, xi_values=xi_values)
     out = _out_dir(args)
     harness.write_metrics_csv(outcome.rows, out / "metrics.csv")

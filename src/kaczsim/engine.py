@@ -18,7 +18,10 @@ agent's scheduling and delay streams 64 at a time (uniform_draws); a batch
 hands out the doubles the one-at-a-time calls would, in the same order.
 
 The log is a list of typed Event records (kind, agent and the kind's int
-and float fields); Event.detail formats them as the events.csv text.
+and float fields); Event.detail formats them as the events.csv text.  It
+is the run's only record of what happened: iterate times and errors are
+its Iterate events, and RunResult.messages is derived from it, so a
+broadcast payload lives only until its receivers' mailboxes drop it.
 
 The run stops with stop_reason "tol" at the first agent within tolerance
 of the oracle (or all agents, in "all" mode: a count of agents within
@@ -32,7 +35,6 @@ overflows on its way to the "diverged" stop, which reports it.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import rng
-from .agents import AgentConfig, AgentState, NeighborSnapshot
+from .agents import AgentConfig, AgentState
 from .errors import InvalidParameter, NoConvergence
 from .topology import Topology
 
@@ -51,6 +53,9 @@ _DELIVER, _RESUME, _ITERATE = 0, 1, 2
 
 # scheduling and delay doubles drawn per batch
 _DRAW_BATCH = 64
+
+# t_cmp model: c0 + c1*|J|*n simulated seconds per iteration
+CMP_COST = (1e-4, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,8 @@ class GlobalSchedule:
     spacing: float
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise InvalidParameter(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise InvalidParameter(f"spacing must be positive and finite, got {self.spacing}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,8 @@ class FailurePlan:
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
             raise InvalidParameter(f"rho must lie in [0, 1], got {self.rho}")
-        if self.rho > 0 and self.xi <= 0:
-            raise InvalidParameter(f"xi must be positive, got {self.xi}")
+        if self.rho > 0 and not 0 < self.xi < math.inf:
+            raise InvalidParameter(f"xi must be positive and finite, got {self.xi}")
 
 
 @dataclass
@@ -103,9 +108,10 @@ class FailureState:
 
 
 class Message(NamedTuple):
+    """One delivered message, read off the log (RunResult.messages)."""
+
     sender: int
     receiver: int
-    payload: np.ndarray
     send_time: float
     arrival_time: float
     sender_iter: int
@@ -203,16 +209,14 @@ class SimConfig:
     stop_mode: str = "first"                      # "first" | "all"
     ls_reference: np.ndarray | None = None        # e_stop reference; defaults to oracle
     init: list[np.ndarray] | None = None          # explicit per-agent initial estimates
-    random_init_scale: float = 0.0                # >0: seeded normal initial estimates
-    cmp_cost: tuple[float, float] = (1e-4, 1e-6)  # t_cmp model c0 + c1*|J|*n
     record_trace: bool = True
     record_states: bool = False                   # keep produced estimates on the trace
 
     def __post_init__(self):
-        if self.delay_bound <= 0:
-            raise InvalidParameter(f"delay bound must be positive, got {self.delay_bound}")
-        if self.tol <= 0:
-            raise InvalidParameter(f"tol must be positive, got {self.tol}")
+        if not 0 < self.delay_bound < math.inf:
+            raise InvalidParameter(f"delay bound must be positive and finite, got {self.delay_bound}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameter(f"tol must be positive and finite, got {self.tol}")
         if self.k_max < 1:
             raise InvalidParameter(f"k_max must be at least 1, got {self.k_max}")
         if self.event_budget < 1:
@@ -228,13 +232,19 @@ class RunResult:
     states: list[AgentState]
     metrics: MetricsRecord
     log: list[Event]
-    messages: list[Message]
     ticks: list[TickRecord]
-    err_trace: list[tuple[int, int, float]]   # (event index, agent, error)
-    iterate_times: list[list[float]]
     converged: bool
     stop_reason: str                          # tol | k_max | budget | diverged
     config: SimConfig
+
+    @property
+    def messages(self) -> list[Message]:
+        """One Message per Deliver event, in log order; send_time is that of
+        the sender's Broadcast with the same k (each k is broadcast at most
+        once).  Messages in flight at a budget or tol stop are not listed."""
+        sent = {(ev.agent, ev.k): ev.time for ev in self.log if ev.kind == "Broadcast"}
+        return [Message(ev.peer, ev.agent, sent[ev.peer, ev.k], ev.time, ev.k)
+                for ev in self.log if ev.kind == "Deliver"]
 
 
 @dataclass
@@ -323,12 +333,7 @@ def run(cfg: SimConfig) -> RunResult:
     failure = inject_failures(cfg.failure, n)
     runtimes: list[_Runtime] = []
     for i, acfg in enumerate(cfg.agents):
-        if cfg.init is not None:
-            init = cfg.init[i]
-        elif cfg.random_init_scale > 0.0:
-            init = cfg.random_init_scale * rng.stream(cfg.seed, rng.INIT, i).normal(size=acfg.dim)
-        else:
-            init = None
+        init = None if cfg.init is None else cfg.init[i]
         state = agents_mod.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), init=init)
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
@@ -339,10 +344,7 @@ def run(cfg: SimConfig) -> RunResult:
     stop_all = cfg.stop_mode == "all"
 
     log: list[Event] = []
-    messages: list[Message] = []
     ticks: list[TickRecord] = []
-    err_trace: list[tuple[int, int, float]] = []
-    iterate_times: list[list[float]] = [[] for _ in range(n)]
 
     # heap entries (time, priority, agent, insertion seq, Deliver snapshot entry)
     heap: list[tuple[float, int, int, int, tuple | None]] = []
@@ -353,7 +355,7 @@ def run(cfg: SimConfig) -> RunResult:
     budget, k_max, delay_bound = cfg.event_budget, cfg.k_max, cfg.delay_bound
     neighbors_of = cfg.topology.neighbors
     trigger = cfg.trigger
-    c0, c1 = cfg.cmp_cost
+    c0, c1 = CMP_COST
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
     emit = log.append
     push = heapq.heappush
@@ -398,7 +400,7 @@ def run(cfg: SimConfig) -> RunResult:
         state = rt.state
         entries = [(agent, state.x, state.k), *rt.mailbox.values()]
         prev_time = rt.last_time
-        state = rt.state = agents_mod.step(state, acfg, NeighborSnapshot(entries), cache=rt.cache)
+        state = rt.state = agents_mod.step(state, acfg, entries, cache=rt.cache)
         k = state.k
         rt.last_time = now
         rt.t_cmp += c0 + c1 * len(state.block) * acfg.dim
@@ -406,11 +408,9 @@ def run(cfg: SimConfig) -> RunResult:
         if (err <= tol) != rt.within_tol:
             rt.within_tol = not rt.within_tol
             within += 1 if rt.within_tol else -1
-        iterate_times[agent].append(now)
         rt.iter_ticks.append(tick)
 
         emit(Event(now, "Iterate", agent, k=k, count=len(entries), value=err))
-        err_trace.append((len(log), agent, err))
 
         if cfg.record_trace:
             used = []
@@ -436,13 +436,10 @@ def run(cfg: SimConfig) -> RunResult:
         if fire_trigger(k, prev_time, now, trigger):
             neighbors = neighbors_of[agent]
             emit(Event(now, "Broadcast", agent, k=k, count=len(neighbors)))
-            payload = agents_mod.snapshot_payload(state)
-            entry = (agent, payload, k)
+            entry = (agent, agents_mod.snapshot_payload(state), k)
             for nbr in neighbors:
                 delay = delay_bound * (1.0 - next(rt.delays))  # (0, delay_bound]
-                arrival = now + delay
-                messages.append(Message(agent, nbr, payload, now, arrival, k))
-                push(heap, (arrival, _DELIVER, nbr, seq, entry))
+                push(heap, (now + delay, _DELIVER, nbr, seq, entry))
                 seq += 1
                 rt.c_sent += 1
                 rt.t_comm += delay
@@ -473,10 +470,7 @@ def run(cfg: SimConfig) -> RunResult:
         states=[rt.state for rt in runtimes],
         metrics=metrics,
         log=log,
-        messages=messages,
         ticks=ticks,
-        err_trace=err_trace,
-        iterate_times=iterate_times,
         converged=converged,
         stop_reason=stop_reason,
         config=cfg,
@@ -512,26 +506,30 @@ def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> 
     """Check that each broadcast cascade finishes before the next global tick.
 
     A cascade is: broadcast attributed to tick T_s -> delivery -> first use
-    (the receiver's next iteration).  Returns the cascades whose use lands
-    after T_{s+1}.  Undelivered or never-used messages at run end are not
-    violations.
+    (the receiver's next Iterate in the log; a Deliver sorts before an
+    Iterate at the same time).  Returns the cascades whose use lands after
+    T_{s+1}, in the order of their use.  Undelivered or never-used messages
+    at run end are not violations.
     """
     cfg = cfg or result.config
     if not isinstance(cfg.trigger, GlobalSchedule):
         return []
     spacing = cfg.trigger.spacing
+    sent: dict[tuple[int, int], float] = {}
+    unused: dict[int, list[tuple[int, float, float]]] = {}   # receiver -> (sender, sent, arrived)
     violations = []
-    for m in result.messages:
-        times = result.iterate_times[m.receiver]
-        pos = bisect.bisect_left(times, m.arrival_time)
-        if pos >= len(times):
-            continue
-        used_at = times[pos]
-        t_s = math.floor(m.send_time / spacing) * spacing
-        t_next = t_s + spacing
-        if used_at > t_next + 1e-12:
-            violations.append(AuditViolation(t_s, t_next, m.sender, m.receiver,
-                                             m.send_time, m.arrival_time, used_at))
+    for ev in result.log:
+        if ev.kind == "Broadcast":
+            sent[ev.agent, ev.k] = ev.time
+        elif ev.kind == "Deliver":
+            unused.setdefault(ev.agent, []).append((ev.peer, sent[ev.peer, ev.k], ev.time))
+        elif ev.kind == "Iterate":
+            for sender, send_time, arrival_time in unused.pop(ev.agent, ()):
+                t_s = math.floor(send_time / spacing) * spacing
+                t_next = t_s + spacing
+                if ev.time > t_next + 1e-12:
+                    violations.append(AuditViolation(t_s, t_next, sender, ev.agent,
+                                                     send_time, arrival_time, ev.time))
     return violations
 
 

@@ -210,7 +210,7 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
         oracle = inst.x_star
     trigger = EveryK(opts.interval) if opts.trigger == "every_k" else GlobalSchedule(opts.spacing)
     failure = (FailurePlan(opts.failure_rho, opts.failure_xi, seed=opts.seed)
-               if opts.failure_rho > 0 else None)
+               if opts.failure_rho != 0 else None)   # a negative or nan rho is rejected
     return SimConfig(
         topology=topo, agents=acfgs, oracle=oracle, delay_bound=opts.delay_bound,
         trigger=trigger, tol=opts.tol, k_max=opts.k_max, event_budget=opts.event_budget,
@@ -243,6 +243,9 @@ class SweepOutcome:
 
 
 def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: RunOptions) -> list[SweepCell]:
+    for v in [*values, *(xi_values or ())]:
+        if not math.isfinite(v):
+            raise InvalidParameter(f"sweep value {v} is not finite")
     cells = []
     if axis == "agents":
         for c, theta1 in enumerate(values):
@@ -255,6 +258,8 @@ def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: R
             cells.append(SweepCell(c, (float(theta2),), replace(base, topology_cap=cap)))
     elif axis == "interval":
         for c, dt in enumerate(values):
+            if not float(dt).is_integer():
+                raise InvalidParameter(f"interval value {dt} is not an integer")
             cells.append(SweepCell(c, (int(dt),), replace(base, trigger="every_k", interval=int(dt))))
     elif axis == "failure":
         c = 0

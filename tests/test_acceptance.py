@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from kaczsim import engine, graphs, linalg, problems, topology
+from kaczsim import engine, graphs, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import EveryK, FailurePlan, GlobalSchedule, SimConfig, TickRecord
 from kaczsim.errors import InfeasibleTopology, NoConvergence
@@ -46,7 +46,7 @@ def inconsistent_instance():
 
 
 def consistent_config(inst, seed, *, budget=50_000, stop_mode="all", tol_rel=1e-4,
-                      failure=None, random_init_scale=0.0, trigger=EveryK(5),
+                      failure=None, init=None, trigger=EveryK(5),
                       tol=None, k_max=10**6):
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, 10, t_min=0.5, t_max=1.0)
              for i, s in enumerate(inst.shards)]
@@ -55,7 +55,7 @@ def consistent_config(inst, seed, *, budget=50_000, stop_mode="all", tol_rel=1e-
     return SimConfig(topo, acfgs, inst.x_star, 1.0, trigger, tol=tol,
                      k_max=k_max, event_budget=budget, seed=seed,
                      stop_mode=stop_mode, failure=failure,
-                     random_init_scale=random_init_scale,
+                     init=init,
                      ls_reference=inst.x_star)
 
 
@@ -93,7 +93,9 @@ def test_criterion_02_exponential_decay(consistent_instance, criterion1_runs):
         current = {i: scale for i in range(4)}   # zero init: error starts at |x*|
         samples = [max(current.values())]
         next_mark = interval
-        for ev_idx, agent, err in res.err_trace:
+        iterates = ((i + 1, ev.agent, ev.value)
+                    for i, ev in enumerate(res.log) if ev.kind == "Iterate")
+        for ev_idx, agent, err in iterates:
             while ev_idx > next_mark:
                 samples.append(max(current.values()))
                 next_mark += interval
@@ -111,8 +113,8 @@ def test_criterion_02_exponential_decay(consistent_instance, criterion1_runs):
 
 def test_criterion_03_drift_with_random_init(consistent_instance):
     inst = consistent_instance
-    cfg = consistent_config(inst, seed=2, budget=120_000, tol=1e-9,
-                            random_init_scale=1.0)
+    init = [rng.stream(2, rng.INIT, i).normal(size=inst.n) for i in range(4)]
+    cfg = consistent_config(inst, seed=2, budget=120_000, tol=1e-9, init=init)
     res = run_tolerant(cfg)
     assert not res.converged   # limit sits at x* + drift, away from x*
     basis = linalg.row_space_basis(inst.dense())
@@ -283,7 +285,11 @@ def test_criterion_09_structural_invariants(consistent_instance):
         for ev in res.log:
             if ev.kind == "Halt":
                 halt_spans.setdefault(ev.agent, []).append((ev.time, ev.value))
-        for agent, times in enumerate(res.iterate_times):
+        iterate_times = [[] for _ in res.states]
+        for ev in res.log:
+            if ev.kind == "Iterate":
+                iterate_times[ev.agent].append(ev.time)
+        for agent, times in enumerate(iterate_times):
             for a, b in zip(times, times[1:]):
                 spans = [s for s in halt_spans.get(agent, []) if a <= s[0] < b]
                 gap = (b - a) - sum(e - s for s, e in spans)

@@ -33,6 +33,20 @@ def run_tolerant(cfg):
         return exc.result
 
 
+def err_trace(res):
+    """(events up to and including it, agent, error) for each Iterate in the log."""
+    return [(i + 1, ev.agent, ev.value) for i, ev in enumerate(res.log) if ev.kind == "Iterate"]
+
+
+def iterate_times(res):
+    """Per agent, the times of its Iterate events."""
+    times = [[] for _ in res.states]
+    for ev in res.log:
+        if ev.kind == "Iterate":
+            times[ev.agent].append(ev.time)
+    return times
+
+
 @pytest.fixture(scope="module")
 def consistent_instance():
     g = np.random.default_rng(0)
@@ -97,7 +111,7 @@ def test_k_max_holds_under_failure_injection():
     res = harness.run_single(inst, opts)
     assert res.stop_reason == "k_max"
     assert max(st.k for st in res.states) == 50
-    assert max(len(times) for times in res.iterate_times) == 50
+    assert max(len(times) for times in iterate_times(res)) == 50
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -107,10 +121,10 @@ def test_stop_all_converges_at_first_iterate_with_every_agent_within_tol(
     inst = consistent_instance
     cfg = build_cfg(inst, seed=seed, stop_mode="all", tol=rel_tol * np.linalg.norm(inst.x_star))
     res = engine.run(cfg)
-    # brute force over err_trace: every agent's latest error, starting from x = 0
+    # brute force over the Iterates: every agent's latest error, starting from x = 0
     latest = [float(np.linalg.norm(inst.x_star))] * len(inst.shards)
     expected = None
-    for ev_idx, agent, err in res.err_trace:
+    for ev_idx, agent, err in err_trace(res):
         latest[agent] = err
         if all(e <= cfg.tol for e in latest):
             expected = ev_idx
@@ -130,7 +144,7 @@ def test_stop_all_counts_agents_leaving_tol(consistent_instance):
     res = engine.run(cfg)
     inside = [False] * len(inst.shards)
     leaves = 0
-    for _, agent, err in res.err_trace:
+    for _, agent, err in err_trace(res):
         leaves += inside[agent] and err > cfg.tol
         inside[agent] = err <= cfg.tol
     assert leaves > 0
@@ -227,9 +241,23 @@ def test_message_delays_bounded(consistent_instance):
         assert 0.0 < m.arrival_time - m.send_time <= 1.0 + 1e-12
 
 
+def test_messages_derived_from_log_after_k_max_stop(consistent_instance):
+    cfg = build_cfg(consistent_instance, k_max=40, tol=1e-14, delay_bound=2.5)
+    res = run_tolerant(cfg)
+    assert res.stop_reason == "k_max"
+    # every broadcast drains from the queue before a k_max stop
+    sent = sum(ev.count for ev in res.log if ev.kind == "Broadcast")
+    assert len(res.messages) == sent == res.metrics.c * len(res.states)
+    assert all(0.0 < m.arrival_time - m.send_time <= cfg.delay_bound for m in res.messages)
+    broadcasts = {(ev.agent, ev.k): ev.time for ev in res.log if ev.kind == "Broadcast"}
+    for m in res.messages:
+        assert broadcasts[m.sender, m.sender_iter] == m.send_time
+        assert m.receiver in cfg.topology.neighbors[m.sender]
+
+
 def test_iteration_gaps_within_bounds(consistent_instance):
     res = run_tolerant(build_cfg(consistent_instance, budget=5000, tol=1e-12))
-    for times in res.iterate_times:
+    for times in iterate_times(res):
         gaps = np.diff(times)
         assert np.all(gaps >= 0.5 - 1e-12)
         assert np.all(gaps <= 1.0 + 1e-12)
@@ -316,7 +344,7 @@ def test_gaps_respect_bounds_outside_halts(consistent_instance):
     for ev in res.log:
         if ev.kind == "Halt":
             halt_spans.setdefault(ev.agent, []).append((ev.time, ev.value))
-    for agent, times in enumerate(res.iterate_times):
+    for agent, times in enumerate(iterate_times(res)):
         for a, b in zip(times, times[1:]):
             spans = [s for s in halt_spans.get(agent, []) if a <= s[0] < b]
             if spans:
@@ -344,6 +372,19 @@ def test_audit_flags_tight_spacing(consistent_instance):
     v = violations[0]
     assert v.used_time > v.next_schedule_time
     assert v.next_schedule_time - v.schedule_time == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("seed, count", [(0, 1484), (1, 1490), (2, 1521)])
+def test_audit_violation_counts_pinned(consistent_instance, seed, count):
+    """Counts recorded when the audit still read per-message records kept
+    by the engine; reading the log alone must flag the same cascades."""
+    cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(0.75),
+                    tol=1e-12, budget=3000, seed=seed)
+    violations = engine.audit_broadcast_spacing(run_tolerant(cfg))
+    assert len(violations) == count
+    for v in violations:
+        assert v.send_time < v.arrival_time <= v.used_time
+        assert v.schedule_time <= v.send_time < v.next_schedule_time < v.used_time
 
 
 def test_audit_empty_without_broadcasts():

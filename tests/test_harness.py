@@ -264,6 +264,7 @@ BAD_INPUTS = {
     "config-k-max-negative": (None, json.dumps({"k_max": -5})),
     "config-event-budget-negative": (None, json.dumps({"event_budget": -1})),
     "config-agents-zero": (None, json.dumps({"agents": 0})),
+    "config-failure-rho-negative": (None, json.dumps({"failure": {"rho": -1, "xi": 1.0}})),
 }
 
 
@@ -282,6 +283,51 @@ def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_RUN_FLAGS = {
+    "delay-bound-nan": ["--delay-bound", "nan"],
+    "delay-bound-inf": ["--delay-bound", "inf"],
+    "tol-nan": ["--tol", "nan"],
+    "t-max-inf": ["--t-max", "inf"],
+    "spacing-nan": ["--trigger", "global", "--spacing", "nan"],
+    "xi-nan": ["--rho", "0.5", "--xi", "nan"],
+    "rho-negative": ["--rho", "-1"],
+    "rho-nan": ["--rho", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_FLAGS))
+def test_cli_run_bad_value_exit_1(tmp_path, instance_dir, capsys, case):
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(instance_dir), "--out", str(out),
+                   *BAD_RUN_FLAGS[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (out / "events.csv").exists()
+
+
+BAD_SWEEP_VALUES = {
+    "values-not-numbers": ["--axis", "lambda", "--values", "a,b"],
+    "values-empty": ["--axis", "lambda", "--values", ""],
+    "xi-values-not-numbers": ["--axis", "failure", "--values", "0.5", "--xi-values", "x"],
+    "interval-nan": ["--axis", "interval", "--values", "nan"],
+    "interval-fraction": ["--axis", "interval", "--values", "2,2.5"],
+    "agents-nan": ["--axis", "agents", "--values", "nan"],
+    "neighbors-nan": ["--axis", "neighbors", "--values", "0.5,nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_VALUES))
+def test_cli_sweep_bad_values_exit_1(tmp_path, instance_dir, capsys, case):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--instance", str(instance_dir), "--reps", "1", "--out", str(out),
+                   *BAD_SWEEP_VALUES[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (out / "metrics.csv").exists()
 
 
 def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):
