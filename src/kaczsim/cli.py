@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import harness, problems
@@ -35,17 +35,18 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trigger", choices=["every_k", "global"])
     p.add_argument("--interval", type=int, help="broadcast every k-th iteration")
     p.add_argument("--spacing", type=float, help="global broadcast tick spacing")
-    p.add_argument("--cap", type=int, help="topology degree cap (default: agent count)")
+    p.add_argument("--cap", type=int, dest="topology_cap",
+                   help="topology degree cap (default: agent count)")
     p.add_argument("--topology-seed", type=int)
     p.add_argument("--delay-bound", type=float)
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--k-max", type=int)
-    p.add_argument("--budget", type=int, help="event budget")
+    p.add_argument("--budget", type=int, dest="event_budget", help="event budget")
     p.add_argument("--stop-mode", choices=["first", "all"])
-    p.add_argument("--rho", type=float, help="failure ratio")
-    p.add_argument("--xi", type=float, help="failure intensity")
+    p.add_argument("--rho", type=float, dest="failure_rho", help="failure ratio")
+    p.add_argument("--xi", type=float, dest="failure_xi", help="failure intensity")
     p.add_argument("--agents", type=int, help="repartition the instance over this many agents")
     p.add_argument("--seed", type=int)
 
@@ -58,19 +59,9 @@ def _resolve_options(args) -> RunOptions:
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"config {args.config} is not valid JSON: {exc}") from exc
         opts = harness.options_from_document(doc, opts)
-    overrides = {
-        "block_size": args.block_size, "lam": args.lam, "sampling": args.sampling,
-        "trigger": args.trigger, "interval": args.interval, "spacing": args.spacing,
-        "topology_cap": args.cap, "topology_seed": args.topology_seed,
-        "delay_bound": args.delay_bound, "t_min": args.t_min, "t_max": args.t_max,
-        "tol": args.tol, "k_max": args.k_max, "event_budget": args.budget,
-        "stop_mode": args.stop_mode, "failure_rho": args.rho, "failure_xi": args.xi,
-        "agents": args.agents, "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            opts = replace(opts, **{key: value})
-    return opts
+    # every RunOptions field is the dest of one run flag
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunOptions)}
+    return replace(opts, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _numbers(text: str, flag: str) -> list[float]:

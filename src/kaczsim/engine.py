@@ -20,8 +20,10 @@ hands out the doubles the one-at-a-time calls would, in the same order.
 The log is a list of typed Event records (kind, agent and the kind's int
 and float fields); Event.detail formats them as the events.csv text.  It
 is the run's only record of what happened: iterate times and errors are
-its Iterate events, and RunResult.messages is derived from it, so a
-broadcast payload lives only until its receivers' mailboxes drop it.
+its Iterate events, RunResult.messages is derived from it, and so is
+every analysis of the run (graphs reads the averaged entries and their
+staleness off it); a broadcast payload lives only until its receivers'
+mailboxes drop it.
 
 The run stops with stop_reason "tol" at the first agent within tolerance
 of the oracle (or all agents, in "all" mode: a count of agents within
@@ -71,7 +73,7 @@ class EveryK:
 
 @dataclass(frozen=True)
 class GlobalSchedule:
-    """Broadcast at the first iteration completing after each global tick s*spacing."""
+    """Broadcast at the first iteration completing after each schedule time s*spacing."""
 
     spacing: float
 
@@ -96,7 +98,6 @@ class FailurePlan:
 @dataclass
 class FailureState:
     enabled: bool
-    active: bool = False                 # True while halted
     runs_left: int = 0                   # iterations until the next halt
     stream: np.random.Generator | None = None
 
@@ -155,23 +156,6 @@ class Event(NamedTuple):
         return ""
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """One global tick: which agent iterated and whose states (at which
-    staleness stage, counted in global ticks) it averaged."""
-
-    tick: int
-    time: float
-    agent: int
-    k: int
-    chunk: int | None
-    rows: np.ndarray                    # global row indices of the block
-    used: tuple[tuple[int, int], ...]   # (sender, stage), self included
-    d_used: int
-    err: float
-    x: np.ndarray | None = None         # produced estimate (record_states only)
-
-
 @dataclass
 class MetricsRecord:
     """Per-run counters; means are taken over agents."""
@@ -209,8 +193,6 @@ class SimConfig:
     stop_mode: str = "first"                      # "first" | "all"
     ls_reference: np.ndarray | None = None        # e_stop reference; defaults to oracle
     init: list[np.ndarray] | None = None          # explicit per-agent initial estimates
-    record_trace: bool = True
-    record_states: bool = False                   # keep produced estimates on the trace
 
     def __post_init__(self):
         if not 0 < self.delay_bound < math.inf:
@@ -232,7 +214,6 @@ class RunResult:
     states: list[AgentState]
     metrics: MetricsRecord
     log: list[Event]
-    ticks: list[TickRecord]
     converged: bool
     stop_reason: str                          # tol | k_max | budget | diverged
     config: SimConfig
@@ -306,15 +287,6 @@ class _Runtime:
         self.t_cmp = 0.0
         self.halts = 0
         self.downtime = 0.0
-        self.iter_ticks = [-1]   # iter_ticks[h] = global tick where iteration h completed
-
-
-def _value_tick(iter_ticks: list[int], h: int, now_tick: int) -> int:
-    """Latest tick q <= now_tick whose pre-update stacked state still holds the
-    sender's iteration-h value (present through the tick where h+1 lands)."""
-    if h + 1 < len(iter_ticks):
-        return min(now_tick, iter_ticks[h + 1])
-    return now_tick
 
 
 def _distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -344,7 +316,6 @@ def run(cfg: SimConfig) -> RunResult:
     stop_all = cfg.stop_mode == "all"
 
     log: list[Event] = []
-    ticks: list[TickRecord] = []
 
     # heap entries (time, priority, agent, insertion seq, Deliver snapshot entry)
     heap: list[tuple[float, int, int, int, tuple | None]] = []
@@ -363,7 +334,6 @@ def run(cfg: SimConfig) -> RunResult:
 
     converged = False
     stop_reason = "budget"
-    tick = 0
     now = 0.0
 
     while heap:
@@ -387,7 +357,6 @@ def run(cfg: SimConfig) -> RunResult:
 
         if prio == _RESUME:
             fs = failure[agent]
-            fs.active = False
             fs.runs_left = fs.draw_run_length(xi)
             emit(Event(now, "Resume", agent))
             push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
@@ -408,19 +377,8 @@ def run(cfg: SimConfig) -> RunResult:
         if (err <= tol) != rt.within_tol:
             rt.within_tol = not rt.within_tol
             within += 1 if rt.within_tol else -1
-        rt.iter_ticks.append(tick)
 
         emit(Event(now, "Iterate", agent, k=k, count=len(entries), value=err))
-
-        if cfg.record_trace:
-            used = []
-            for sender, _, h in entries:
-                q = _value_tick(runtimes[sender].iter_ticks, h, tick)
-                used.append((sender, tick - q))
-            ticks.append(TickRecord(tick, now, agent, k, state.chunk,
-                                    acfg.rows[state.block], tuple(used), len(entries), err,
-                                    x=state.x.copy() if cfg.record_states else None))
-        tick += 1
 
         # stop checks come before the broadcast: a converged run ends here
         if rt.within_tol:
@@ -452,7 +410,6 @@ def run(cfg: SimConfig) -> RunResult:
             fs.runs_left -= 1
             if fs.runs_left <= 0:
                 duration = fs.draw_downtime(xi)
-                fs.active = True
                 rt.halts += 1
                 rt.downtime += duration
                 emit(Event(now, "Halt", agent, value=now + duration))
@@ -470,7 +427,6 @@ def run(cfg: SimConfig) -> RunResult:
         states=[rt.state for rt in runtimes],
         metrics=metrics,
         log=log,
-        ticks=ticks,
         converged=converged,
         stop_reason=stop_reason,
         config=cfg,
@@ -503,13 +459,13 @@ def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> 
 
 
 def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> list[AuditViolation]:
-    """Check that each broadcast cascade finishes before the next global tick.
+    """Check that each broadcast cascade finishes before the next schedule time.
 
-    A cascade is: broadcast attributed to tick T_s -> delivery -> first use
-    (the receiver's next Iterate in the log; a Deliver sorts before an
-    Iterate at the same time).  Returns the cascades whose use lands after
-    T_{s+1}, in the order of their use.  Undelivered or never-used messages
-    at run end are not violations.
+    A cascade is: broadcast attributed to schedule time T_s -> delivery ->
+    first use (the receiver's next Iterate in the log; a Deliver sorts
+    before an Iterate at the same time).  Returns the cascades whose use
+    lands after T_{s+1}, in the order of their use.  Undelivered or
+    never-used messages at run end are not violations.
     """
     cfg = cfg or result.config
     if not isinstance(cfg.trigger, GlobalSchedule):
@@ -531,21 +487,3 @@ def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> 
                     violations.append(AuditViolation(t_s, t_next, sender, ev.agent,
                                                      send_time, arrival_time, ev.time))
     return violations
-
-
-def staleness_stage_bound(cfg: SimConfig) -> int:
-    """Upper bound on the global-tick staleness stage in a failure-free run.
-
-    A kept value can be used until the sender's next broadcast arrives, i.e.
-    for a window of (trigger period + delay bound + one iteration gap); every
-    agent contributes at most window/t_min + 1 ticks inside that window.
-    """
-    t_min = min(a.t_min for a in cfg.agents)
-    t_max = max(a.t_max for a in cfg.agents)
-    if isinstance(cfg.trigger, EveryK):
-        period = cfg.trigger.interval * t_max
-    else:
-        period = cfg.trigger.spacing + t_max
-    window = period + cfg.delay_bound + t_max
-    n = len(cfg.agents)
-    return int(math.ceil(n * (window / t_min + 1.0)))

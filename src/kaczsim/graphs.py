@@ -1,8 +1,11 @@
-"""Connectivity events, delayed graphs, and contraction certificates.
+"""Tick traces, connectivity events, delayed graphs, and contraction certificates.
 
 This module turns the convergence machinery into executable checks on
 desk-scale instances:
 
+* the tick trace: one TickRecord per global tick (per Iterate event),
+  read off a run's event log and its config, with the (sender, staleness
+  stage) pairs each iteration averaged;
 * composition of communication graphs and the joint strong-connectivity
   event over sliding windows;
 * the delayed graph over (agent, staleness stage) nodes with its
@@ -14,18 +17,98 @@ desk-scale instances:
 * the hybrid norm (infinity norm over blocks of row-space-restricted
   spectral norms), whose value below one certifies contraction.
 
-Everything here is pure analysis over immutable run traces.
+Everything here is analysis after the fact: the trace is derived from
+the log and the config alone, and the simulator keeps no record of ticks
+or stages.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph
 
-from . import linalg
-from .engine import TickRecord
+from . import agents, linalg, rng
 from .errors import DelayBoundViolation, DimensionError, InvalidBasis, InvalidParameter
+
+# ----------------------------------------------------------------- tick trace
+
+@dataclass(frozen=True)
+class TickRecord:
+    """One global tick: which agent iterated and whose states (at which
+    staleness stage, counted in global ticks) it averaged."""
+
+    tick: int
+    time: float
+    agent: int
+    k: int
+    chunk: int | None
+    rows: np.ndarray                    # global row indices of the block
+    used: tuple[tuple[int, int], ...]   # (sender, stage), self included
+    d_used: int
+    err: float
+
+
+def _value_tick(landed: list[int], h: int, now_tick: int) -> int:
+    """Latest tick q <= now_tick whose pre-update stacked state still holds the
+    sender's iteration-h value (present through the tick where h+1 lands);
+    landed[h] is the tick where the sender's iteration h completed."""
+    if h + 1 < len(landed):
+        return min(now_tick, landed[h + 1])
+    return now_tick
+
+
+def tick_trace(result) -> list[TickRecord]:
+    """The tick trace of a run, read off result.log with result.config.
+
+    Tick t is the t-th Iterate event.  Its used entries are the agent's own
+    previous iterate, then the keep-latest mailbox (replayed from kept
+    Deliver events) in sender order; each entry's stage is counted in ticks
+    by _value_tick.  The sampled rows replay agents.sample_block on the
+    agent's block-sampling stream, which nothing else draws from.
+    """
+    cfg = result.config
+    n = len(cfg.agents)
+    samplers = [agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i))
+                for i, acfg in enumerate(cfg.agents)]
+    mailboxes: list[dict[int, int]] = [{} for _ in range(n)]   # sender -> kept iteration
+    landed = [[-1] for _ in range(n)]   # per agent: the tick of each iteration, -1 for k = 0
+    trace = []
+    for ev in result.log:
+        if ev.kind == "Deliver" and ev.kept:
+            mailboxes[ev.agent][ev.peer] = ev.k
+        elif ev.kind == "Iterate":
+            tick, agent = len(trace), ev.agent
+            acfg, state = cfg.agents[agent], samplers[agent]
+            agents.sample_block(state, acfg)
+            landed[agent].append(tick)
+            entries = [(agent, ev.k - 1), *sorted(mailboxes[agent].items())]
+            used = tuple((sender, tick - _value_tick(landed[sender], h, tick))
+                         for sender, h in entries)
+            trace.append(TickRecord(tick, ev.time, agent, ev.k, state.chunk,
+                                    acfg.rows[state.block], used, ev.count, ev.value))
+    return trace
+
+
+def staleness_stage_bound(cfg) -> int:
+    """Upper bound on the global-tick staleness stage in a failure-free run.
+
+    A kept value can be used until the sender's next broadcast arrives, i.e.
+    for a window of (trigger period + delay bound + one iteration gap); every
+    agent contributes at most window/t_min + 1 ticks inside that window.
+    The trigger is an EveryK (it has an interval) or a GlobalSchedule.
+    """
+    t_min = min(a.t_min for a in cfg.agents)
+    t_max = max(a.t_max for a in cfg.agents)
+    interval = getattr(cfg.trigger, "interval", None)
+    if interval is not None:
+        period = interval * t_max
+    else:
+        period = cfg.trigger.spacing + t_max
+    window = period + cfg.delay_bound + t_max
+    n = len(cfg.agents)
+    return int(math.ceil(n * (window / t_min + 1.0)))
 
 # ------------------------------------------------------------- communication
 
@@ -241,18 +324,6 @@ def hybrid_norm_A(tm: TransitionMatrix, basis: np.ndarray) -> float:
             total += float(np.linalg.norm(restricted, 2))
         worst = max(worst, total)
     return worst
-
-
-def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> float:
-    """Spectral norm, restricted to Row(A), of a product of null-space projections."""
-    A = linalg.as_matrix(A)
-    basis = linalg.row_space_basis(A) if basis is None else basis
-    n = A.shape[1]
-    P = np.eye(n)
-    for rows in families:
-        A_J = A[list(rows)]
-        P = (np.eye(n) - linalg.pinv(A_J) @ A_J) @ P
-    return float(np.linalg.norm(basis.T @ P @ basis, 2))
 
 
 def max_observed_stage(ticks: list[TickRecord]) -> int:

@@ -81,7 +81,6 @@ class RunOptions:
     failure_rho: float = 0.0
     failure_xi: float = 0.0
     seed: int = 0
-    record_trace: bool = False
 
     def to_document(self) -> dict:
         doc = {
@@ -215,7 +214,7 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
         topology=topo, agents=acfgs, oracle=oracle, delay_bound=opts.delay_bound,
         trigger=trigger, tol=opts.tol, k_max=opts.k_max, event_budget=opts.event_budget,
         seed=opts.seed, failure=failure, stop_mode=opts.stop_mode,
-        ls_reference=inst.x_star, record_trace=opts.record_trace,
+        ls_reference=inst.x_star,
     )
 
 
@@ -254,6 +253,8 @@ def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: R
     elif axis == "neighbors":
         n = base.agents if base.agents is not None else len(inst.shards)
         for c, theta2 in enumerate(values):
+            if theta2 <= 0:
+                raise InvalidParameter(f"theta2 must be positive, got {theta2}")
             cap = max(2, math.ceil(n * float(theta2)))
             cells.append(SweepCell(c, (float(theta2),), replace(base, topology_cap=cap)))
     elif axis == "interval":
@@ -358,10 +359,9 @@ def certify(m: int = 4, n: int = 3, agents: int = 2, seed: int = 0,
     inst = problems.generate(problems.ProblemSpec(m=m, n=n, density=1.0, noise=0.0,
                                                   seed=seed, agents=agents))
     opts = RunOptions(block_size=1, interval=1, tol=1e-9, stop_mode="all",
-                      event_budget=40 * max(window, 1) + 200, seed=seed, record_trace=True)
-    result = run_single(inst, opts)
-    window = min(window, len(result.ticks))
-    report = graphs.certification_report(result.ticks, inst.dense(), agents,
-                                         window, l_window=l_window)
+                      event_budget=40 * max(window, 1) + 200, seed=seed)
+    ticks = graphs.tick_trace(run_single(inst, opts))
+    window = min(window, len(ticks))
+    report = graphs.certification_report(ticks, inst.dense(), agents, window, l_window=l_window)
     report["instance"] = {"m": m, "n": n, "agents": agents, "seed": seed}
     return report

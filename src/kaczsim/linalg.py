@@ -99,17 +99,6 @@ def row_space_basis(A) -> np.ndarray:
     return svd(A).V
 
 
-def project_null(A_J, v) -> np.ndarray:
-    """Project v onto the null space of A_J: (I - pinv(A_J) A_J) v."""
-    A_J = as_matrix(A_J)
-    v = as_vector(v)
-    if A_J.shape[1] != v.shape[0]:
-        raise DimensionError(f"cols {A_J.shape[1]} != len(v) {v.shape[0]}")
-    f = svd(A_J)
-    # v minus its component in the row space.
-    return v - f.V @ (f.V.T @ v)
-
-
 def gram_cholesky(A_J, lam: float):
     """Cholesky factorization of A_J A_J^T + lam^2 I (cacheable per block)."""
     A_J = as_matrix(A_J)

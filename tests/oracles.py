@@ -1,0 +1,32 @@
+"""Reference implementations the tests check the package against.
+
+Each one computes a projection directly from the SVD or the pseudoinverse,
+the textbook way, with none of the caching or factoring the package does.
+"""
+import numpy as np
+
+from kaczsim import linalg
+from kaczsim.errors import DimensionError
+
+
+def project_null(A_J, v) -> np.ndarray:
+    """Project v onto the null space of A_J: (I - pinv(A_J) A_J) v."""
+    A_J = linalg.as_matrix(A_J)
+    v = linalg.as_vector(v)
+    if A_J.shape[1] != v.shape[0]:
+        raise DimensionError(f"cols {A_J.shape[1]} != len(v) {v.shape[0]}")
+    f = linalg.svd(A_J)
+    # v minus its component in the row space.
+    return v - f.V @ (f.V.T @ v)
+
+
+def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> float:
+    """Spectral norm, restricted to Row(A), of a product of null-space projections."""
+    A = linalg.as_matrix(A)
+    basis = linalg.row_space_basis(A) if basis is None else basis
+    n = A.shape[1]
+    P = np.eye(n)
+    for rows in families:
+        A_J = A[list(rows)]
+        P = (np.eye(n) - linalg.pinv(A_J) @ A_J) @ P
+    return float(np.linalg.norm(basis.T @ P @ basis, 2))

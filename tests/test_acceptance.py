@@ -10,8 +10,9 @@ import pytest
 
 from kaczsim import engine, graphs, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
-from kaczsim.engine import EveryK, FailurePlan, GlobalSchedule, SimConfig, TickRecord
+from kaczsim.engine import EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InfeasibleTopology, NoConvergence
+from kaczsim.graphs import TickRecord
 
 
 def run_tolerant(cfg):
@@ -306,8 +307,9 @@ def test_criterion_09_structural_invariants(consistent_instance):
             else:
                 assert kept.get(key, -1) >= ev.k
         # every per-tick weight matrix is row-stochastic
-        depth = graphs.max_observed_stage(res.ticks)
-        for rec in res.ticks:
+        ticks = graphs.tick_trace(res)
+        depth = graphs.max_observed_stage(ticks)
+        for rec in ticks:
             dg = graphs.build_delayed_graph(rec, 4, depth)
             assert np.allclose(dg.W.sum(axis=1), 1.0, atol=1e-12)
         # bit-identical replay

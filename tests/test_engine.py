@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kaczsim import engine, harness, linalg, problems, rng, topology
+from kaczsim import engine, graphs, harness, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import Event, EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InvalidParameter, NoConvergence
@@ -290,7 +290,7 @@ def test_mailbox_keeps_latest_and_drops_stale():
 def test_snapshot_weights_row_stochastic(consistent_instance):
     res = run_tolerant(build_cfg(consistent_instance, budget=4000, tol=1e-12))
     n_agents = len(consistent_instance.shards)
-    for rec in res.ticks:
+    for rec in graphs.tick_trace(res):
         assert 1 <= rec.d_used <= n_agents
         assert len(rec.used) == rec.d_used
         assert rec.d_used * (1.0 / rec.d_used) == 1.0

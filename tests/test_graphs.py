@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from kaczsim import engine, graphs, linalg, problems, topology
+from kaczsim import agents, engine, graphs, linalg, problems, topology
 from kaczsim.agents import AgentConfig
-from kaczsim.engine import TickRecord
 from kaczsim.errors import (DelayBoundViolation, InvalidBasis, InvalidParameter,
                             NoConvergence)
+from kaczsim.graphs import TickRecord
+from oracles import project_null, restricted_product_norm
 
 
 def make_tick(tick, agent, rows, used):
@@ -170,14 +172,16 @@ def test_delayed_graph_stage_overflow():
         graphs.build_delayed_graph(rec, 2, 2)
 
 
-def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3):
+def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3,
+               sampling="cycle", failure=None):
     inst = problems.generate(problems.ProblemSpec(m=30, n=8, density=0.4, noise=0.0,
                                                   seed=5, agents=agents))
     topo = topology.build_pascal(agents, agents, seed=0)
-    acfgs = [AgentConfig(i, s.A, s.b, s.rows, 4) for i, s in enumerate(inst.shards)]
+    acfgs = [AgentConfig(i, s.A, s.b, s.rows, 4, sampling=sampling)
+             for i, s in enumerate(inst.shards)]
     cfg = engine.SimConfig(topo, acfgs, inst.x_star, 1.0, trigger,
                            tol=1e-6, k_max=10**6, event_budget=budget,
-                           seed=seed, stop_mode="all")
+                           seed=seed, stop_mode="all", failure=failure)
     try:
         return engine.run(cfg), inst
     except NoConvergence as exc:
@@ -186,16 +190,39 @@ def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3):
 
 def test_run_trace_weight_matrices_row_stochastic():
     result, _ = _small_run()
-    depth = graphs.max_observed_stage(result.ticks)
-    for rec in result.ticks:
+    ticks = graphs.tick_trace(result)
+    depth = graphs.max_observed_stage(ticks)
+    for rec in ticks:
         dg = graphs.build_delayed_graph(rec, 3, depth)
         assert np.allclose(dg.W.sum(axis=1), 1.0, atol=1e-12)
 
 
+# SHA-256 of (tick, agent, k, chunk, rows, used, d_used) per tick, recorded
+# when the simulator still built the trace during the run
+TICK_TRACE_DIGESTS = {
+    "cycle-every-k": (dict(seed=2, trigger=engine.EveryK(3)),
+                      "debe8e363fecd7c4128364870b530deda3db246d4dbf40605fba6468a23e8046"),
+    "iid-global-rho": (dict(seed=3, trigger=engine.GlobalSchedule(0.75), sampling="iid",
+                            failure=engine.FailurePlan(0.5, 2.0, seed=3)),
+                       "145ca864592a7c8eec076d65ed158a4c0588f988f8b060d6bc8ed08916cb5d05"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TICK_TRACE_DIGESTS))
+def test_tick_trace_pinned(case):
+    kwargs, digest = TICK_TRACE_DIGESTS[case]
+    result, _ = _small_run(**kwargs)
+    ticks = graphs.tick_trace(result)
+    assert len(ticks) == sum(ev.kind == "Iterate" for ev in result.log)
+    fields = [(t.tick, t.agent, t.k, t.chunk, tuple(t.rows.tolist()), t.used, t.d_used)
+              for t in ticks]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+
+
 def test_run_trace_stage_bound():
     result, _ = _small_run()
-    bound = engine.staleness_stage_bound(result.config)
-    assert graphs.max_observed_stage(result.ticks) <= bound
+    bound = graphs.staleness_stage_bound(result.config)
+    assert graphs.max_observed_stage(graphs.tick_trace(result)) <= bound
 
 
 # ------------------------------------------------------- transition operator
@@ -403,9 +430,9 @@ def test_projection_product_dichotomy():
     for _ in range(20):
         A = g.normal(size=(5, 4))
         covering = [[0, 1], [2], [3, 4]]
-        assert graphs.restricted_product_norm(A, covering) < 1.0 - 1e-9
+        assert restricted_product_norm(A, covering) < 1.0 - 1e-9
         deficient = [[0, 1], [2]]  # rank <= 3 < 4
-        assert abs(graphs.restricted_product_norm(A, deficient) - 1.0) <= 1e-12
+        assert abs(restricted_product_norm(A, deficient) - 1.0) <= 1e-12
         # eigen-analysis exhibits the unit-gain witness: a row-space vector
         # orthogonal to every used row, hence fixed by the whole product
         basis = linalg.row_space_basis(A)
@@ -414,10 +441,10 @@ def test_projection_product_dichotomy():
         witness = basis @ vt[-1]
         assert np.linalg.norm(witness) == pytest.approx(1.0)
         for rows in deficient:
-            assert np.allclose(linalg.project_null(A[rows], witness), witness, atol=1e-9)
+            assert np.allclose(project_null(A[rows], witness), witness, atol=1e-9)
 
 
-def test_transition_matrix_reproduces_live_run_errors():
+def test_transition_matrix_reproduces_live_run_errors(monkeypatch):
     """End-to-end oracle: the stacked operator assembled from a run's trace,
     applied to the true delayed error stack at a window start, must reproduce
     the true stack at the window end to numerical precision."""
@@ -429,16 +456,27 @@ def test_transition_matrix_reproduces_live_run_errors():
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, 2) for i, s in enumerate(inst.shards)]
     cfg = engine.SimConfig(topo, acfgs, inst.x_star, 1.0, engine.EveryK(2),
                            tol=1e-13, k_max=10**6, event_budget=220, seed=1,
-                           stop_mode="all", record_states=True)
+                           stop_mode="all")
+    step = agents.step
+    estimates = []   # the produced estimate of each step call, in tick order
+
+    def recording_step(*args, **kwargs):
+        state = step(*args, **kwargs)
+        estimates.append(state.x.copy())
+        return state
+
+    monkeypatch.setattr(agents, "step", recording_step)
     try:
         res = engine.run(cfg)
     except NoConvergence as exc:
         res = exc.result
+    ticks = graphs.tick_trace(res)
+    assert len(estimates) == len(ticks)
 
     n = 3
     produced = {}   # (agent, tick) -> estimate after that tick
-    for rec in res.ticks:
-        produced[(rec.agent, rec.tick)] = rec.x
+    for rec, x in zip(ticks, estimates):
+        produced[(rec.agent, rec.tick)] = x
 
     def state_at(agent, q):
         """Estimate of `agent` inside the pre-update stack at tick q (post q-1)."""
@@ -446,7 +484,7 @@ def test_transition_matrix_reproduces_live_run_errors():
         return produced[(agent, max(candidates))] if candidates else np.zeros(n)
 
     start, end = 30, 42
-    window = res.ticks[start:end]
+    window = ticks[start:end]
     depth = max(graphs.max_observed_stage(window), 1)
     tm = graphs.build_transition_matrix(window, inst.dense(), 2, depth)
 
@@ -461,7 +499,7 @@ def test_transition_matrix_reproduces_live_run_errors():
 
 def test_certification_report_fields():
     result, inst = _small_run(budget=400)
-    report = graphs.certification_report(result.ticks, inst.dense(), 3, window=4)
+    report = graphs.certification_report(graphs.tick_trace(result), inst.dense(), 3, window=4)
     assert set(report) == {"window", "d", "hybrid_norm", "complete_rows", "C_l_verdict", "l"}
     assert report["window"] == 4
     assert 0.0 < report["hybrid_norm"] <= 1.0 + 1e-12

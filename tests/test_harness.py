@@ -316,6 +316,8 @@ BAD_SWEEP_VALUES = {
     "interval-fraction": ["--axis", "interval", "--values", "2,2.5"],
     "agents-nan": ["--axis", "agents", "--values", "nan"],
     "neighbors-nan": ["--axis", "neighbors", "--values", "0.5,nan"],
+    "neighbors-negative": ["--axis", "neighbors", "--values", "-0.5"],
+    "neighbors-zero": ["--axis", "neighbors", "--values", "0"],
 }
 
 

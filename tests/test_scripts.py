@@ -1,0 +1,27 @@
+"""Smoke tests: each experiment script under scripts/ runs to completion."""
+import importlib.util
+import json
+import math
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certify_contraction_prints_finite_norm(capsys):
+    load_script("certify_contraction").main()
+    report = json.loads(capsys.readouterr().out.split("\n\n")[0])
+    assert math.isfinite(report["hybrid_norm"])
+
+
+def test_run_baseline_prints_stop_line(capsys):
+    load_script("run_baseline").main()
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"(converged|stopped \(\w+\)) after \d+ events", first)
