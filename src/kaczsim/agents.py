@@ -21,14 +21,17 @@ chunk, the chunk's row slice, the views A_J and b_J into the shard and the
 block's pseudoinverse or Gram factorization (block_factor), so a revisited
 chunk needs no indexing and no factorization; iid blocks are gathered and
 factored afresh every step.  The step updates the agent state in place.
+
+The regularized solve calls scipy's LAPACK; a regularized AgentConfig
+imports it on construction (_potrs), so the import never lands in a run
+and a consistent-mode program does not load scipy at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import CorruptMessage, DimensionError, InvalidParameter
@@ -36,8 +39,12 @@ from .errors import CorruptMessage, DimensionError, InvalidParameter
 CYCLE = "cycle"
 IID = "iid"
 
-# The LAPACK routine scipy.linalg.cho_solve calls, without its wrapper.
-_potrs = scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
+
+@cache
+def _potrs():
+    """The LAPACK routine scipy.linalg.cho_solve calls, without its wrapper."""
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,11 @@ class AgentConfig:
             raise InvalidParameter(f"block size {self.block_size} outside [1, {self.A.shape[0]}]")
         if not (0.0 < self.t_min <= self.t_max < np.inf):
             raise InvalidParameter(f"need 0 < t_min <= t_max < inf, got [{self.t_min}, {self.t_max}]")
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise InvalidParameter(f"lambda must be positive and finite, got {self.lam}")
+        if self.lam is not None:
+            if not (self.lam > 0 and 0 < self.lam * self.lam < np.inf):   # False for nan
+                raise InvalidParameter(f"lambda must be positive, with a square that neither "
+                                       f"underflows nor overflows, got {self.lam}")
+            _potrs()   # import scipy's LAPACK now, not inside a run
         if self.sampling not in (CYCLE, IID):
             raise InvalidParameter(f"unknown sampling mode {self.sampling!r}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
@@ -200,7 +210,7 @@ def step(state: AgentState, cfg: AgentConfig, entries: list[tuple[int, np.ndarra
     y_J = state.y[rows]
     r = b_J - A_J @ w - lam * y_J
     c, lower = factor
-    alpha, info = _potrs(c, r, lower=lower, overwrite_b=True)
+    alpha, info = _potrs()(c, r, lower=lower, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     state.x = w + A_J.T @ alpha

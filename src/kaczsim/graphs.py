@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from . import agents, linalg, rng
 from .errors import DelayBoundViolation, DimensionError, InvalidBasis, InvalidParameter
@@ -126,13 +125,21 @@ def compose(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def strongly_connected(g: np.ndarray) -> bool:
-    g = np.asarray(g)
-    if g.shape[0] != g.shape[1]:
+    """True iff every node reaches every other along the nonzero entries of
+    g: node 0 reaches all nodes in g and in its transpose."""
+    g = np.asarray(g) != 0
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionError(f"adjacency must be square, got {g.shape}")
-    if g.shape[0] == 0:
-        return True
-    n, _ = scipy.sparse.csgraph.connected_components(g, directed=True, connection="strong")
-    return n == 1
+    for adj in (g, g.T):
+        seen = np.zeros(g.shape[0], dtype=bool)
+        frontier = seen.copy()
+        frontier[:1] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = adj[:, frontier].any(axis=1) & ~seen
+        if not seen.all():
+            return False
+    return True
 
 
 def detect_C_l(seq: list[np.ndarray], l: int) -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 from . import engine, graphs, linalg, problems, topology
 from .agents import AgentConfig
 from .engine import EveryK, FailurePlan, GlobalSchedule, MetricsRecord, SimConfig
-from .errors import InvalidParameter, NoConvergence
+from .errors import InvalidParameter, IoError, NoConvergence
 from .problems import ProblemInstance
 
 RAW_HEADER = ["cell", "rep", "seed", "k_iter", "t_cmp", "c", "t_comm", "T",
@@ -194,7 +194,7 @@ def config_hash(doc: dict) -> str:
 def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     """Materialize a simulator config (and its oracle) from an instance."""
     n_agents = opts.agents if opts.agents is not None else len(inst.shards)
-    shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.A, inst.b, n_agents)
+    shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.coo, inst.b, n_agents)
     lam = opts.lam if opts.lam else None   # 0 or None -> consistent update
     acfgs = [
         AgentConfig(i, s.A, s.b, s.rows, min(opts.block_size, s.A.shape[0]),
@@ -204,7 +204,7 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     cap = opts.topology_cap if opts.topology_cap is not None else n_agents
     topo = topology.build_pascal(n_agents, cap, seed=opts.topology_seed)
     if lam is not None:
-        oracle, _ = linalg.augmented_min_norm_solve(inst.A, inst.b, lam)
+        oracle, _ = linalg.augmented_min_norm_solve(inst.coo, inst.b, lam)
     else:
         oracle = inst.x_star
     trigger = EveryK(opts.interval) if opts.trigger == "every_k" else GlobalSchedule(opts.spacing)
@@ -253,8 +253,8 @@ def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: R
     elif axis == "neighbors":
         n = base.agents if base.agents is not None else len(inst.shards)
         for c, theta2 in enumerate(values):
-            if theta2 <= 0:
-                raise InvalidParameter(f"theta2 must be positive, got {theta2}")
+            if not 0 < theta2 <= 1:
+                raise InvalidParameter(f"theta2 is a neighbor fraction in (0, 1], got {theta2}")
             cap = max(2, math.ceil(n * float(theta2)))
             cells.append(SweepCell(c, (float(theta2),), replace(base, topology_cap=cap)))
     elif axis == "interval":
@@ -339,10 +339,15 @@ def write_events_csv(log: list[engine.Event], path) -> None:
 
 
 def write_report_csv(metrics_csv, path) -> None:
-    """Melt a raw metrics CSV into long (cell, rep, seed, metric, value) form."""
+    """Melt a raw metrics CSV into long (cell, rep, seed, metric, value) form.
+
+    A file whose header lacks a column read here raises IoError."""
     with open(metrics_csv, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
+    missing = [name for name in RAW_HEADER[:-1] if name not in (reader.fieldnames or ())]
+    if missing:
+        raise IoError(f"{metrics_csv} is not a metrics CSV: missing column(s) {missing}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cell", "rep", "seed", "metric", "value"])

@@ -13,15 +13,18 @@ gives the x of the widened system (A, lam*I).  With atol = btol = 1e-14
 it agreed with the dense SVD to 4e-14 relative in x and 4e-13 in y on
 generated 2000x400, 4000x800 and 8000x2000 instances, lam in {0.3, 1, 3}.
 If LSQR stops without converging, the oracle falls back to the dense SVD.
+
+Importing this module loads numpy only.  scipy, whose import takes about
+0.2 s, is imported by the two functions that call it: gram_cholesky
+(regularized block factors) and the LSQR branch of the oracles.  "Sparse"
+here means any matrix with a tocsr method: a scipy.sparse matrix or a
+problems.CooMatrix, which densifies with numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DimensionError, InvalidParameter
 
@@ -100,15 +103,26 @@ def row_space_basis(A) -> np.ndarray:
 
 
 def gram_cholesky(A_J, lam: float):
-    """Cholesky factorization of A_J A_J^T + lam^2 I (cacheable per block)."""
+    """Cholesky factorization of A_J A_J^T + lam^2 I (cacheable per block).
+
+    A Gram matrix that is not numerically positive definite (lam^2 lost
+    against the entries of A_J A_J^T on a rank-deficient block) raises
+    InvalidParameter.
+    """
+    import scipy.linalg
+
     A_J = as_matrix(A_J)
     G = A_J @ A_J.T + (lam * lam) * np.eye(A_J.shape[0])
-    return scipy.linalg.cho_factor(G, lower=True)
+    try:
+        return scipy.linalg.cho_factor(G, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidParameter(f"block Gram matrix A_J A_J^T + lambda^2 I is not positive "
+                               f"definite at lambda = {lam!r}: {exc}") from exc
 
 
 def _system(A, b):
     """(A, b) checked for matching rows: A a 2-d float array, or sparse as given."""
-    if not scipy.sparse.issparse(A):
+    if not hasattr(A, "tocsr"):
         A = as_matrix(A)
     b = as_vector(b)
     if A.shape[0] != b.shape[0]:
@@ -123,7 +137,10 @@ def _lsqr(A, b, damp: float) -> np.ndarray | None:
     than 0, 1, 2)."""
     if A.shape[0] * A.shape[1] <= SVD_MAX_ENTRIES:
         return None
-    A = scipy.sparse.csr_matrix(A, dtype=float)
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    A = scipy.sparse.csr_matrix(A.tocsr() if hasattr(A, "tocsr") else A, dtype=float)
     if not np.all(np.isfinite(A.data)):
         raise InvalidParameter("matrix has non-finite entries")
     x, istop = scipy.sparse.linalg.lsqr(A, b, damp=damp, atol=LSQR_TOL, btol=LSQR_TOL)[:2]

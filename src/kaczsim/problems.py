@@ -9,25 +9,34 @@ On disk an instance is a directory holding A in Matrix Market coordinate
 format, vectors as one-value-per-line text with 17 significant digits, and
 a JSON manifest with the shard row ranges.
 
-A stays sparse: the oracle solves take it as it is, and each shard's rows
-are densified on their own, so the full m x n matrix is never built.
+A stays sparse, held as coordinate arrays (CooMatrix) and handled with
+numpy alone: the oracle solves take it as it is, and each shard's rows are
+densified on their own, so the full m x n matrix is never built.  Generating,
+loading and partitioning an instance do not import scipy, whose import takes
+about 0.2 s; it is imported only to write A.mtx (save), to solve a system
+above linalg.SVD_MAX_ENTRIES by LSQR, or to build inst.A, the scipy view.
 """
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInstance, InvalidParameter, IoError, TooManyAgents
 from .linalg import min_norm_solve
 
 MANIFEST_NAME = "manifest.json"
+
+# The one Matrix Market header this package writes and reads.
+_MTX_HEADER = ["%%matrixmarket", "matrix", "coordinate", "real", "general"]
+# One Matrix Market entry line: 1-based row, 1-based column, value.
+_MTX_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -57,25 +66,68 @@ class Shard:
     rows: np.ndarray       # global row indices, contiguous and sorted
 
 
+@dataclass(frozen=True)
+class CooMatrix:
+    """A sparse matrix as coordinate arrays: entry e is data[e] at (row[e],
+    col[e]), 0-based.  Duplicate entries add up, as in scipy.sparse."""
+
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows_dense(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop as a dense array, entries added in stored order."""
+        sel = (self.row >= start) & (self.row < stop)
+        out = np.zeros((stop - start, self.shape[1]))
+        np.add.at(out, (self.row[sel] - start, self.col[sel]), self.data[sel])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.rows_dense(0, self.shape[0])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, summing each row's products in stored order (as scipy's COO
+        product does, bit for bit)."""
+        return np.bincount(self.row, weights=self.data * x[self.col], minlength=self.shape[0])
+
+    def to_scipy(self):
+        """This matrix as a scipy.sparse.coo_matrix (imports scipy)."""
+        import scipy.sparse
+        return scipy.sparse.coo_matrix((self.data, (self.row, self.col)), shape=self.shape)
+
+    def tocsr(self):
+        return self.to_scipy().tocsr()
+
+
 @dataclass
 class ProblemInstance:
-    A: scipy.sparse.coo_matrix
+    coo: CooMatrix         # A, in row-major entry order for generated instances
     b: np.ndarray
     x_planted: np.ndarray
     x_star: np.ndarray     # minimum-norm least-squares solution, pinv(A) b
     shards: list[Shard]
     spec: ProblemSpec | None = None
 
+    @cached_property
+    def A(self):
+        """A as a scipy.sparse.coo_matrix, built (and scipy imported) on first use."""
+        return self.coo.to_scipy()
+
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        return self.coo.shape[0]
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self.coo.shape[1]
 
     def dense(self) -> np.ndarray:
-        return self.A.toarray()
+        return self.coo.toarray()
 
 
 def partition_sizes(m: int, agents: int) -> list[int]:
@@ -88,14 +140,13 @@ def partition_sizes(m: int, agents: int) -> list[int]:
     return [base + 1] * extra + [base] * (agents - extra)
 
 
-def _shard(A: scipy.sparse.csr_matrix, start: int, stop: int, b: np.ndarray) -> Shard:
+def _shard(A: CooMatrix, start: int, stop: int, b: np.ndarray) -> Shard:
     """Shard of rows start:stop of A, densified on their own, with right-hand side b."""
-    return Shard(A[start:stop].toarray(), b, np.arange(start, stop))
+    return Shard(A.rows_dense(start, stop), b, np.arange(start, stop))
 
 
-def partition(A, b: np.ndarray, agents: int) -> list[Shard]:
+def partition(A: CooMatrix, b: np.ndarray, agents: int) -> list[Shard]:
     """Contiguous row shards of the sparse matrix A, sized by partition_sizes."""
-    A = A.tocsr()
     shards = []
     start = 0
     for size in partition_sizes(A.shape[0], agents):
@@ -129,9 +180,7 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     # canonical row-major entry order
     order = np.argsort(flat, kind="stable")
     flat, values = flat[order], values[order]
-    A = scipy.sparse.coo_matrix(
-        (values, (flat // spec.n, flat % spec.n)), shape=(spec.m, spec.n)
-    )
+    A = CooMatrix((spec.m, spec.n), flat // spec.n, flat % spec.n, values)
     x_planted = rng.stream(spec.seed, rng.SOLUTION).normal(size=spec.n)
     b = A @ x_planted
     if spec.noise > 0.0:
@@ -140,16 +189,22 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
 
 
 def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance:
-    """Wrap explicit (A, b) into an instance: oracle solution plus shards."""
-    if not scipy.sparse.issparse(A):
-        A = scipy.sparse.coo_matrix(np.asarray(A, dtype=float))
-    A = A.tocoo()
+    """Wrap explicit (A, b) into an instance: oracle solution plus shards.
+
+    A is a CooMatrix, a scipy.sparse matrix or a dense array, whose
+    nonzeros are taken in row-major order."""
+    if hasattr(A, "tocoo"):
+        A = A.tocoo()
+        A = CooMatrix(A.shape, A.row.astype(np.int64), A.col.astype(np.int64), A.data.astype(float))
+    elif not isinstance(A, CooMatrix):
+        A = np.asarray(A, dtype=float)
+        row, col = np.nonzero(A)
+        A = CooMatrix(A.shape, row, col, A[row, col])
     b = np.asarray(b, dtype=float)
-    csr = A.tocsr()
-    x_star = min_norm_solve(csr, b)
+    x_star = min_norm_solve(A, b)
     if x_planted is None:
         x_planted = x_star.copy()
-    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, partition(csr, b, agents), spec)
+    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, partition(A, b, agents), spec)
 
 
 def _write_vector(path: Path, v: np.ndarray) -> None:
@@ -168,8 +223,45 @@ def _read_vector(path: Path) -> np.ndarray:
         raise IoError(f"corrupt vector file {path}: {exc}") from exc
 
 
+def _read_matrix(path: Path) -> CooMatrix:
+    """A Matrix Market "coordinate real general" file as a CooMatrix.
+
+    The header, the size line (m n nnz), the entry count and every entry's
+    1-based indices are checked; any mismatch raises IoError.
+    """
+    if not path.exists():
+        raise IoError(f"missing matrix file {path}")
+    try:
+        with open(path) as fh:
+            header = fh.readline().lower().split()
+            if header != _MTX_HEADER:
+                raise IoError(f"unsupported matrix file {path}: header {' '.join(header)!r} "
+                              f"is not {' '.join(_MTX_HEADER)!r}")
+            line = fh.readline()
+            while line.startswith("%"):
+                line = fh.readline()
+            size = line.split()
+            if len(size) != 3:
+                raise IoError(f"corrupt matrix file {path}: missing size line 'm n nnz'")
+            m, n, nnz = (int(v) for v in size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # an empty entry list warns
+                entries = np.loadtxt(fh, dtype=_MTX_ENTRY, ndmin=1)
+    except ValueError as exc:   # UnicodeDecodeError included
+        raise IoError(f"corrupt matrix file {path}: {exc}") from exc
+    if min(m, n, nnz) < 0 or len(entries) != nnz:
+        raise IoError(f"corrupt matrix file {path}: {len(entries)} entries for size line "
+                      f"{m} {n} {nnz}")
+    row, col = entries["i"] - 1, entries["j"] - 1
+    if nnz and not (0 <= row.min() and row.max() < m and 0 <= col.min() and col.max() < n):
+        raise IoError(f"corrupt matrix file {path}: an entry index lies outside {m} x {n}")
+    return CooMatrix((m, n), row, col, entries["v"].copy())
+
+
 def save(inst: ProblemInstance, directory) -> Path:
     """Write an instance directory; see module docstring for the layout."""
+    import scipy.io   # numpy's savetxt writer is ~9x slower at 32k entries
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     scipy.io.mmwrite(directory / "A.mtx", inst.A, precision=17)
@@ -215,17 +307,13 @@ def load(directory) -> ProblemInstance:
         raise IoError(f"corrupt manifest {manifest_path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, InvalidParameter) as exc:
         raise IoError(f"malformed manifest {manifest_path}: missing or bad entry {exc}") from exc
-    a_path = paths["A"]
-    if not a_path.exists():
-        raise IoError(f"missing matrix file {a_path}")
-    try:
-        A = scipy.io.mmread(a_path).tocoo()
-    except Exception as exc:
-        raise IoError(f"corrupt matrix file {a_path}: {exc}") from exc
+    A = _read_matrix(paths["A"])
     b = _read_vector(paths["b"])
     x_planted = _read_vector(paths["x_planted"])
     x_star = _read_vector(paths["x_star"])
-    csr = A.tocsr()
+    if b.shape[0] != A.shape[0] or not x_planted.shape[0] == x_star.shape[0] == A.shape[1]:
+        raise IoError(f"vector lengths b {b.shape[0]}, x_planted {x_planted.shape[0]}, "
+                      f"x_star {x_star.shape[0]} do not fit the {A.shape[0]} x {A.shape[1]} A")
     shards = []
     for start, stop, b_path in shard_entries:
         if not 0 <= start < stop <= A.shape[0]:
@@ -234,5 +322,5 @@ def load(directory) -> ProblemInstance:
         shard_b = _read_vector(b_path)
         if shard_b.shape[0] != stop - start:
             raise IoError(f"shard file {b_path.name} length {shard_b.shape[0]} != row range {stop - start}")
-        shards.append(_shard(csr, start, stop, shard_b))
+        shards.append(_shard(A, start, stop, shard_b))
     return ProblemInstance(A, b, x_planted, x_star, shards, spec)

@@ -94,13 +94,16 @@ def test_iid_row_frequencies():
     ({"lam": 0.0}, InvalidParameter),
     ({"lam": -1.0}, InvalidParameter),
     ({"lam": np.nan}, InvalidParameter),
+    ({"lam": 1e-170}, InvalidParameter),
+    ({"lam": 1e200}, InvalidParameter),
     ({"sampling": "sweep"}, InvalidParameter),
     ({"b": np.ones(2)}, DimensionError),
     ({"rows": np.arange(4)}, DimensionError),
     ({"A": np.diag([1.0, np.nan, 1.0])}, InvalidParameter),
     ({"b": np.array([1.0, 1.0, np.inf])}, InvalidParameter),
 ], ids=["block-zero", "block-over-rows", "t-min-zero", "t-min-over-t-max", "t-max-inf",
-        "lam-zero", "lam-negative", "lam-nan", "sampling", "b-length", "rows-length", "A-nan",
+        "lam-zero", "lam-negative", "lam-nan", "lam-square-underflows", "lam-square-overflows",
+        "sampling", "b-length", "rows-length", "A-nan",
         "b-inf"])
 def test_agent_config_validation(change, error):
     fields = dict(agent_id=0, A=np.eye(3), b=np.ones(3), rows=np.arange(3), block_size=3)

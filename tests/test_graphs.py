@@ -96,6 +96,19 @@ def test_strongly_connected_matches_closure_oracle():
         assert graphs.strongly_connected(adj) == expected
 
 
+def test_strongly_connected_matches_scipy_csgraph():
+    import scipy.sparse.csgraph
+
+    g = np.random.default_rng(2)
+    for n in range(13):
+        for p in (0.1, 0.2, 0.35, 0.6):
+            for _ in range(8):
+                adj = (g.random((n, n)) < p).astype(np.uint8)
+                count = (scipy.sparse.csgraph.connected_components(
+                    adj, directed=True, connection="strong")[0] if n else 1)
+                assert graphs.strongly_connected(adj) == (count == 1)
+
+
 # ------------------------------------------------------------------ detect_C_l
 
 def test_detect_C_l_complete_sequence():

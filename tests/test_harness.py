@@ -294,6 +294,7 @@ BAD_RUN_FLAGS = {
     "xi-nan": ["--rho", "0.5", "--xi", "nan"],
     "rho-negative": ["--rho", "-1"],
     "rho-nan": ["--rho", "nan"],
+    "lam-square-underflows": ["--lam", "1e-170"],
 }
 
 
@@ -318,6 +319,7 @@ BAD_SWEEP_VALUES = {
     "neighbors-nan": ["--axis", "neighbors", "--values", "0.5,nan"],
     "neighbors-negative": ["--axis", "neighbors", "--values", "-0.5"],
     "neighbors-zero": ["--axis", "neighbors", "--values", "0"],
+    "neighbors-over-one": ["--axis", "neighbors", "--values", "5"],
 }
 
 
@@ -330,6 +332,28 @@ def test_cli_sweep_bad_values_exit_1(tmp_path, instance_dir, capsys, case):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not (out / "metrics.csv").exists()
+
+
+def test_cli_run_gram_not_positive_definite_exit_1(tmp_path, capsys):
+    # two equal rows: lam^2 = 1e-300 is lost against A_J A_J^T
+    inst = problems.from_arrays(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([3.0, 3.0]), 1)
+    problems.save(inst, tmp_path / "inst")
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(tmp_path / "inst"), "--lam", "1e-150",
+                   "--block-size", "2", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive definite" in err
+    assert err.count("\n") == 1
+    assert not (out / "events.csv").exists()
+
+
+def test_cli_report_without_metrics_columns_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("cell,rep,value\n0,0,1.5\n")
+    assert run_cli("report", "--metrics", str(bad), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'seed'" in err and "'k_iter'" in err
 
 
 def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):

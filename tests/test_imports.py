@@ -1,0 +1,71 @@
+"""Import contract: the CLI import, a consistent `kaczsim run` and
+`kaczsim certify` load numpy only.
+
+scipy's import takes about 0.2 s, more than a small run's whole set-up, so
+only the functions that call it import it (LSQR oracles, regularized Gram
+factors, Matrix Market writing).  Each check runs in a fresh interpreter and
+fails if any scipy module was loaded.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kaczsim import problems
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+REPORT_SCIPY = """
+import sys
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("scipy modules:", loaded)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code + REPORT_SCIPY], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def saved_instance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "inst"
+    problems.save(problems.generate(problems.ProblemSpec(m=60, n=12, density=0.3, seed=2, agents=3)), path)
+    return path
+
+
+def cli_code(*argv) -> str:
+    return f"from kaczsim import cli\nassert cli.main({list(argv)!r}) == 0\n"
+
+
+def test_import_cli_loads_no_scipy(tmp_path):
+    proc = run_python("import kaczsim.cli\n", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_consistent_run_loads_no_scipy(tmp_path, saved_instance):
+    out = tmp_path / "out"
+    proc = run_python(cli_code("run", "--instance", str(saved_instance), "--block-size", "5",
+                               "--interval", "2", "--k-max", "50", "--out", str(out)), tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (out / "events.csv").exists()
+
+
+def test_certify_loads_no_scipy(tmp_path):
+    out = tmp_path / "out"
+    proc = run_python(cli_code("certify", "--window", "8", "--out", str(out)), tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (out / "certify.json").exists()
+
+
+def test_regularized_config_loads_lapack_before_the_run(tmp_path, saved_instance):
+    # building the config imports scipy's LAPACK, so no import lands in engine.run
+    code = ("from kaczsim import harness, problems\n"
+            f"inst = problems.load({str(saved_instance)!r})\n"
+            "harness.build_sim_config(inst, harness.RunOptions(lam=1.0, block_size=5))\n")
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 1 and "'scipy.linalg'" in proc.stdout, proc.stdout + proc.stderr

@@ -126,6 +126,12 @@ def test_gram_solve_residual_oracle():
     assert np.allclose((A @ A.T + lam**2 * np.eye(3)) @ alpha, r, atol=1e-9)
 
 
+def test_gram_cholesky_not_positive_definite_raises():
+    # lam^2 = 1e-300 is lost against the singular Gram matrix of two equal rows
+    with pytest.raises(InvalidParameter, match="positive definite"):
+        linalg.gram_cholesky(np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150)
+
+
 def test_gram_solve_accepts_cached_factorization():
     g = rng(6)
     A = g.normal(size=(4, 7))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaczsim import problems
+from kaczsim import cli, problems
 from kaczsim.errors import DegenerateInstance, IoError, TooManyAgents
 from kaczsim.linalg import min_norm_solve
 
@@ -141,3 +141,112 @@ def test_vector_files_have_17_significant_digits(tmp_path):
     problems.save(inst, tmp_path / "inst")
     line = (tmp_path / "inst" / "b.txt").read_text().splitlines()[0]
     assert float(line) == inst.b[0]
+
+
+# -------------------------------------------- corrupt and truncated instances
+
+def _entries(lines):
+    """Index of the size line; the entry lines follow it."""
+    return next(i for i, line in enumerate(lines) if not line.startswith("%"))
+
+
+def _set_entry(lines, k, field, value):
+    at = _entries(lines) + 1 + k
+    tokens = lines[at].split()
+    tokens[field] = value
+    lines[at] = " ".join(tokens)
+
+
+def _set_size(lines, field, delta):
+    at = _entries(lines)
+    tokens = lines[at].split()
+    tokens[field] = str(int(tokens[field]) + delta)
+    lines[at] = " ".join(tokens)
+
+
+def _drop_nnz(lines):
+    at = _entries(lines)
+    lines[at] = " ".join(lines[at].split()[:2])
+
+
+CORRUPT_MATRIX = {
+    "truncated-entries": lambda lines: lines[:-3],
+    "truncated-mid-line": lambda lines: lines[:-1] + [" ".join(lines[-1].split()[:2])],
+    "nnz-above-entries": lambda lines: _set_size(lines, 2, +1),
+    "nnz-below-entries": lambda lines: _set_size(lines, 2, -1),
+    "non-numeric-value": lambda lines: _set_entry(lines, 2, 2, "abc"),
+    "non-numeric-index": lambda lines: _set_entry(lines, 2, 0, "x1"),
+    "fractional-index": lambda lines: _set_entry(lines, 2, 1, "1.5"),
+    "row-zero": lambda lines: _set_entry(lines, 0, 0, "0"),
+    "col-zero": lambda lines: _set_entry(lines, 0, 1, "0"),
+    "row-past-m": lambda lines: _set_entry(lines, 1, 0, "41"),
+    "col-past-n": lambda lines: _set_entry(lines, 1, 1, "13"),
+    "unsupported-header": lambda lines: ["%%MatrixMarket matrix array real general"] + lines[1:],
+    "symmetric-header": lambda lines: ["%%MatrixMarket matrix coordinate real symmetric"] + lines[1:],
+    "not-matrix-market": lambda lines: ["hello"] + lines[1:],
+    "missing-size-line": lambda lines: lines[:_entries(lines)],
+    "short-size-line": _drop_nnz,
+    "empty-file": lambda lines: [],
+}
+
+
+def corrupt_instance(tmp_path, case):
+    """A saved 40 x 12 instance whose A.mtx is broken as CORRUPT_MATRIX[case] says."""
+    path = tmp_path / "inst"
+    problems.save(problems.generate(small_spec()), path)
+    lines = (path / "A.mtx").read_text().splitlines()
+    changed = CORRUPT_MATRIX[case](lines)
+    lines = lines if changed is None else changed
+    (path / "A.mtx").write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_MATRIX))
+def test_load_corrupt_matrix_raises(tmp_path, case):
+    with pytest.raises(IoError):
+        problems.load(corrupt_instance(tmp_path, case))
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_MATRIX))
+def test_cli_run_corrupt_matrix_exit_1(tmp_path, capsys, case):
+    path = corrupt_instance(tmp_path, case)
+    assert cli.main(["run", "--instance", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["b.txt", "x_star.txt"])
+def test_load_truncated_vector_raises(tmp_path, name):
+    path = tmp_path / "inst"
+    problems.save(problems.generate(small_spec()), path)
+    lines = (path / name).read_text().splitlines()
+    (path / name).write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(IoError, match="vector lengths"):
+        problems.load(path)
+
+
+def test_load_keeps_comments_and_stored_entry_order(tmp_path):
+    inst = problems.generate(small_spec(agents=2))
+    problems.save(inst, tmp_path / "inst")
+    path = tmp_path / "inst" / "A.mtx"
+    lines = path.read_text().splitlines()
+    at = _entries(lines)
+    # a comment line and the entries in reverse order: same matrix, same shards
+    lines = lines[:at] + ["% another comment", lines[at]] + lines[:at:-1]
+    path.write_text("\n".join(lines) + "\n")
+    back = problems.load(tmp_path / "inst")
+    assert np.array_equal(back.dense(), inst.dense())
+    assert np.array_equal(back.coo.row, inst.coo.row[::-1])
+    for s0, s1 in zip(inst.shards, back.shards):
+        assert np.array_equal(s0.A, s1.A)
+
+
+def test_coo_matvec_matches_scipy_bit_for_bit():
+    g = np.random.default_rng(3)
+    for case in range(80):
+        m, n = int(g.integers(1, 60)), int(g.integers(1, 60))
+        inst = problems.generate(problems.ProblemSpec(m=m, n=n, density=float(g.uniform(0.05, 1.0)),
+                                                      seed=case, agents=1))
+        x = g.normal(size=n) * 10.0 ** g.integers(-8, 8, size=n)
+        assert np.array_equal(inst.coo @ x, inst.A @ x)
+        assert np.array_equal(inst.dense(), inst.A.toarray())
