@@ -8,28 +8,25 @@ draws a row block, and applies either
 * the consistent correction  x <- w + pinv(A_J) (b_J - A_J w), or
 * the regularized correction from the widened system (A, lam I):
       r = b_J - A_J w - lam * y_J
-      alpha = (A_J A_J^T + lam^2 I)^{-1} r
+      alpha = F r,  F = (A_J A_J^T + lam^2 I)^{-1}
       x <- w + A_J^T alpha,   y_J <- y_J + lam * alpha.
 
 Only x is ever broadcast; y stays local to its owner.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
-without replacement.  The chunk table is built once per agent
-(AgentConfig.chunks).  In cyclic mode a step given a cache memoises, per
-chunk, the chunk's row slice, the views A_J and b_J into the shard and the
-block's pseudoinverse or Gram factorization (block_factor), so a revisited
-chunk needs no indexing and no factorization; iid blocks are gathered and
-factored afresh every step.  The step updates the agent state in place.
-
-The regularized solve calls scipy's LAPACK; a regularized AgentConfig
-imports it on construction (_potrs), so the import never lands in a run
-and a consistent-mode program does not load scipy at all.
+without replacement.  The agent config owns its block operators: the chunk
+table (AgentConfig.chunks) and, built on first use, one block entry per
+chunk (AgentConfig.blocks): the chunk's row slice, the views A_J and b_J
+into the shard and the block's pseudoinverse or inverse Gram matrix
+(block_factor), so a cyclic step does no indexing and no factorization.
+Iid blocks are gathered and factored afresh every step.  The step updates
+the agent state in place.  Every operation here is numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +35,6 @@ from .errors import CorruptMessage, DimensionError, InvalidParameter
 
 CYCLE = "cycle"
 IID = "iid"
-
-
-@cache
-def _potrs():
-    """The LAPACK routine scipy.linalg.cho_solve calls, without its wrapper."""
-    import scipy.linalg
-    return scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,6 @@ class AgentConfig:
             if not (self.lam > 0 and 0 < self.lam * self.lam < np.inf):   # False for nan
                 raise InvalidParameter(f"lambda must be positive, with a square that neither "
                                        f"underflows nor overflows, got {self.lam}")
-            _potrs()   # import scipy's LAPACK now, not inside a run
         if self.sampling not in (CYCLE, IID):
             raise InvalidParameter(f"unknown sampling mode {self.sampling!r}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
@@ -96,6 +85,12 @@ class AgentConfig:
         for chunk in chunks:
             chunk.flags.writeable = False
         return chunks
+
+    @cached_property
+    def blocks(self) -> list[tuple]:
+        """_block_entry of each chunk, built on first use: the entries a
+        cyclic step reads, so each chunk is factored once per config."""
+        return [_block_entry(self, chunk, c) for c, chunk in enumerate(self.chunks)]
 
 
 def make_chunks(local_rows: int, block_size: int) -> list[np.ndarray]:
@@ -161,11 +156,11 @@ def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
 
 
 def block_factor(A_J: np.ndarray, lam: float | None):
-    """The block's solve factor: pinv(A_J) in consistent mode, the Cholesky
-    factorization of A_J A_J^T + lam^2 I in regularized mode."""
+    """The block's solve factor: pinv(A_J) in consistent mode, the inverse
+    of A_J A_J^T + lam^2 I in regularized mode."""
     if lam is None:
         return linalg.pinv(A_J)
-    return linalg.gram_cholesky(A_J, lam)
+    return linalg.gram_inverse(A_J, lam)
 
 
 def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
@@ -182,37 +177,29 @@ def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
     return rows, A_J, cfg.b[rows], block_factor(A_J, cfg.lam)
 
 
-def step(state: AgentState, cfg: AgentConfig, entries: list[tuple[int, np.ndarray, int]],
-         cache: dict | None = None) -> AgentState:
+def step(state: AgentState, cfg: AgentConfig,
+         entries: list[tuple[int, np.ndarray, int]]) -> AgentState:
     """Average the snapshot entries (self and the latest estimate from each
     neighbor heard from), then project onto the sampled block equations.
 
-    The block entry (rows, A_J, b_J, factor) is memoised in cache[chunk]
-    when a cache is given and the block is a chunk (cyclic sampling); iid
-    blocks are gathered and factored afresh.  The state is updated in
+    A chunk's block entry (rows, A_J, b_J, factor) comes from cfg.blocks;
+    an iid block is gathered and factored afresh.  The state is updated in
     place (k, block, chunk, the sampler, x rebound to a new array, y's
     block entries) and the same object is returned.
     """
     w = aggregate(entries)
     J = sample_block(state, cfg)
-    if cache is not None and state.chunk is not None:
-        entry = cache.get(state.chunk)
-        if entry is None:
-            entry = cache[state.chunk] = _block_entry(cfg, J, state.chunk)
+    if state.chunk is None:
+        rows, A_J, b_J, factor = _block_entry(cfg, J, None)
     else:
-        entry = _block_entry(cfg, J, state.chunk)
-    rows, A_J, b_J, factor = entry
+        rows, A_J, b_J, factor = cfg.blocks[state.chunk]
     if cfg.lam is None:
         state.x = w + factor @ (b_J - A_J @ w)
         state.k += 1
         return state
     lam = cfg.lam
     y_J = state.y[rows]
-    r = b_J - A_J @ w - lam * y_J
-    c, lower = factor
-    alpha, info = _potrs()(c, r, lower=lower, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    alpha = factor @ (b_J - A_J @ w - lam * y_J)
     state.x = w + A_J.T @ alpha
     state.y[rows] = y_J + lam * alpha
     state.k += 1

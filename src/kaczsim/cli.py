@@ -56,7 +56,7 @@ def _resolve_options(args) -> RunOptions:
     if getattr(args, "config", None):
         try:
             doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidParameter(f"config {args.config} is not valid JSON: {exc}") from exc
         opts = harness.options_from_document(doc, opts)
     # every RunOptions field is the dest of one run flag
@@ -186,10 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KaczsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (KaczsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -275,7 +275,6 @@ class _Runtime:
     def __init__(self, cfg: AgentConfig, state: AgentState, sched, delay):
         self.cfg = cfg
         self.state = state
-        self.cache: dict = {}
         self.gaps = uniform_draws(sched, cfg.t_min, cfg.t_max)   # iteration intervals
         self.delays = uniform_draws(delay, 0.0, 1.0)             # message delay fractions
         # keep-latest snapshot entries (sender, estimate, sender iteration), in sender order
@@ -369,7 +368,7 @@ def run(cfg: SimConfig) -> RunResult:
         state = rt.state
         entries = [(agent, state.x, state.k), *rt.mailbox.values()]
         prev_time = rt.last_time
-        state = rt.state = agents_mod.step(state, acfg, entries, cache=rt.cache)
+        state = rt.state = agents_mod.step(state, acfg, entries)
         k = state.k
         rt.last_time = now
         rt.t_cmp += c0 + c1 * len(state.block) * acfg.dim
@@ -458,7 +457,7 @@ def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> 
     )
 
 
-def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> list[AuditViolation]:
+def audit_broadcast_spacing(result: RunResult) -> list[AuditViolation]:
     """Check that each broadcast cascade finishes before the next schedule time.
 
     A cascade is: broadcast attributed to schedule time T_s -> delivery ->
@@ -467,10 +466,10 @@ def audit_broadcast_spacing(result: RunResult, cfg: SimConfig | None = None) -> 
     lands after T_{s+1}, in the order of their use.  Undelivered or
     never-used messages at run end are not violations.
     """
-    cfg = cfg or result.config
-    if not isinstance(cfg.trigger, GlobalSchedule):
+    trigger = result.config.trigger
+    if not isinstance(trigger, GlobalSchedule):
         return []
-    spacing = cfg.trigger.spacing
+    spacing = trigger.spacing
     sent: dict[tuple[int, int], float] = {}
     unused: dict[int, list[tuple[int, float, float]]] = {}   # receiver -> (sender, sent, arrived)
     violations = []

@@ -185,9 +185,6 @@ class DelayedGraph:
     agent: int                       # who iterated at this tick
     W: np.ndarray                    # ((depth+1)N) x ((depth+1)N), row-stochastic
 
-    def node(self, stage: int, agent: int) -> int:
-        return stage * self.n_agents + agent
-
 
 def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> DelayedGraph:
     """Weight matrix for one global tick.

@@ -341,10 +341,14 @@ def write_events_csv(log: list[engine.Event], path) -> None:
 def write_report_csv(metrics_csv, path) -> None:
     """Melt a raw metrics CSV into long (cell, rep, seed, metric, value) form.
 
-    A file whose header lacks a column read here raises IoError."""
-    with open(metrics_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    A file that is not UTF-8 text, or whose header lacks a column read
+    here, raises IoError."""
+    try:
+        with open(metrics_csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{metrics_csv} is not a metrics CSV: {exc}") from exc
     missing = [name for name in RAW_HEADER[:-1] if name not in (reader.fieldnames or ())]
     if missing:
         raise IoError(f"{metrics_csv} is not a metrics CSV: missing column(s) {missing}")

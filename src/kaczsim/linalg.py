@@ -14,11 +14,11 @@ it agreed with the dense SVD to 4e-14 relative in x and 4e-13 in y on
 generated 2000x400, 4000x800 and 8000x2000 instances, lam in {0.3, 1, 3}.
 If LSQR stops without converging, the oracle falls back to the dense SVD.
 
-Importing this module loads numpy only.  scipy, whose import takes about
-0.2 s, is imported by the two functions that call it: gram_cholesky
-(regularized block factors) and the LSQR branch of the oracles.  "Sparse"
-here means any matrix with a tocsr method: a scipy.sparse matrix or a
-problems.CooMatrix, which densifies with numpy alone.
+Importing this module loads numpy only, and the block factors (pinv,
+gram_inverse) are numpy.  scipy, whose import takes about 0.2 s, is
+imported only by the LSQR branch of the oracles.  "Sparse" here means any
+matrix with a tocsr method: a scipy.sparse matrix or a problems.CooMatrix,
+which densifies with numpy alone.
 """
 from __future__ import annotations
 
@@ -102,22 +102,22 @@ def row_space_basis(A) -> np.ndarray:
     return svd(A).V
 
 
-def gram_cholesky(A_J, lam: float):
-    """Cholesky factorization of A_J A_J^T + lam^2 I (cacheable per block).
+def gram_inverse(A_J, lam: float) -> np.ndarray:
+    """Inverse of the block Gram matrix G = A_J A_J^T + lam^2 I (cacheable
+    per block).
 
     A Gram matrix that is not numerically positive definite (lam^2 lost
-    against the entries of A_J A_J^T on a rank-deficient block) raises
-    InvalidParameter.
+    against the entries of A_J A_J^T on a rank-deficient block) fails its
+    Cholesky factorization and raises InvalidParameter.
     """
-    import scipy.linalg
-
     A_J = as_matrix(A_J)
     G = A_J @ A_J.T + (lam * lam) * np.eye(A_J.shape[0])
     try:
-        return scipy.linalg.cho_factor(G, lower=True)
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise InvalidParameter(f"block Gram matrix A_J A_J^T + lambda^2 I is not positive "
                                f"definite at lambda = {lam!r}: {exc}") from exc
+    return np.linalg.inv(G)
 
 
 def _system(A, b):

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kaczsim import agents, linalg
 from kaczsim.agents import AgentConfig
@@ -211,20 +210,27 @@ def test_consistent_step_nonexpansive_toward_solutions():
         assert np.linalg.norm(out.x - sol) <= worst + 1e-12
 
 
+def direct_update(cfg, J, w, y=None):
+    """The step's update with block J gathered and factored afresh (the iid
+    path), for comparison with a chunk's entry in cfg.blocks."""
+    _, A_J, b_J, factor = agents._block_entry(cfg, J, None)
+    if cfg.lam is None:
+        return w + factor @ (b_J - A_J @ w), None
+    alpha = factor @ (b_J - A_J @ w - cfg.lam * y[J])
+    return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
+
+
 def test_consistent_cache_matches_direct():
     g = np.random.default_rng(9)
     A = g.normal(size=(8, 5))
     b = g.normal(size=8)
     cfg = make_cfg(A, b, block=3)
-    cache: dict = {}
-    s_direct = fresh(cfg, 2)
-    s_cached = fresh(cfg, 2)
+    state = fresh(cfg, 2)
     for _ in range(6):
-        probe = snap(s_direct.x)
-        s_direct = agents.step(s_direct, cfg, probe)
-        s_cached = agents.step(s_cached, cfg, snap(s_cached.x), cache=cache)
-        assert np.array_equal(s_direct.x, s_cached.x)
-    assert set(cache) <= {0, 1, 2}
+        w = state.x
+        state = agents.step(state, cfg, snap(w))
+        assert np.array_equal(state.x, direct_update(cfg, state.block, w)[0])
+    assert len(cfg.blocks) == len(cfg.chunks) == 3
 
 
 # ------------------------------------------------------ step, regularized mode
@@ -300,21 +306,21 @@ def test_augmented_cache_matches_direct():
     A = g.normal(size=(6, 4))
     b = g.normal(size=6)
     cfg = make_cfg(A, b, block=2, lam=0.5)
-    cache: dict = {}
-    s_a = fresh(cfg, 5)
-    s_b = fresh(cfg, 5)
+    state = fresh(cfg, 5)
     for _ in range(4):
-        s_a = agents.step(s_a, cfg, snap(s_a.x), cache=None)
-        s_b = agents.step(s_b, cfg, snap(s_b.x), cache=cache)
-        assert np.array_equal(s_a.x, s_b.x)
-        assert np.array_equal(s_a.y, s_b.y)
+        w, y = state.x, state.y.copy()
+        state = agents.step(state, cfg, snap(w))
+        x_direct, y_J = direct_update(cfg, state.block, w, y)
+        assert np.array_equal(state.x, x_direct)
+        assert np.array_equal(state.y[state.block], y_J)
 
 
 # ----------------------------------------------------- reference equivalence
 
-def reference_step(state, cfg, entries, cache):
+def reference_step(state, cfg, entries):
     """The step as first written: np.mean, make_chunks on every step, a
-    fancy-indexed block, cho_solve, and a new state from replace with a
+    fancy-indexed block factored afresh, the regularized alpha from
+    np.linalg.solve on the Gram matrix, and a new state from replace with a
     copied y."""
     w = np.mean([vec for _, vec, _ in entries], axis=0)
     m = cfg.local_rows
@@ -332,15 +338,10 @@ def reference_step(state, cfg, entries, cache):
         state.block = chunks[state.chunk]
     J = state.block
     A_J = cfg.A[J]
-    factor = cache.get(state.chunk) if state.chunk is not None else None
-    if factor is None:
-        factor = linalg.pinv(A_J) if cfg.lam is None else linalg.gram_cholesky(A_J, cfg.lam)
-        if state.chunk is not None:
-            cache[state.chunk] = factor
     if cfg.lam is None:
-        return replace(state, x=w + factor @ (cfg.b[J] - A_J @ w), k=state.k + 1)
+        return replace(state, x=w + linalg.pinv(A_J) @ (cfg.b[J] - A_J @ w), k=state.k + 1)
     r = cfg.b[J] - A_J @ w - cfg.lam * state.y[J]
-    alpha = scipy.linalg.cho_solve(factor, r)
+    alpha = np.linalg.solve(A_J @ A_J.T + cfg.lam**2 * np.eye(len(J)), r)
     y = state.y.copy()
     y[J] = y[J] + cfg.lam * alpha
     return replace(state, x=w + A_J.T @ alpha, y=y, k=state.k + 1)
@@ -358,16 +359,20 @@ def test_step_matches_reference_update():
                        lam=lam, sampling=sampling)
         init = g.normal(size=n)
         state, ref = fresh(cfg, seed, init), fresh(cfg, seed, init)
-        cache = None if seed % 5 == 0 else {}
-        ref_cache: dict = {}
         for _ in range(3 * len(cfg.chunks)):   # three passes in cyclic mode
             d = int(g.integers(1, 9))
             others = [(sender, g.normal(size=n), 0) for sender in range(1, d)]
-            out = agents.step(state, cfg, [(0, state.x.copy(), 0)] + others, cache)
-            ref = reference_step(ref, cfg, [(0, ref.x.copy(), 0)] + others, ref_cache)
+            out = agents.step(state, cfg, [(0, state.x.copy(), 0)] + others)
+            ref = reference_step(ref, cfg, [(0, ref.x.copy(), 0)] + others)
             assert out is state
-            assert np.array_equal(state.x, ref.x)
-            assert (state.y is None and ref.y is None) or np.array_equal(state.y, ref.y)
+            if lam is None:
+                assert np.array_equal(state.x, ref.x) and state.y is None and ref.y is None
+            else:
+                # F @ r against an independent solve; restart the reference from
+                # the step's state so that rounding differences do not add up
+                assert np.allclose(state.x, ref.x, rtol=1e-9, atol=1e-12)
+                assert np.allclose(state.y, ref.y, rtol=1e-9, atol=1e-12)
+                ref.x, ref.y = state.x.copy(), state.y.copy()
             assert state.k == ref.k and state.chunk == ref.chunk
             assert np.array_equal(state.block, ref.block)
             seen.add((lam is None, sampling, n == 1, d))
@@ -379,27 +384,28 @@ def test_step_matches_reference_update():
 
 def test_chunk_factored_once(monkeypatch):
     calls = []
-    pinv, gram_cholesky = linalg.pinv, linalg.gram_cholesky
+    pinv, gram_inverse = linalg.pinv, linalg.gram_inverse
     monkeypatch.setattr(linalg, "pinv", lambda A_J: calls.append("pinv") or pinv(A_J))
-    monkeypatch.setattr(linalg, "gram_cholesky",
-                        lambda A_J, lam: calls.append("cholesky") or gram_cholesky(A_J, lam))
+    monkeypatch.setattr(linalg, "gram_inverse",
+                        lambda A_J, lam: calls.append("gram") or gram_inverse(A_J, lam))
     g = np.random.default_rng(16)
     A = g.normal(size=(11, 4))
     b = g.normal(size=11)
-    for lam, routine in ((None, "pinv"), (0.5, "cholesky")):
+    for lam, routine in ((None, "pinv"), (0.5, "gram")):
         for sampling in (agents.CYCLE, agents.IID):
             cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
-            state = fresh(cfg)
-            cache: dict = {}
             steps = 3 * len(cfg.chunks)
             calls.clear()
-            for _ in range(steps):
-                agents.step(state, cfg, snap(state.x), cache=cache)
-            assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else steps)
-            # a cached chunk holds views into the shard, not copies
-            for rows, A_J, b_J, _ in cache.values():
-                assert np.shares_memory(A_J, cfg.A) and np.shares_memory(b_J, cfg.b)
-                assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
+            for run in range(2):   # a second run on the same config factors nothing new
+                state = fresh(cfg, seed=run)
+                for _ in range(steps):
+                    agents.step(state, cfg, snap(state.x))
+            assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else 2 * steps)
+            if sampling == agents.CYCLE:
+                # a chunk's entry holds views into the shard, not copies
+                for rows, A_J, b_J, _ in cfg.blocks:
+                    assert np.shares_memory(A_J, cfg.A) and np.shares_memory(b_J, cfg.b)
+                    assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
 
 
 # ------------------------------------------------------------ payload contract

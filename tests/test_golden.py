@@ -9,7 +9,8 @@ for one numpy/OpenBLAS build and CPU kernel family; another BLAS may round
 the block products differently in the last bit.
 
 A digest is re-recorded only together with a CHANGES.md entry giving the
-reason and the largest drift in x.  To re-record some or all cases:
+reason and the largest drift in x (and y).  To re-record some or all cases,
+printing which of each case's events, metrics and states digests changed:
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
 """
@@ -63,10 +64,14 @@ def test_golden_digests(name):
 
 
 def record(names: list[str]) -> None:
+    """Re-record the named cases (all when none is named), printing for each
+    which of its digests changed."""
     corpus = load_corpus()
     for name in names or sorted(corpus):
-        corpus[name]["digests"] = digests(run_case(corpus[name]))
-        print(f"recorded {name}")
+        old, new = corpus[name]["digests"], digests(run_case(corpus[name]))
+        changed = [kind for kind in new if old.get(kind) != new[kind]]
+        corpus[name]["digests"] = new
+        print(f"recorded {name}: {', '.join(changed) or 'none'} changed")
     CORPUS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
 
 

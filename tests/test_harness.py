@@ -8,7 +8,7 @@ import pytest
 
 from kaczsim import cli, harness, problems
 from kaczsim.engine import MetricsRecord
-from kaczsim.errors import InvalidParameter
+from kaczsim.errors import InvalidParameter, IoError
 from kaczsim.harness import RunOptions
 
 
@@ -354,6 +354,43 @@ def test_cli_report_without_metrics_columns_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'seed'" in err and "'k_iter'" in err
+
+
+NOT_UTF8 = b"cell,rep,seed\n\xff\xfe\x00\x81\n"
+
+
+def unreadable_file(tmp_path, case):
+    """A directory where a file is expected, or a file that is not UTF-8."""
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    return path
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_cli_unreadable_input_exit_1(tmp_path, instance_dir, capsys, command, case):
+    path = unreadable_file(tmp_path, case)
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--metrics", str(path), "--out", str(out)]
+    else:
+        argv = ["run", "--instance", str(instance_dir), "--config", str(path), "--out", str(out)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "report.csv").exists() and not (out / "events.csv").exists()
+
+
+def test_non_utf8_input_raises_kaczsim_errors(tmp_path):
+    path = unreadable_file(tmp_path, "not-utf8")
+    with pytest.raises(IoError, match="not a metrics CSV"):
+        harness.write_report_csv(path, tmp_path / "report.csv")
+    args = cli.build_parser().parse_args(["run", "--instance", "x", "--config", str(path)])
+    with pytest.raises(InvalidParameter, match="not valid JSON"):
+        cli._resolve_options(args)
 
 
 def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):

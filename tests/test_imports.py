@@ -1,10 +1,10 @@
-"""Import contract: the CLI import, a consistent `kaczsim run` and
-`kaczsim certify` load numpy only.
+"""Import contract: the CLI import, a consistent or regularized `kaczsim
+run`, a lambda sweep and `kaczsim certify` load numpy only.
 
 scipy's import takes about 0.2 s, more than a small run's whole set-up, so
-only the functions that call it import it (LSQR oracles, regularized Gram
-factors, Matrix Market writing).  Each check runs in a fresh interpreter and
-fails if any scipy module was loaded.
+only the functions that call it import it: the LSQR branch of the oracles,
+Matrix Market writing (problems.save) and ProblemInstance.A.  Each check
+runs in a fresh interpreter and fails if any scipy module was loaded.
 """
 import os
 import subprocess
@@ -62,10 +62,12 @@ def test_certify_loads_no_scipy(tmp_path):
     assert (out / "certify.json").exists()
 
 
-def test_regularized_config_loads_lapack_before_the_run(tmp_path, saved_instance):
-    # building the config imports scipy's LAPACK, so no import lands in engine.run
-    code = ("from kaczsim import harness, problems\n"
-            f"inst = problems.load({str(saved_instance)!r})\n"
-            "harness.build_sim_config(inst, harness.RunOptions(lam=1.0, block_size=5))\n")
+def test_regularized_run_and_lambda_sweep_load_no_scipy(tmp_path, saved_instance):
+    common = ["--instance", str(saved_instance), "--block-size", "5", "--k-max", "50"]
+    code = (cli_code("run", *common, "--lam", "1.0", "--out", str(tmp_path / "run"))
+            + cli_code("sweep", *common, "--axis", "lambda", "--values", "0.5,2", "--reps", "1",
+                       "--out", str(tmp_path / "sweep")))
     proc = run_python(code, tmp_path)
-    assert proc.returncode == 1 and "'scipy.linalg'" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "run" / "events.csv").exists()
+    assert (tmp_path / "sweep" / "metrics.csv").exists()

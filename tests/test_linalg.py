@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -99,16 +98,23 @@ def test_kaczmarz_correction_moves_within_row_space(seed):
     assert np.linalg.norm(project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
 
 
-# -------------------------------------------------------------- gram_cholesky
+# --------------------------------------------------------------- gram_inverse
 
 def gram_solve(A, lam, r):
-    return scipy.linalg.cho_solve(linalg.gram_cholesky(A, lam), r)
+    """alpha = F r, as agents.step applies the factor F = gram_inverse(A, lam)."""
+    return linalg.gram_inverse(A, lam) @ r
+
+
+def independent_gram_solve(A, lam, r):
+    return np.linalg.solve(A @ A.T + lam**2 * np.eye(A.shape[0]), r)
 
 
 def test_gram_solve_hand_case():
     # single row (1,0), lam=1: gram = 1 + 1 = 2, so r=2 -> alpha=1
-    out = gram_solve(np.array([[1.0, 0.0]]), 1.0, np.array([2.0]))
+    A, r = np.array([[1.0, 0.0]]), np.array([2.0])
+    out = gram_solve(A, 1.0, r)
     assert np.allclose(out, [1.0], atol=1e-12)
+    assert np.allclose(out, independent_gram_solve(A, 1.0, r), rtol=1e-12, atol=0)
 
 
 def test_gram_solve_zero_rhs():
@@ -124,23 +130,25 @@ def test_gram_solve_residual_oracle():
     lam = 0.3
     alpha = gram_solve(A, lam, r)
     assert np.allclose((A @ A.T + lam**2 * np.eye(3)) @ alpha, r, atol=1e-9)
+    assert np.allclose(alpha, independent_gram_solve(A, lam, r), rtol=1e-10, atol=1e-12)
 
 
-def test_gram_cholesky_not_positive_definite_raises():
+def test_gram_inverse_not_positive_definite_raises():
     # lam^2 = 1e-300 is lost against the singular Gram matrix of two equal rows
     with pytest.raises(InvalidParameter, match="positive definite"):
-        linalg.gram_cholesky(np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150)
+        linalg.gram_inverse(np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150)
 
 
 def test_gram_solve_accepts_cached_factorization():
     g = rng(6)
     A = g.normal(size=(4, 7))
     r = g.normal(size=4)
-    cho = agents.block_factor(A, 2.0)
+    F = agents.block_factor(A, 2.0)
     direct = gram_solve(A, 2.0, r)
+    assert np.allclose(direct, independent_gram_solve(A, 2.0, r), rtol=1e-12, atol=1e-15)
     # a factor reused across solves gives the fresh result bit for bit
     for _ in range(2):
-        assert np.array_equal(scipy.linalg.cho_solve(cho, r), direct)
+        assert np.array_equal(F @ r, direct)
 
 
 # ------------------------------------------------------------------------ svd
