@@ -3,14 +3,14 @@
 An agent holds a contiguous shard (A_i, b_i) of the global system and a
 state (x, optionally y, iteration counter, block-sampling stream).  Each
 step averages the snapshot of neighbor estimates (self always included),
-draws a row block, and applies either
+draws a row block J and applies one row-space block projection (Needell &
+Tropp, Linear Algebra Appl. 441, 2014) with a |J| x |J| factor F:
 
-* the consistent correction  x <- w + pinv(A_J) (b_J - A_J w), or
-* the regularized correction from the widened system (A, lam I):
-      r = b_J - A_J w - lam * y_J
-      alpha = F r,  F = (A_J A_J^T + lam^2 I)^{-1}
-      x <- w + A_J^T alpha,   y_J <- y_J + lam * alpha.
+      r = b_J - A_J w  (- lam y_J),   alpha = F r,   x <- w + A_J^T alpha.
 
+F = (A_J A_J^T)^+ in consistent mode, so A_J^T F = pinv(A_J); the
+regularized mode projects onto the widened system (A, lam I) with
+F = (A_J A_J^T + lam^2 I)^{-1} and also sets y_J <- y_J + lam alpha.
 Only x is ever broadcast; y stays local to its owner.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
@@ -18,10 +18,10 @@ disjoint chunking, so every row is used once per pass) or iid uniform
 without replacement.  The agent config owns its block operators: the chunk
 table (AgentConfig.chunks) and, built on first use, one block entry per
 chunk (AgentConfig.blocks): the chunk's row slice, the views A_J and b_J
-into the shard and the block's pseudoinverse or inverse Gram matrix
-(block_factor), so a cyclic step does no indexing and no factorization.
-Iid blocks are gathered and factored afresh every step.  The step updates
-the agent state in place.  Every operation here is numpy.
+into the shard and the factor F (block_factor), so a cyclic step does no
+indexing and no factorization.  Iid blocks are gathered and factored
+afresh every step.  The step updates the agent state in place.  Every
+operation here is numpy.
 """
 from __future__ import annotations
 
@@ -155,11 +155,11 @@ def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     return state.block
 
 
-def block_factor(A_J: np.ndarray, lam: float | None):
-    """The block's solve factor: pinv(A_J) in consistent mode, the inverse
-    of A_J A_J^T + lam^2 I in regularized mode."""
+def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
+    """The block's |J| x |J| factor F in alpha = F r: (A_J A_J^T)^+ in
+    consistent mode, (A_J A_J^T + lam^2 I)^{-1} in regularized mode."""
     if lam is None:
-        return linalg.pinv(A_J)
+        return linalg.gram_pinv(A_J)
     return linalg.gram_inverse(A_J, lam)
 
 
@@ -189,19 +189,15 @@ def step(state: AgentState, cfg: AgentConfig,
     """
     w = aggregate(entries)
     J = sample_block(state, cfg)
-    if state.chunk is None:
-        rows, A_J, b_J, factor = _block_entry(cfg, J, None)
-    else:
-        rows, A_J, b_J, factor = cfg.blocks[state.chunk]
-    if cfg.lam is None:
-        state.x = w + factor @ (b_J - A_J @ w)
-        state.k += 1
-        return state
-    lam = cfg.lam
-    y_J = state.y[rows]
-    alpha = factor @ (b_J - A_J @ w - lam * y_J)
+    entry = _block_entry(cfg, J, None) if state.chunk is None else cfg.blocks[state.chunk]
+    rows, A_J, b_J, factor = entry
+    r = b_J - A_J @ w
+    if cfg.augmented:
+        r = r - cfg.lam * state.y[rows]
+    alpha = factor @ r
     state.x = w + A_J.T @ alpha
-    state.y[rows] = y_J + lam * alpha
+    if cfg.augmented:
+        state.y[rows] += cfg.lam * alpha
     state.k += 1
     return state
 

@@ -14,11 +14,11 @@ it agreed with the dense SVD to 4e-14 relative in x and 4e-13 in y on
 generated 2000x400, 4000x800 and 8000x2000 instances, lam in {0.3, 1, 3}.
 If LSQR stops without converging, the oracle falls back to the dense SVD.
 
-Importing this module loads numpy only, and the block factors (pinv,
-gram_inverse) are numpy.  scipy, whose import takes about 0.2 s, is
-imported only by the LSQR branch of the oracles.  "Sparse" here means any
-matrix with a tocsr method: a scipy.sparse matrix or a problems.CooMatrix,
-which densifies with numpy alone.
+The block factors F (applied as w + A_J^T (F r)) are |J| x |J| numpy
+arrays, and importing this module loads numpy only.  scipy, whose import
+takes about 0.2 s, is imported only by the LSQR branch of the oracles.
+"Sparse" here means any matrix with a tocsr method: a scipy.sparse matrix
+or a problems.CooMatrix, which densifies with numpy alone.
 """
 from __future__ import annotations
 
@@ -100,6 +100,20 @@ def pinv(A) -> np.ndarray:
 def row_space_basis(A) -> np.ndarray:
     """Orthonormal basis (n x r) of the row space of A."""
     return svd(A).V
+
+
+def gram_pinv(A_J) -> np.ndarray:
+    """(A_J A_J^T)^+ = U_r Sigma_r^-2 U_r^T from svd(A_J) and its rank rule, so
+    that A_J^T (A_J A_J^T)^+ = pinv(A_J); an eigensolve of A_J A_J^T would
+    square sigma before the cutoff.  A retained sigma^2 that underflows or
+    overflows raises InvalidParameter."""
+    f = svd(A_J)
+    with np.errstate(over="ignore"):
+        s2 = f.sigma * f.sigma
+    if f.rank and not (s2[-1] >= np.finfo(float).tiny and s2[0] < np.inf):
+        raise InvalidParameter(f"block singular values in [{f.sigma[-1]:.3g}, {f.sigma[0]:.3g}] "
+                               "have squares that underflow or overflow")
+    return (f.U / s2) @ f.U.T
 
 
 def gram_inverse(A_J, lam: float) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 # Stream purposes.  Values are part of the reproducibility contract: do not
 # renumber.
 MATRIX = 0        # sparse pattern and values of A
@@ -25,5 +27,7 @@ INIT = 9          # per-agent random initial estimates
 
 
 def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
-    """Return the generator for one (seed, purpose, index) triple."""
+    """Return the generator for one (seed, purpose, index) triple; seeds are non-negative."""
+    if int(seed) < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(purpose), int(index)])))

@@ -113,19 +113,3 @@ def build_pascal(agents: int, cap: int, seed: int = 0) -> Topology:
 
     return Topology(agents, cap, [sorted(s) for s in adj])
 
-
-def is_connected(topo: Topology) -> bool:
-    """Breadth-first reachability over the undirected edges."""
-    if topo.agents == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in topo.neighbors[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return len(seen) == topo.agents

@@ -30,3 +30,11 @@ def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> flo
         A_J = A[list(rows)]
         P = (np.eye(n) - linalg.pinv(A_J) @ A_J) @ P
     return float(np.linalg.norm(basis.T @ P @ basis, 2))
+
+
+def adjacency(topo) -> np.ndarray:
+    """The symmetric 0/1 adjacency matrix of a topology.Topology."""
+    g = np.zeros((topo.agents, topo.agents), dtype=np.uint8)
+    for i, nbrs in enumerate(topo.neighbors):
+        g[i, nbrs] = 1
+    return g

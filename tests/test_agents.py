@@ -215,7 +215,7 @@ def direct_update(cfg, J, w, y=None):
     path), for comparison with a chunk's entry in cfg.blocks."""
     _, A_J, b_J, factor = agents._block_entry(cfg, J, None)
     if cfg.lam is None:
-        return w + factor @ (b_J - A_J @ w), None
+        return w + A_J.T @ (factor @ (b_J - A_J @ w)), None
     alpha = factor @ (b_J - A_J @ w - cfg.lam * y[J])
     return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
 
@@ -365,14 +365,16 @@ def test_step_matches_reference_update():
             out = agents.step(state, cfg, [(0, state.x.copy(), 0)] + others)
             ref = reference_step(ref, cfg, [(0, ref.x.copy(), 0)] + others)
             assert out is state
+            # A_J^T F r against pinv(A_J) r or an independent solve; restart the
+            # reference from the step's state so that rounding differences do
+            # not add up
+            assert np.allclose(state.x, ref.x, rtol=1e-9, atol=1e-12)
             if lam is None:
-                assert np.array_equal(state.x, ref.x) and state.y is None and ref.y is None
+                assert state.y is None and ref.y is None
             else:
-                # F @ r against an independent solve; restart the reference from
-                # the step's state so that rounding differences do not add up
-                assert np.allclose(state.x, ref.x, rtol=1e-9, atol=1e-12)
                 assert np.allclose(state.y, ref.y, rtol=1e-9, atol=1e-12)
-                ref.x, ref.y = state.x.copy(), state.y.copy()
+                ref.y = state.y.copy()
+            ref.x = state.x.copy()
             assert state.k == ref.k and state.chunk == ref.chunk
             assert np.array_equal(state.block, ref.block)
             seen.add((lam is None, sampling, n == 1, d))
@@ -384,14 +386,14 @@ def test_step_matches_reference_update():
 
 def test_chunk_factored_once(monkeypatch):
     calls = []
-    pinv, gram_inverse = linalg.pinv, linalg.gram_inverse
-    monkeypatch.setattr(linalg, "pinv", lambda A_J: calls.append("pinv") or pinv(A_J))
+    gram_pinv, gram_inverse = linalg.gram_pinv, linalg.gram_inverse
+    monkeypatch.setattr(linalg, "gram_pinv", lambda A_J: calls.append("gram_pinv") or gram_pinv(A_J))
     monkeypatch.setattr(linalg, "gram_inverse",
-                        lambda A_J, lam: calls.append("gram") or gram_inverse(A_J, lam))
+                        lambda A_J, lam: calls.append("gram_inverse") or gram_inverse(A_J, lam))
     g = np.random.default_rng(16)
     A = g.normal(size=(11, 4))
     b = g.normal(size=11)
-    for lam, routine in ((None, "pinv"), (0.5, "gram")):
+    for lam, routine in ((None, "gram_pinv"), (0.5, "gram_inverse")):
         for sampling in (agents.CYCLE, agents.IID):
             cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
             steps = 3 * len(cfg.chunks)
@@ -406,6 +408,31 @@ def test_chunk_factored_once(monkeypatch):
                 for rows, A_J, b_J, _ in cfg.blocks:
                     assert np.shares_memory(A_J, cfg.A) and np.shares_memory(b_J, cfg.b)
                     assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
+
+
+def test_block_factors_are_block_by_block(monkeypatch):
+    built = []   # (|J|, factor shape) of every factor a step builds, cyclic or iid
+    block_factor = agents.block_factor
+
+    def recording(A_J, lam):
+        F = block_factor(A_J, lam)
+        built.append((A_J.shape[0], F.shape))
+        return F
+
+    monkeypatch.setattr(agents, "block_factor", recording)
+    g = np.random.default_rng(17)
+    A = g.normal(size=(11, 6))    # n = 6 columns, blocks of 3 or 4 rows
+    b = g.normal(size=11)
+    for lam in (None, 0.5):
+        for sampling in (agents.CYCLE, agents.IID):
+            cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
+            built.clear()
+            state = fresh(cfg)
+            for _ in range(2 * len(cfg.chunks)):
+                agents.step(state, cfg, snap(state.x))
+            assert built and all(shape == (rows, rows) for rows, shape in built)
+            if sampling == agents.CYCLE:
+                assert [F.shape for *_, F in cfg.blocks] == [(len(J), len(J)) for J in cfg.chunks]
 
 
 # ------------------------------------------------------------ payload contract

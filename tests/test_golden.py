@@ -12,15 +12,23 @@ A digest is re-recorded only together with a CHANGES.md entry giving the
 reason and the largest drift in x (and y).  To re-record some or all cases,
 printing which of each case's events, metrics and states digests changed:
 
-    PYTHONPATH=src python tests/test_golden.py [case ...]
+    PYTHONPATH=src python tests/test_golden.py [--parent DIR] [case ...]
+
+With --parent, each case also runs under DIR/src (a checkout of the parent
+commit) in a subprocess, and the largest |dx| and |dy| between the final
+states of the two runs are printed beside the changed digests.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kaczsim import harness, problems
@@ -63,17 +71,72 @@ def test_golden_digests(name):
     assert digests(run_case(case)) == case["digests"]
 
 
-def record(names: list[str]) -> None:
+def test_parent_drift_of_the_package_against_itself_is_zero():
+    # the --parent tooling, pointed at this checkout: a regularized case, so
+    # that both x and y are compared
+    name = "failure_full_regularized_global_first"
+    case = load_corpus()[name]
+    parent = states_under(Path(harness.__file__).parents[1], {name: case})
+    assert drift(name, run_case(case), parent) == "|dx| 0, |dy| 0"
+
+
+# Runs the cases given on stdin under the kaczsim on PYTHONPATH and saves
+# their final states to the .npz file named by argv[1].
+_SAVE_STATES = """
+import json, sys
+import numpy as np
+from kaczsim import harness, problems
+from kaczsim.harness import RunOptions
+states = {}
+for name, case in json.load(sys.stdin).items():
+    inst = problems.generate(problems.ProblemSpec(**case["instance"]))
+    for i, st in enumerate(harness.run_single(inst, RunOptions(**case["options"])).states):
+        states[f"{name}.x{i}"] = st.x
+        if st.y is not None:
+            states[f"{name}.y{i}"] = st.y
+np.savez(sys.argv[1], **states)
+"""
+
+
+def states_under(src: Path, cases: dict) -> dict[str, np.ndarray]:
+    """Final states of the cases run with the kaczsim package in src, keyed
+    "case.x<agent>" and "case.y<agent>"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "states.npz"
+        subprocess.run([sys.executable, "-c", _SAVE_STATES, str(path)], input=json.dumps(cases),
+                       text=True, check=True, cwd=tmp, env={**os.environ, "PYTHONPATH": str(src)})
+        with np.load(path) as saved:
+            return dict(saved)
+
+
+def drift(name: str, result, parent: dict[str, np.ndarray]) -> str:
+    """The largest |dx| and |dy| between a run's final states and the parent's."""
+    def worst(part: str) -> str:
+        d = [np.max(np.abs(vec - parent[f"{name}.{part}{i}"]), initial=0.0)
+             for i, vec in enumerate(getattr(st, part) for st in result.states) if vec is not None]
+        return f"|d{part}| {max(d):.2g}" if d else f"|d{part}| -"
+    return f"{worst('x')}, {worst('y')}"
+
+
+def record(names: list[str], parent: Path | None = None) -> None:
     """Re-record the named cases (all when none is named), printing for each
-    which of its digests changed."""
+    which of its digests changed and, given a parent checkout, its drift."""
     corpus = load_corpus()
-    for name in names or sorted(corpus):
-        old, new = corpus[name]["digests"], digests(run_case(corpus[name]))
+    names = names or sorted(corpus)
+    before = states_under(parent / "src", {n: corpus[n] for n in names}) if parent else None
+    for name in names:
+        result = run_case(corpus[name])
+        old, new = corpus[name]["digests"], digests(result)
         changed = [kind for kind in new if old.get(kind) != new[kind]]
         corpus[name]["digests"] = new
-        print(f"recorded {name}: {', '.join(changed) or 'none'} changed")
+        note = f"; {drift(name, result, before)}" if before is not None else ""
+        print(f"recorded {name}: {', '.join(changed) or 'none'} changed{note}")
     CORPUS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    record(sys.argv[1:])
+    args = sys.argv[1:]
+    parent = None
+    if args[:1] == ["--parent"]:
+        parent, args = Path(args[1]).resolve(), args[2:]
+    record(args, parent)

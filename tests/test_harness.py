@@ -77,9 +77,14 @@ def test_aggregate_within_min_max_envelope(instance_dir):
 def test_identical_seeds_average_to_single_run(instance_dir):
     inst = problems.load(instance_dir)
     one = harness.run_single(inst, fast_options(seed=1)).metrics
-    agg = harness.aggregate_replicates([harness.run_single(inst, fast_options(seed=1)).metrics
-                                        for _ in range(5)])
-    assert agg == one
+    records = [harness.run_single(inst, fast_options(seed=1)).metrics for _ in range(5)]
+    # each replicate is the single run bit for bit; the mean of five equal
+    # doubles need not round back to them, so it matches within one ulp
+    assert all(rec == one for rec in records)
+    agg = harness.aggregate_replicates(records)
+    for f in MetricsRecord.NUMERIC_FIELDS:
+        value = float(getattr(one, f))
+        assert abs(float(getattr(agg, f)) - value) <= np.spacing(abs(value))
 
 
 # --------------------------------------------------------------------- sweeps
@@ -334,6 +339,31 @@ def test_cli_sweep_bad_values_exit_1(tmp_path, instance_dir, capsys, case):
     assert not (out / "metrics.csv").exists()
 
 
+NEGATIVE_SEEDS = {
+    "gen": ["gen", "--m", "30", "--n", "8", "--seed", "-1"],
+    "run-seed": ["run", "--seed", "-1"],
+    "run-topology-seed": ["run", "--topology-seed", "-1"],
+    "run-config-seed": ["run", "--config", "{config}"],
+    "sweep": ["sweep", "--axis", "interval", "--values", "2", "--reps", "1", "--seed", "-1"],
+    "certify": ["certify", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEEDS))
+def test_cli_negative_seed_exit_1(tmp_path, instance_dir, capsys, case):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": -1}))
+    command, *rest = [arg.format(config=config) for arg in NEGATIVE_SEEDS[case]]
+    if command in ("run", "sweep"):
+        rest += ["--instance", str(instance_dir)]
+    out = tmp_path / "out"
+    assert run_cli(command, *rest, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_run_gram_not_positive_definite_exit_1(tmp_path, capsys):
     # two equal rows: lam^2 = 1e-300 is lost against A_J A_J^T
     inst = problems.from_arrays(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([3.0, 3.0]), 1)
@@ -343,6 +373,21 @@ def test_cli_run_gram_not_positive_definite_exit_1(tmp_path, capsys):
                    "--block-size", "2", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "positive definite" in err
+    assert err.count("\n") == 1
+    assert not (out / "events.csv").exists()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_cli_run_block_squares_out_of_range_exit_1(tmp_path, capsys, scale):
+    # a consistent 6x4 block whose retained sigma^2 underflows or overflows
+    A = scale * np.random.default_rng(5).normal(size=(6, 4))
+    inst = problems.from_arrays(A, A @ np.ones(4), 1)
+    problems.save(inst, tmp_path / "inst")
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(tmp_path / "inst"), "--block-size", "6",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflow or overflow" in err
     assert err.count("\n") == 1
     assert not (out / "events.csv").exists()
 

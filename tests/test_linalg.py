@@ -60,8 +60,9 @@ def test_project_null_idempotent_nonexpansive_orthogonal(seed, m, n):
 # ------------------------------------------------------ consistent correction
 
 def kaczmarz_correction(A, b, w):
-    """The consistent block correction w + pinv(A) (b - A w) that agents.step applies."""
-    return w + agents.block_factor(A, None) @ (b - A @ w)
+    """The consistent block correction w + A^T F (b - A w), F = (A A^T)^+, that
+    agents.step applies."""
+    return w + A.T @ (agents.block_factor(A, None) @ (b - A @ w))
 
 
 def test_kaczmarz_correction_fixed_point():
@@ -96,6 +97,42 @@ def test_kaczmarz_correction_moves_within_row_space(seed):
     delta = kaczmarz_correction(A, b, w) - w
     # delta must lie in Row(A): projecting it onto null(A) leaves nothing
     assert np.linalg.norm(project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
+
+
+# ------------------------------------------------------------------ gram_pinv
+
+RANK_DEFICIENT_BLOCKS = {
+    "zero-row": np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [3.0, -1.0, 2.0, 0.5]]),
+    "duplicated-rows": np.array([[1.0, 2.0, 0.0, -1.0], [1.0, 2.0, 0.0, -1.0],
+                                 [0.5, 0.0, 1.0, 2.0], [1.0, 2.0, 0.0, -1.0]]),
+    "all-zero": np.zeros((3, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_DEFICIENT_BLOCKS))
+def test_kaczmarz_correction_rank_deficient_block(case):
+    A = RANK_DEFICIENT_BLOCKS[case]
+    g = rng(7)
+    w = g.normal(size=4)
+    assert agents.block_factor(A, None).shape == (A.shape[0], A.shape[0])
+    # any right-hand side: the pinv correction within 1e-12 relative
+    b = g.normal(size=A.shape[0])
+    ref = w + np.linalg.pinv(A) @ (b - A @ w)
+    assert np.linalg.norm(kaczmarz_correction(A, b, w) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # consistent block data: the correction solves the block
+    b = A @ g.normal(size=4)
+    out = kaczmarz_correction(A, b, w)
+    assert np.linalg.norm(A @ out - b) <= 1e-12 * max(np.linalg.norm(b), 1.0)
+    if case == "all-zero":
+        assert np.array_equal(out, w)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_gram_pinv_refuses_squares_out_of_range(scale):
+    A = rng(8).normal(size=(6, 4))
+    assert linalg.gram_pinv(A).shape == (6, 6)
+    with pytest.raises(InvalidParameter, match="underflow or overflow"):
+        linalg.gram_pinv(scale * A)
 
 
 # --------------------------------------------------------------- gram_inverse

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczsim import topology
+from kaczsim import graphs, topology
 from kaczsim.errors import InfeasibleTopology
+from oracles import adjacency
 
 
 def test_three_agents_cap_two_is_complete():
@@ -14,12 +15,12 @@ def test_three_agents_cap_two_is_complete():
 def test_single_agent():
     t = topology.build_pascal(1, 5, seed=0)
     assert t.neighbors == [[]]
-    assert topology.is_connected(t)
+    assert graphs.strongly_connected(adjacency(t))
 
 
 def test_default_cap_equals_agent_count():
     t = topology.build_pascal(13, 13, seed=1)
-    assert topology.is_connected(t)
+    assert graphs.strongly_connected(adjacency(t))
     assert max(t.degree(i) for i in range(13)) <= 12
 
 
@@ -52,7 +53,7 @@ def test_determinism():
 @given(st.integers(1, 200), st.integers(2, 20), st.integers(0, 2**31 - 1))
 def test_connected_and_capped_for_all_feasible_inputs(agents, cap, seed):
     t = topology.build_pascal(agents, cap, seed)
-    assert topology.is_connected(t)
+    assert graphs.strongly_connected(adjacency(t))
     assert all(t.degree(i) <= cap for i in range(agents))
 
 
@@ -68,4 +69,4 @@ def test_fill_saturates_degrees():
 
 def test_is_connected_negative_case():
     t = topology.Topology(2, 1, [[], []])
-    assert not topology.is_connected(t)
+    assert not graphs.strongly_connected(adjacency(t))
