@@ -4,12 +4,15 @@ An agent holds a contiguous shard (A_i, b_i) of the global system and a
 state (x, optionally y, iteration counter, block-sampling stream).  Each
 step averages the snapshot of neighbor estimates (self always included),
 draws a row block J and applies one row-space block projection (Needell &
-Tropp, Linear Algebra Appl. 441, 2014) with a |J| x |J| factor F:
+Tropp, Linear Algebra Appl. 441, 2014):
 
       r = b_J - A_J w  (- lam y_J),   alpha = F r,   x <- w + A_J^T alpha.
 
-F = (A_J A_J^T)^+ in consistent mode, so A_J^T F = pinv(A_J); the
-regularized mode projects onto the widened system (A, lam I) with
+F = (A_J A_J^T)^+ in consistent mode, so A_J^T F = pinv(A_J).  It is
+applied as W (W^T r) with the |J| x rank factor W = U_r Sigma_r^-1 of
+linalg.gram_pinv_root: the materialized F would square the block's
+condition number in the step's rounding error.  The regularized mode
+projects onto the widened system (A, lam I) with the |J| x |J| factor
 F = (A_J A_J^T + lam^2 I)^{-1} and also sets y_J <- y_J + lam alpha.
 Only x is ever broadcast; y stays local to its owner.
 
@@ -18,9 +21,9 @@ disjoint chunking, so every row is used once per pass) or iid uniform
 without replacement.  The agent config owns its block operators: the chunk
 table (AgentConfig.chunks) and, built on first use, one block entry per
 chunk (AgentConfig.blocks): the chunk's row slice, the views A_J and b_J
-into the shard and the factor F (block_factor), so a cyclic step does no
-indexing and no factorization.  Iid blocks are gathered and factored
-afresh every step.  The step updates the agent state in place.  Every
+into the shard and the factor W or F (block_factor), so a cyclic step
+does no indexing and no factorization.  Iid blocks are gathered and
+factored afresh every step.  The step updates the agent state in place.  Every
 operation here is numpy.
 """
 from __future__ import annotations
@@ -156,10 +159,10 @@ def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
 
 
 def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
-    """The block's |J| x |J| factor F in alpha = F r: (A_J A_J^T)^+ in
-    consistent mode, (A_J A_J^T + lam^2 I)^{-1} in regularized mode."""
+    """The block's factor, |J| rows: W with W W^T = (A_J A_J^T)^+ in
+    consistent mode, F = (A_J A_J^T + lam^2 I)^{-1} in regularized mode."""
     if lam is None:
-        return linalg.gram_pinv(A_J)
+        return linalg.gram_pinv_root(A_J)
     return linalg.gram_inverse(A_J, lam)
 
 
@@ -193,11 +196,11 @@ def step(state: AgentState, cfg: AgentConfig,
     rows, A_J, b_J, factor = entry
     r = b_J - A_J @ w
     if cfg.augmented:
-        r = r - cfg.lam * state.y[rows]
-    alpha = factor @ r
-    state.x = w + A_J.T @ alpha
-    if cfg.augmented:
+        alpha = factor @ (r - cfg.lam * state.y[rows])
         state.y[rows] += cfg.lam * alpha
+    else:
+        alpha = factor @ (factor.T @ r)
+    state.x = w + A_J.T @ alpha
     state.k += 1
     return state
 

@@ -14,9 +14,11 @@ it agreed with the dense SVD to 4e-14 relative in x and 4e-13 in y on
 generated 2000x400, 4000x800 and 8000x2000 instances, lam in {0.3, 1, 3}.
 If LSQR stops without converging, the oracle falls back to the dense SVD.
 
-The block factors F (applied as w + A_J^T (F r)) are |J| x |J| numpy
-arrays, and importing this module loads numpy only.  scipy, whose import
-takes about 0.2 s, is imported only by the LSQR branch of the oracles.
+The block factors have |J| rows and at most |J| columns: W with
+W W^T = (A_J A_J^T)^+, applied as w + A_J^T W (W^T r), and
+F = (A_J A_J^T + lam^2 I)^{-1}, applied as w + A_J^T (F r).  Importing
+this module loads numpy only.  scipy, whose import takes about 0.2 s, is
+imported only by the LSQR branch of the oracles.
 "Sparse" here means any matrix with a tocsr method: a scipy.sparse matrix
 or a problems.CooMatrix, which densifies with numpy alone.
 """
@@ -102,18 +104,14 @@ def row_space_basis(A) -> np.ndarray:
     return svd(A).V
 
 
-def gram_pinv(A_J) -> np.ndarray:
-    """(A_J A_J^T)^+ = U_r Sigma_r^-2 U_r^T from svd(A_J) and its rank rule, so
-    that A_J^T (A_J A_J^T)^+ = pinv(A_J); an eigensolve of A_J A_J^T would
-    square sigma before the cutoff.  A retained sigma^2 that underflows or
-    overflows raises InvalidParameter."""
+def gram_pinv_root(A_J) -> np.ndarray:
+    """W = U_r Sigma_r^-1 (|J| x r) from svd(A_J) and its rank rule, so that
+    W W^T = (A_J A_J^T)^+ and A_J^T W W^T = pinv(A_J).  Applied as
+    W (W^T r), its rounding error grows with the condition number of A_J,
+    as pinv(A_J) r does; the materialized product W W^T, or an eigensolve
+    of A_J A_J^T, squares it."""
     f = svd(A_J)
-    with np.errstate(over="ignore"):
-        s2 = f.sigma * f.sigma
-    if f.rank and not (s2[-1] >= np.finfo(float).tiny and s2[0] < np.inf):
-        raise InvalidParameter(f"block singular values in [{f.sigma[-1]:.3g}, {f.sigma[0]:.3g}] "
-                               "have squares that underflow or overflow")
-    return (f.U / s2) @ f.U.T
+    return f.U / f.sigma
 
 
 def gram_inverse(A_J, lam: float) -> np.ndarray:

@@ -215,7 +215,7 @@ def direct_update(cfg, J, w, y=None):
     path), for comparison with a chunk's entry in cfg.blocks."""
     _, A_J, b_J, factor = agents._block_entry(cfg, J, None)
     if cfg.lam is None:
-        return w + A_J.T @ (factor @ (b_J - A_J @ w)), None
+        return w + A_J.T @ (factor @ (factor.T @ (b_J - A_J @ w))), None
     alpha = factor @ (b_J - A_J @ w - cfg.lam * y[J])
     return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
 
@@ -386,14 +386,15 @@ def test_step_matches_reference_update():
 
 def test_chunk_factored_once(monkeypatch):
     calls = []
-    gram_pinv, gram_inverse = linalg.gram_pinv, linalg.gram_inverse
-    monkeypatch.setattr(linalg, "gram_pinv", lambda A_J: calls.append("gram_pinv") or gram_pinv(A_J))
+    gram_pinv_root, gram_inverse = linalg.gram_pinv_root, linalg.gram_inverse
+    monkeypatch.setattr(linalg, "gram_pinv_root",
+                        lambda A_J: calls.append("gram_pinv_root") or gram_pinv_root(A_J))
     monkeypatch.setattr(linalg, "gram_inverse",
                         lambda A_J, lam: calls.append("gram_inverse") or gram_inverse(A_J, lam))
     g = np.random.default_rng(16)
     A = g.normal(size=(11, 4))
     b = g.normal(size=11)
-    for lam, routine in ((None, "gram_pinv"), (0.5, "gram_inverse")):
+    for lam, routine in ((None, "gram_pinv_root"), (0.5, "gram_inverse")):
         for sampling in (agents.CYCLE, agents.IID):
             cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
             steps = 3 * len(cfg.chunks)
@@ -411,28 +412,35 @@ def test_chunk_factored_once(monkeypatch):
 
 
 def test_block_factors_are_block_by_block(monkeypatch):
-    built = []   # (|J|, factor shape) of every factor a step builds, cyclic or iid
+    built = []   # (A_J, factor) of every factor a step builds, cyclic or iid
     block_factor = agents.block_factor
 
     def recording(A_J, lam):
         F = block_factor(A_J, lam)
-        built.append((A_J.shape[0], F.shape))
+        built.append((A_J, F))
         return F
 
     monkeypatch.setattr(agents, "block_factor", recording)
     g = np.random.default_rng(17)
-    A = g.normal(size=(11, 6))    # n = 6 columns, blocks of 3 or 4 rows
+    A = g.normal(size=(11, 6))    # n = 6 columns, blocks of 2 or 3 rows
+    A[1] = A[0]                   # the first chunk, rows 0-2, has rank 2
     b = g.normal(size=11)
     for lam in (None, 0.5):
+        # |J| x rank in consistent mode, |J| x |J| in regularized mode
+        def shape(A_J):
+            return (len(A_J), len(A_J) if lam else np.linalg.matrix_rank(A_J))
+
         for sampling in (agents.CYCLE, agents.IID):
             cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
             built.clear()
             state = fresh(cfg)
             for _ in range(2 * len(cfg.chunks)):
                 agents.step(state, cfg, snap(state.x))
-            assert built and all(shape == (rows, rows) for rows, shape in built)
+            assert built and all(F.shape == shape(A_J) for A_J, F in built)
             if sampling == agents.CYCLE:
-                assert [F.shape for *_, F in cfg.blocks] == [(len(J), len(J)) for J in cfg.chunks]
+                assert [F.shape for _, A_J, _, F in cfg.blocks] == \
+                    [shape(A_J) for _, A_J, _, _ in cfg.blocks]
+                assert cfg.blocks[0][3].shape == (3, 3 if lam else 2)
 
 
 # ------------------------------------------------------------ payload contract

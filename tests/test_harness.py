@@ -378,18 +378,19 @@ def test_cli_run_gram_not_positive_definite_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
-def test_cli_run_block_squares_out_of_range_exit_1(tmp_path, capsys, scale):
-    # a consistent 6x4 block whose retained sigma^2 underflows or overflows
+def test_cli_run_scaled_block_converges(tmp_path, capsys, scale):
+    # a consistent 6x4 block whose sigma^2 would underflow or overflow: one
+    # projection solves it
     A = scale * np.random.default_rng(5).normal(size=(6, 4))
     inst = problems.from_arrays(A, A @ np.ones(4), 1)
     problems.save(inst, tmp_path / "inst")
     out = tmp_path / "out"
     assert run_cli("run", "--instance", str(tmp_path / "inst"), "--block-size", "6",
-                   "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "underflow or overflow" in err
-    assert err.count("\n") == 1
-    assert not (out / "events.csv").exists()
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("converged: k_iter=1.0")
+    with open(out / "metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["e_stop"]) <= 1e-14
 
 
 def test_cli_report_without_metrics_columns_exit_1(tmp_path, capsys):

@@ -60,9 +60,10 @@ def test_project_null_idempotent_nonexpansive_orthogonal(seed, m, n):
 # ------------------------------------------------------ consistent correction
 
 def kaczmarz_correction(A, b, w):
-    """The consistent block correction w + A^T F (b - A w), F = (A A^T)^+, that
-    agents.step applies."""
-    return w + A.T @ (agents.block_factor(A, None) @ (b - A @ w))
+    """The consistent block correction w + A^T W (W^T (b - A w)), W W^T =
+    (A A^T)^+, that agents.step applies."""
+    W = agents.block_factor(A, None)
+    return w + A.T @ (W @ (W.T @ (b - A @ w)))
 
 
 def test_kaczmarz_correction_fixed_point():
@@ -99,7 +100,7 @@ def test_kaczmarz_correction_moves_within_row_space(seed):
     assert np.linalg.norm(project_null(A, delta)) <= 1e-9 * max(np.linalg.norm(delta), 1.0)
 
 
-# ------------------------------------------------------------------ gram_pinv
+# ------------------------------------------------------------- gram_pinv_root
 
 RANK_DEFICIENT_BLOCKS = {
     "zero-row": np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [3.0, -1.0, 2.0, 0.5]]),
@@ -114,7 +115,7 @@ def test_kaczmarz_correction_rank_deficient_block(case):
     A = RANK_DEFICIENT_BLOCKS[case]
     g = rng(7)
     w = g.normal(size=4)
-    assert agents.block_factor(A, None).shape == (A.shape[0], A.shape[0])
+    assert agents.block_factor(A, None).shape == (A.shape[0], np.linalg.matrix_rank(A))
     # any right-hand side: the pinv correction within 1e-12 relative
     b = g.normal(size=A.shape[0])
     ref = w + np.linalg.pinv(A) @ (b - A @ w)
@@ -127,12 +128,32 @@ def test_kaczmarz_correction_rank_deficient_block(case):
         assert np.array_equal(out, w)
 
 
+def test_kaczmarz_correction_nearly_dependent_rows():
+    # two rows 1e-8 apart, both retained (kappa ~ 1e9): the correction's
+    # rounding error grows with kappa, as pinv's does; the materialized
+    # (A A^T)^+ would square it and no longer contract
+    A = np.array([[1.0, 2.0, 0.0, -1.0], [1.0, 2.0, 0.0, -1.0 + 1e-8], [0.5, 0.0, 1.0, 2.0]])
+    s = np.linalg.svd(A, compute_uv=False)
+    assert agents.block_factor(A, None).shape == (3, 3)
+    bound = 10 * np.finfo(float).eps * s[0] / s[-1]
+    for seed in range(5):
+        g = rng(seed)
+        x, w = g.normal(size=4), g.normal(size=4)
+        b = A @ x
+        ref = w + np.linalg.pinv(A) @ (b - A @ w)
+        assert np.linalg.norm(kaczmarz_correction(A, b, w) - ref) <= bound * np.linalg.norm(w - x)
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
-def test_gram_pinv_refuses_squares_out_of_range(scale):
-    A = rng(8).normal(size=(6, 4))
-    assert linalg.gram_pinv(A).shape == (6, 6)
-    with pytest.raises(InvalidParameter, match="underflow or overflow"):
-        linalg.gram_pinv(scale * A)
+def test_kaczmarz_correction_scaled_block(scale):
+    # sigma^2 underflows or overflows; the factored correction never forms it
+    A = scale * rng(8).normal(size=(6, 4))
+    g = rng(9)
+    w, x = g.normal(size=4), g.normal(size=4)
+    for b in (A @ x, scale * g.normal(size=6)):
+        ref = w + np.linalg.pinv(A) @ (b - A @ w)
+        assert np.linalg.norm(kaczmarz_correction(A, b, w) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(kaczmarz_correction(A, A @ x, w) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 # --------------------------------------------------------------- gram_inverse
