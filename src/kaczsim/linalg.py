@@ -118,12 +118,17 @@ def gram_inverse(A_J, lam: float) -> np.ndarray:
     """Inverse of the block Gram matrix G = A_J A_J^T + lam^2 I (cacheable
     per block).
 
-    A Gram matrix that is not numerically positive definite (lam^2 lost
-    against the entries of A_J A_J^T on a rank-deficient block) fails its
-    Cholesky factorization and raises InvalidParameter.
+    A Gram matrix that overflows, or that is not numerically positive
+    definite (lam^2 lost against the entries of A_J A_J^T on a
+    rank-deficient block) and so fails its Cholesky factorization, raises
+    InvalidParameter.
     """
     A_J = as_matrix(A_J)
-    G = A_J @ A_J.T + (lam * lam) * np.eye(A_J.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A_J @ A_J.T + (lam * lam) * np.eye(A_J.shape[0])
+    if not np.all(np.isfinite(G)):
+        raise InvalidParameter(f"block Gram matrix A_J A_J^T + lambda^2 I overflows at "
+                               f"lambda = {lam!r}: the block's entries are too large")
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -185,7 +190,8 @@ def augmented_min_norm_solve(A, b, lam: float) -> tuple[np.ndarray, np.ndarray]:
     pseudoinverse solution; A dense or sparse.  Through the SVD of A, each
     retained mode contributes sigma/(sigma^2 + lam^2) to x_reg; above
     SVD_MAX_ENTRIES, LSQR with damp = lam gives x_reg.  Either way y_reg
-    is the residual (b - A x_reg)/lam.
+    is the residual (b - A x_reg)/lam.  A sigma_max^2 that overflows in the
+    SVD branch raises InvalidParameter.
     """
     if lam <= 0:
         raise InvalidParameter(f"lambda must be positive, got {lam}")
@@ -194,7 +200,12 @@ def augmented_min_norm_solve(A, b, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if x is None:
         A = as_matrix(A)
         f = svd(A)
+        with np.errstate(over="ignore"):
+            shifted = f.sigma**2 + lam * lam
+        if not np.all(np.isfinite(shifted)):
+            raise InvalidParameter(f"sigma_max^2 + lambda^2 overflows at lambda = {lam!r}: "
+                                   f"the matrix's entries are too large")
         c = f.U.T @ b
-        x = f.V @ (c * f.sigma / (f.sigma**2 + lam * lam)) if f.rank else np.zeros(A.shape[1])
+        x = f.V @ (c * f.sigma / shifted) if f.rank else np.zeros(A.shape[1])
     y = (b - A @ x) / lam
     return x, y

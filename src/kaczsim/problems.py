@@ -10,8 +10,9 @@ format, vectors as one-value-per-line text with 17 significant digits, and
 a JSON manifest with the shard row ranges.
 
 A stays sparse, held as coordinate arrays (CooMatrix) and handled with
-numpy alone: the oracle solves take it as it is, and each shard's rows are
-densified on their own, so the full m x n matrix is never built.  Generating,
+numpy alone: the oracle solves take it as it is, and each shard holds its
+rows in compressed sparse row form (CsrRows), so no m x n or m_i x n dense
+array is built on the way to a run (inst.dense() builds one).  Generating,
 loading and partitioning an instance do not import scipy, whose import takes
 about 0.2 s; it is imported only to write A.mtx (save), to solve a system
 above linalg.SVD_MAX_ENTRIES by LSQR, or to build inst.A, the scipy view.
@@ -57,11 +58,37 @@ class ProblemSpec:
             raise InvalidParameter(f"noise must be finite and nonnegative, got {self.noise}")
 
 
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """Rows of a sparse matrix in compressed sparse row form, as numpy arrays:
+    row i holds data[indptr[i]:indptr[i + 1]] at columns indices[indptr[i]:
+    indptr[i + 1]], sorted and distinct within the row."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> CsrRows:
+        """The entries of a dense matrix that are not +0.0 (-0.0 and nan
+        included), so that dense() gives A back bit for bit."""
+        A = np.asarray(A, dtype=float)
+        row, col = np.nonzero((A != 0) | np.signbit(A))
+        indptr = np.searchsorted(row, np.arange(A.shape[0] + 1))
+        return cls(A.shape, indptr, col, A[row, col])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+
 @dataclass
 class Shard:
     """One agent's contiguous slice of the system."""
 
-    A: np.ndarray          # m_i x n dense block
+    A: CsrRows             # m_i x n, sparse
     b: np.ndarray          # m_i
     rows: np.ndarray       # global row indices, contiguous and sorted
 
@@ -86,6 +113,17 @@ class CooMatrix:
         out = np.zeros((stop - start, self.shape[1]))
         np.add.at(out, (self.row[sel] - start, self.col[sel]), self.data[sel])
         return out
+
+    def rows_csr(self, start: int, stop: int) -> CsrRows:
+        """Rows start:stop as CsrRows, duplicate entries added in stored
+        order, so that its dense() equals rows_dense(start, stop) bit for bit."""
+        sel = (self.row >= start) & (self.row < stop)
+        n = self.shape[1]
+        slots, slot = np.unique((self.row[sel] - start) * n + self.col[sel], return_inverse=True)
+        data = np.zeros(len(slots))
+        np.add.at(data, slot, self.data[sel])
+        indptr = np.searchsorted(slots, np.arange(stop - start + 1) * n)
+        return CsrRows((stop - start, n), indptr, slots % n, data)
 
     def toarray(self) -> np.ndarray:
         return self.rows_dense(0, self.shape[0])
@@ -141,8 +179,8 @@ def partition_sizes(m: int, agents: int) -> list[int]:
 
 
 def _shard(A: CooMatrix, start: int, stop: int, b: np.ndarray) -> Shard:
-    """Shard of rows start:stop of A, densified on their own, with right-hand side b."""
-    return Shard(A.rows_dense(start, stop), b, np.arange(start, stop))
+    """Shard of rows start:stop of A, in CSR form, with right-hand side b."""
+    return Shard(A.rows_csr(start, stop), b, np.arange(start, stop))
 
 
 def partition(A: CooMatrix, b: np.ndarray, agents: int) -> list[Shard]:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kaczsim import agents, linalg
+from kaczsim import agents, linalg, problems
 from kaczsim.agents import AgentConfig
 from kaczsim.errors import CorruptMessage, DimensionError, InvalidParameter
 from oracles import project_null
@@ -213,11 +213,14 @@ def test_consistent_step_nonexpansive_toward_solutions():
 def direct_update(cfg, J, w, y=None):
     """The step's update with block J gathered and factored afresh (the iid
     path), for comparison with a chunk's entry in cfg.blocks."""
-    _, A_J, b_J, factor = agents._block_entry(cfg, J, None)
+    _, cols, A_J, b_J, factor = agents._block_entry(cfg, J, None)
+    x = w.copy()
     if cfg.lam is None:
-        return w + A_J.T @ (factor @ (factor.T @ (b_J - A_J @ w))), None
-    alpha = factor @ (b_J - A_J @ w - cfg.lam * y[J])
-    return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
+        x[cols] += A_J.T @ (factor @ (factor.T @ (b_J - A_J @ w[cols])))
+        return x, None
+    alpha = factor @ (b_J - A_J @ w[cols] - cfg.lam * y[J])
+    x[cols] += A_J.T @ alpha
+    return x, y[J] + cfg.lam * alpha
 
 
 def test_consistent_cache_matches_direct():
@@ -337,7 +340,7 @@ def reference_step(state, cfg, entries):
         state.chunk = state.order.pop(0)
         state.block = chunks[state.chunk]
     J = state.block
-    A_J = cfg.A[J]
+    A_J = cfg.A.dense()[J]
     if cfg.lam is None:
         return replace(state, x=w + linalg.pinv(A_J) @ (cfg.b[J] - A_J @ w), k=state.k + 1)
     r = cfg.b[J] - A_J @ w - cfg.lam * state.y[J]
@@ -405,9 +408,10 @@ def test_chunk_factored_once(monkeypatch):
                     agents.step(state, cfg, snap(state.x))
             assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else 2 * steps)
             if sampling == agents.CYCLE:
-                # a chunk's entry holds views into the shard, not copies
-                for rows, A_J, b_J, _ in cfg.blocks:
-                    assert np.shares_memory(A_J, cfg.A) and np.shares_memory(b_J, cfg.b)
+                # a chunk's entry holds a view of b, not a copy, and A_J is
+                # the chunk's rows on their columns (all of them here: A is dense)
+                for rows, cols, A_J, b_J, _ in cfg.blocks:
+                    assert np.shares_memory(b_J, cfg.b) and cols is Ellipsis
                     assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
 
 
@@ -438,9 +442,123 @@ def test_block_factors_are_block_by_block(monkeypatch):
                 agents.step(state, cfg, snap(state.x))
             assert built and all(F.shape == shape(A_J) for A_J, F in built)
             if sampling == agents.CYCLE:
-                assert [F.shape for _, A_J, _, F in cfg.blocks] == \
-                    [shape(A_J) for _, A_J, _, _ in cfg.blocks]
-                assert cfg.blocks[0][3].shape == (3, 3 if lam else 2)
+                assert [F.shape for _, _, A_J, _, F in cfg.blocks] == \
+                    [shape(A_J) for _, _, A_J, _, _ in cfg.blocks]
+                assert cfg.blocks[0][4].shape == (3, 3 if lam else 2)
+
+
+# ---------------------------------------------------------------- sparse shards
+
+def sparse_cfg(lam, sampling, seed=31, m=60, n=200, density=0.02, block=5):
+    """A one-shard agent on a generated instance; with the defaults its
+    5-row blocks lie on about 20 of the 200 columns."""
+    inst = problems.generate(problems.ProblemSpec(m=m, n=n, density=density, noise=0.1,
+                                                  seed=seed, agents=1))
+    (shard,) = inst.shards
+    return AgentConfig(0, shard.A, shard.b, shard.rows, block, lam=lam, sampling=sampling)
+
+
+def dense_step(cfg, J, w, y=None):
+    """The step on the whole |J| x n block, as dense shards computed it."""
+    A_J = cfg.A.dense()[J]
+    factor = agents.block_factor(A_J, cfg.lam)
+    r = cfg.b[J] - A_J @ w
+    if cfg.lam is None:
+        return w + A_J.T @ (factor @ (factor.T @ r)), None
+    alpha = factor @ (r - cfg.lam * y[J])
+    return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
+
+
+def test_block_rows_half_support_rule():
+    A = problems.CsrRows.from_dense(np.array([[1.0, 0, 0, 0, 2, 0, 0, 0],
+                                              [0, 3.0, 0, 4, 0, 0, 0, 0],
+                                              [0, 0, 0, 0, 0, 5.0, 0, 6],
+                                              [0, 0, 0, 0, 0, 7.0, 0, 0]]))
+    cols, A_J = agents.block_rows(A, np.array([0, 1]))   # 4 of 8 columns: whole rows
+    assert cols is Ellipsis and np.array_equal(A_J, A.dense()[:2])
+    cols, A_J = agents.block_rows(A, np.array([1, 3]))   # 3 of 8: compressed
+    assert np.array_equal(cols, [1, 3, 5])
+    assert np.array_equal(A_J, [[3.0, 4, 0], [0, 0, 7]])
+    cols, A_J = agents.block_rows(A, np.array([2, 3]))
+    assert np.array_equal(cols, [5, 7]) and np.array_equal(A_J, [[5.0, 6], [7, 0]])
+
+
+@pytest.mark.parametrize("lam", [None, 0.7])
+@pytest.mark.parametrize("sampling", [agents.CYCLE, agents.IID])
+def test_compressed_step_matches_dense_step(lam, sampling):
+    cfg = sparse_cfg(lam, sampling)
+    g = np.random.default_rng(32)
+    state = fresh(cfg, init=g.normal(size=cfg.dim))
+    if lam is not None:
+        state.y[:] = g.normal(size=cfg.local_rows)
+    for _ in range(3 * len(cfg.chunks)):
+        entries = [(0, state.x, 0), (1, g.normal(size=cfg.dim), 0)]
+        w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
+        agents.step(state, cfg, entries)
+        J = state.block
+        cols, A_J = agents.block_rows(cfg.A, J)
+        assert cols is not Ellipsis and 2 * len(cols) < cfg.dim
+        # the products skip the zero columns and the SVD sees a narrower
+        # block, so the rounding differs: most steps agree to 1e-16, and on
+        # 20 seeds the worst was 15 eps kappa (consistent iid, rank-deficient)
+        sigma = linalg.svd(A_J).sigma
+        bound = 64 * np.finfo(float).eps * sigma[0] / sigma[-1]
+        x_ref, y_J = dense_step(cfg, J, w, y)
+        assert np.linalg.norm(state.x - x_ref) <= bound * np.linalg.norm(x_ref)
+        if lam is not None:
+            assert np.linalg.norm(state.y[J] - y_J) <= bound * np.linalg.norm(y_J)
+
+
+@pytest.mark.parametrize("lam", [None, 0.7])
+@pytest.mark.parametrize("sampling", [agents.CYCLE, agents.IID])
+def test_half_support_step_gives_dense_bits(lam, sampling):
+    # density 0.3: every 5-row block covers at least half of the 20 columns
+    cfg = sparse_cfg(lam, sampling, m=30, n=20, density=0.3)
+    g = np.random.default_rng(33)
+    state = fresh(cfg, init=g.normal(size=cfg.dim))
+    for _ in range(3 * len(cfg.chunks)):
+        entries = [(0, state.x, 0), (1, g.normal(size=cfg.dim), 0)]
+        w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
+        agents.step(state, cfg, entries)
+        assert agents.block_rows(cfg.A, state.block)[0] is Ellipsis
+        x_ref, y_J = dense_step(cfg, state.block, w, y)
+        assert np.array_equal(state.x, x_ref)
+        if lam is not None:
+            assert np.array_equal(state.y[state.block], y_J)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_new_x_aliases_no_entry(dense):
+    for lam in (None, 0.7):
+        cfg = sparse_cfg(lam, agents.IID, density=0.3 if dense else 0.02)
+        g = np.random.default_rng(34)
+        state = fresh(cfg)
+        for d in (1, 3):
+            # as the engine passes them: the agent's own x, then mailbox payloads
+            entries = [(0, state.x, 0)] + [(i, g.normal(size=cfg.dim), 0) for i in range(1, d)]
+            before = [vec.copy() for _, vec, _ in entries]
+            agents.step(state, cfg, entries)
+            for (_, vec, _), old in zip(entries, before):
+                assert not np.shares_memory(state.x, vec)
+                assert np.array_equal(vec, old)
+
+
+def test_sparse_shards_hold_no_dense_copy():
+    # 20000 x 2000 at 0.1 %: a dense shard would hold m_i * n = 10^7 doubles
+    inst = problems.generate(problems.ProblemSpec(m=20000, n=2000, density=0.001, seed=35,
+                                                  agents=4))
+    for i, shard in enumerate(inst.shards):
+        dense_size = len(shard.rows) * inst.n
+        for lam, sampling in ((None, agents.CYCLE), (0.5, agents.IID)):
+            cfg = AgentConfig(i, shard.A, shard.b, shard.rows, 10, lam=lam, sampling=sampling)
+            state = fresh(cfg)
+            agents.step(state, cfg, [(0, state.x, 0)])
+            held = [shard.b, shard.rows, cfg.b, cfg.rows, *cfg.chunks]
+            held += [getattr(A, f) for A in (shard.A, cfg.A) for f in ("indptr", "indices", "data")]
+            held += [part for entry in cfg.blocks for part in entry
+                     if isinstance(part, np.ndarray)]
+            assert all(a.size < dense_size for a in held)
+            assert sum(a.size for a in held) < dense_size / 10
 
 
 # ------------------------------------------------------------ payload contract

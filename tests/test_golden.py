@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaczsim import harness, problems
+from kaczsim import agents, harness, problems
 from kaczsim.engine import MetricsRecord
 from kaczsim.harness import RunOptions
 
@@ -71,6 +71,22 @@ def test_golden_digests(name):
     assert digests(run_case(case)) == case["digests"]
 
 
+@pytest.mark.parametrize("name", ["sparse_consistent_cycle_every_k_all",
+                                  "sparse_regularized_iid_every_k_all"])
+def test_sparse_cases_take_the_compressed_path(name, monkeypatch):
+    # every block of these cases has its rows on fewer than n/2 columns
+    block_rows, whole = agents.block_rows, []
+
+    def recording(A, J):
+        cols, A_J = block_rows(A, J)
+        whole.append(cols is Ellipsis)
+        return cols, A_J
+
+    monkeypatch.setattr(agents, "block_rows", recording)
+    run_case(load_corpus()[name])
+    assert whole and not any(whole)
+
+
 def test_parent_drift_of_the_package_against_itself_is_zero():
     # the --parent tooling, pointed at this checkout: a regularized case, so
     # that both x and y are compared
@@ -85,7 +101,7 @@ def test_parent_drift_of_the_package_against_itself_is_zero():
 _SAVE_STATES = """
 import json, sys
 import numpy as np
-from kaczsim import harness, problems
+from kaczsim import agents, harness, problems
 from kaczsim.harness import RunOptions
 states = {}
 for name, case in json.load(sys.stdin).items():

@@ -377,6 +377,19 @@ def test_cli_run_gram_not_positive_definite_exit_1(tmp_path, capsys):
     assert not (out / "events.csv").exists()
 
 
+def test_cli_run_gram_overflow_exit_1(tmp_path, capsys):
+    # a 6x4 block scaled by 1e160: A_J A_J^T + lambda^2 I overflows
+    A = 1e160 * np.random.default_rng(5).normal(size=(6, 4))
+    problems.save(problems.from_arrays(A, A @ np.ones(4), 1), tmp_path / "inst")
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(tmp_path / "inst"), "--lam", "1",
+                   "--block-size", "6", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
+    assert err.count("\n") == 1
+    assert not (out / "events.csv").exists()
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
 def test_cli_run_scaled_block_converges(tmp_path, capsys, scale):
     # a consistent 6x4 block whose sigma^2 would underflow or overflow: one

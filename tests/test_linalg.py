@@ -197,6 +197,16 @@ def test_gram_inverse_not_positive_definite_raises():
         linalg.gram_inverse(np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150)
 
 
+def test_gram_inverse_overflowing_gram_raises():
+    # the entries of A_J A_J^T reach 1e320, past the largest double; the
+    # widened-system oracle, which squares sigma, refuses the same matrix
+    A = 1e160 * rng(8).normal(size=(6, 4))
+    with pytest.raises(InvalidParameter, match="overflows"):
+        linalg.gram_inverse(A, 1.0)
+    with pytest.raises(InvalidParameter, match="overflows"):
+        linalg.augmented_min_norm_solve(A, np.ones(6), 1.0)
+
+
 def test_gram_solve_accepts_cached_factorization():
     g = rng(6)
     A = g.normal(size=(4, 7))

@@ -63,7 +63,7 @@ def test_partition_sizes_10_3():
 def test_partition_single_agent_is_whole_system():
     inst = problems.generate(small_spec(agents=1))
     (shard,) = inst.shards
-    assert np.array_equal(shard.A, inst.dense())
+    assert np.array_equal(shard.A.dense(), inst.dense())
     assert np.array_equal(shard.b, inst.b)
 
 
@@ -83,7 +83,7 @@ def test_partition_rejects_too_many_agents():
 
 def test_shards_reassemble_exactly():
     inst = problems.generate(small_spec(noise=0.3, agents=5))
-    A = np.vstack([s.A for s in inst.shards])
+    A = np.vstack([s.A.dense() for s in inst.shards])
     b = np.concatenate([s.b for s in inst.shards])
     rows = np.concatenate([s.rows for s in inst.shards])
     assert np.array_equal(rows, np.arange(inst.m))
@@ -103,7 +103,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.x_star, inst.x_star)
     assert len(back.shards) == len(inst.shards)
     for s0, s1 in zip(inst.shards, back.shards):
-        assert np.array_equal(s0.A, s1.A)
+        assert np.array_equal(s0.A.dense(), s1.A.dense())
         assert np.array_equal(s0.b, s1.b)
         assert np.array_equal(s0.rows, s1.rows)
     assert back.spec == inst.spec
@@ -238,7 +238,56 @@ def test_load_keeps_comments_and_stored_entry_order(tmp_path):
     assert np.array_equal(back.dense(), inst.dense())
     assert np.array_equal(back.coo.row, inst.coo.row[::-1])
     for s0, s1 in zip(inst.shards, back.shards):
-        assert np.array_equal(s0.A, s1.A)
+        assert np.array_equal(s0.A.dense(), s1.A.dense())
+        assert all(np.array_equal(getattr(s0.A, f), getattr(s1.A, f))
+                   for f in ("indptr", "indices", "data"))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rows_csr_matches_rows_dense_bit_for_bit():
+    g = np.random.default_rng(21)
+    for case in range(60):
+        m, n = int(g.integers(1, 12)), int(g.integers(1, 12))
+        nnz = int(g.integers(0, 3 * m * n))     # duplicate positions are likely
+        row, col = g.integers(0, m, nnz), g.integers(0, n, nnz)
+        data = g.normal(size=nnz) * 10.0 ** g.integers(-8, 8, size=nnz)
+        data[g.random(nnz) < 0.1] = -0.0
+        data[g.random(nnz) < 0.1] = 0.0        # explicit zeros
+        start = int(g.integers(0, m))
+        stop = int(g.integers(start + 1, m + 1))
+        for order in (slice(None), slice(None, None, -1)):   # stored and reversed order
+            A = problems.CooMatrix((m, n), row[order], col[order], data[order])
+            csr = A.rows_csr(start, stop)
+            assert same_bits(csr.dense(), A.rows_dense(start, stop))
+            assert csr.shape == (stop - start, n) and csr.indptr[0] == 0
+            assert csr.indptr[-1] == len(csr.indices) == len(csr.data)
+            for i in range(stop - start):   # columns sorted and distinct within a row
+                assert np.all(np.diff(csr.indices[csr.indptr[i]:csr.indptr[i + 1]]) > 0)
+
+
+def test_rows_csr_adds_duplicates_in_stored_order():
+    # 1 + 1e16 rounds, so the sum of these three entries depends on their order
+    row, col, data = np.zeros(3, np.int64), np.zeros(3, np.int64), np.array([1.0, 1e16, -1e16])
+    sums = []
+    for order in (slice(None), slice(None, None, -1)):
+        A = problems.CooMatrix((1, 1), row, col, data[order])
+        sums.append(A.rows_csr(0, 1).data[0])
+        assert same_bits(A.rows_csr(0, 1).dense(), A.rows_dense(0, 1))
+    assert sums[0] != sums[1]
+    # -0.0 entries densify to +0.0, in both forms
+    A = problems.CooMatrix((1, 2), np.zeros(2, np.int64), np.array([1, 1]), np.array([-0.0, -0.0]))
+    assert same_bits(A.rows_csr(0, 1).dense(), np.zeros((1, 2)))
+    assert same_bits(A.rows_dense(0, 1), np.zeros((1, 2)))
+
+
+def test_csr_from_dense_round_trip():
+    A = np.array([[0.0, -0.0, 1.5], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    csr = problems.CsrRows.from_dense(A)
+    assert same_bits(csr.dense(), A)
+    assert list(csr.indptr) == [0, 2, 3, 3] and list(csr.indices) == [1, 2, 0]
 
 
 def test_coo_matvec_matches_scipy_bit_for_bit():
