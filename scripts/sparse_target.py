@@ -7,9 +7,9 @@ as sparse rows.  Prints the phase timings, setup_s (generate, save and
 load), wall_s (setup and run) and peak_rss_mb, the process's peak
 resident set size.
 
-    PYTHONPATH=src python scripts/sparse_target.py [--sampling iid] [--m 20000 --n 2000]
+    PYTHONPATH=src python scripts/sparse_target.py [--sampling iid] [--lam 1] [--m 20000 --n 2000]
 
-The instance directory goes to a temporary directory unless --out names one.
+The instance directory is written to a temporary directory.
 """
 import argparse
 import resource
@@ -19,6 +19,11 @@ from pathlib import Path
 
 from kaczsim import harness, problems
 from kaczsim.harness import RunOptions
+
+AGENTS = 8
+BLOCK_SIZE = 20
+INTERVAL = 5
+SEED = 0
 
 
 def peak_rss_mb() -> float:
@@ -30,28 +35,23 @@ def parse_args(argv):
     p.add_argument("--m", type=int, default=100_000)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--density", type=float, default=0.001)
-    p.add_argument("--agents", type=int, default=8)
-    p.add_argument("--block-size", type=int, default=20)
     p.add_argument("--k-max", type=int, default=1000, help="iterations per agent")
     p.add_argument("--sampling", choices=["cycle", "iid"], default="cycle")
     p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--interval", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="instance directory (default: a temporary one)")
     return p.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
-    spec = problems.ProblemSpec(m=args.m, n=args.n, density=args.density, seed=args.seed,
-                                agents=args.agents)
+    spec = problems.ProblemSpec(m=args.m, n=args.n, density=args.density, seed=SEED,
+                                agents=AGENTS)
     timings = {}
     start = time.perf_counter()
     inst = problems.generate(spec)
     timings["generate_s"] = time.perf_counter() - start
     nnz = inst.coo.nnz
     with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(args.out) if args.out else Path(tmp) / "instance"
+        directory = Path(tmp) / "instance"
         t = time.perf_counter()
         problems.save(inst, directory)
         timings["save_s"] = time.perf_counter() - t
@@ -60,16 +60,15 @@ def main(argv=None):
         inst = problems.load(directory)
         timings["load_s"] = time.perf_counter() - t
     timings["setup_s"] = time.perf_counter() - start
-    opts = RunOptions(block_size=args.block_size, lam=args.lam, sampling=args.sampling,
-                      interval=args.interval, tol=1e-12, k_max=args.k_max, stop_mode="all",
-                      seed=args.seed)
+    opts = RunOptions(block_size=BLOCK_SIZE, lam=args.lam, sampling=args.sampling,
+                      interval=INTERVAL, tol=1e-12, k_max=args.k_max, stop_mode="all", seed=SEED)
     t = time.perf_counter()
     result = harness.run_single(inst, opts)
     timings["run_s"] = time.perf_counter() - t
     timings["wall_s"] = time.perf_counter() - start
 
-    print(f"instance {args.m}x{args.n}, {nnz} entries, {args.agents} agents, "
-          f"{args.sampling} blocks of {args.block_size}, lam {args.lam}")
+    print(f"instance {args.m}x{args.n}, {nnz} entries, {AGENTS} agents, "
+          f"{args.sampling} blocks of {BLOCK_SIZE}, lam {args.lam}")
     print(f"stop_reason {result.stop_reason}")
     print(f"iterations_per_agent {min(s.k for s in result.states)}")
     print(f"e_stop {result.metrics.e_stop:.6g}")

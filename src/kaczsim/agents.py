@@ -20,20 +20,19 @@ The shard A_i is sparse (problems.CsrRows); no m_i x n dense array is
 held.  A block is densified on its column support only: A_J is |J| x
 |cols|, cols the sorted columns where the rows of J have entries, and the
 step reads and updates only w[cols], which is exact since A_J is zero
-outside them.  A block whose support covers at least half of the n
-columns is kept whole instead (cols = Ellipsis, A_J |J| x n): there the
-gather and scatter of w[cols] would cost more than they save, and the step
-keeps the whole block's arithmetic bit for bit.  Ellipsis rather than
-slice(None): w[...] += v costs what w + v does, while the slice's in-place
-update measured 0.3-0.5 us slower per step (2-core Xeon, numpy 2.4).
+outside them.  A block on all n columns gives the whole block's step bit
+for bit; a narrower one rounds its products over fewer terms.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
 without replacement.  The agent config owns its block operators: the chunk
 table (AgentConfig.chunks) and, built on first use, one block entry per
-chunk (AgentConfig.blocks): the chunk's row slice, its columns cols, A_J,
-the view b_J into the shard and the factor W or F (block_factor), so a
-cyclic step does no indexing and no factorization.  Iid blocks are
+chunk (AgentConfig.blocks): the chunk's row slice, its columns cols, the
+plan that places the chunk's entries in A_J (block_rows), the view b_J
+into the shard and the factor W or F (block_factor).  A cyclic step finds
+no support and factors nothing; it densifies A_J from the plan, one zero
+array and one scatter, so that the entries hold one index per entry of
+the shard rather than a dense copy of every block.  Iid blocks are
 gathered and factored afresh every step.  The step updates the agent
 state in place.  Every operation here is numpy.
 """
@@ -106,8 +105,10 @@ class AgentConfig:
     @cached_property
     def blocks(self) -> list[tuple]:
         """_block_entry of each chunk, built on first use: the entries a
-        cyclic step reads, so each chunk is factored once per config."""
-        return [_block_entry(self, chunk, c) for c, chunk in enumerate(self.chunks)]
+        cyclic step reads, so each chunk is factored once per config.  An
+        entry keeps the plan of A_J, not A_J, so the entries of all chunks
+        hold no copy of the shard's data."""
+        return [_block_entry(self, chunk, c)[0] for c, chunk in enumerate(self.chunks)]
 
 
 def make_chunks(local_rows: int, block_size: int) -> list[np.ndarray]:
@@ -181,32 +182,42 @@ def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
 
 
 def block_rows(A: CsrRows, J: np.ndarray) -> tuple:
-    """(cols, A_J): the rows J of A densified on their column support, the
-    sorted columns cols where they have entries, so A_J is |J| x |cols|.  A
-    support of at least half the n columns gives cols = Ellipsis and the
-    whole |J| x n rows."""
+    """(cols, plan) for the sorted, distinct rows J of A: cols, the sorted
+    columns where they have entries, and plan = (entries, pos, shape), from
+    which densify builds A_J, the rows on those columns (|J| x |cols|):
+    A.data[entries] at the flat positions pos of a zero array of that
+    shape.  entries is a slice when J is a contiguous range, so a chunk's
+    plan holds no copy of the data."""
     starts = A.indptr[J]
     counts = A.indptr[J + 1] - starts
     row = np.repeat(np.arange(len(J)), counts)
-    entry = np.arange(len(row)) + (starts - counts.cumsum() + counts)[row]
-    col = A.indices[entry]
-    n = A.shape[1]
-    support = np.zeros(n, dtype=bool)
+    entries = np.arange(len(row)) + (starts - counts.cumsum() + counts)[row]
+    col = A.indices[entries]
+    support = np.zeros(A.shape[1], dtype=bool)
     support[col] = True
     cols = support.nonzero()[0]
-    full = 2 * len(cols) >= n
-    A_J = np.zeros((len(J), n if full else len(cols)))
-    A_J[row, col if full else cols.searchsorted(col)] = A.data[entry]
-    return (Ellipsis if full else cols), A_J
+    pos = row * len(cols) + cols.searchsorted(col)
+    if J[-1] - J[0] == len(J) - 1:
+        entries = slice(int(starts[0]), int(starts[0]) + len(row))
+    return cols, (entries, pos, (len(J), len(cols)))
+
+
+def densify(A: CsrRows, plan: tuple) -> np.ndarray:
+    """The dense block A_J of a block_rows plan, a new C-ordered array."""
+    entries, pos, shape = plan
+    A_J = np.zeros(shape[0] * shape[1])
+    A_J[pos] = A.data[entries]
+    return A_J.reshape(shape)
 
 
 def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
-    """(rows, cols, A_J, b_J, factor) for block J, with cols and A_J from
-    block_rows.  A chunk is a contiguous range, so rows is a slice and b_J
-    a view into the shard; an iid block's b_J is gathered."""
+    """((rows, cols, plan, b_J, factor), A_J) for block J, with cols and
+    plan from block_rows.  A chunk is a contiguous range, so rows is a
+    slice and b_J a view into the shard; an iid block's b_J is gathered."""
     rows = J if chunk is None else slice(int(J[0]), int(J[-1]) + 1)
-    cols, A_J = block_rows(cfg.A, J)
-    return rows, cols, A_J, cfg.b[rows], block_factor(A_J, cfg.lam)
+    cols, plan = block_rows(cfg.A, J)
+    A_J = densify(cfg.A, plan)
+    return (rows, cols, plan, cfg.b[rows], block_factor(A_J, cfg.lam)), A_J
 
 
 def step(state: AgentState, cfg: AgentConfig,
@@ -214,16 +225,19 @@ def step(state: AgentState, cfg: AgentConfig,
     """Average the snapshot entries (self and the latest estimate from each
     neighbor heard from), then project onto the sampled block equations.
 
-    A chunk's block entry (rows, cols, A_J, b_J, factor) comes from
-    cfg.blocks; an iid block is gathered and factored afresh.  The state is
-    updated in place (k, block, chunk, the sampler, x rebound to the new
-    array aggregate returns, y's block entries) and the same object is
-    returned.
+    A chunk's block entry (rows, cols, plan, b_J, factor) comes from
+    cfg.blocks and its A_J is densified from the plan; an iid block is
+    gathered and factored afresh.  The state is updated in place (k, block,
+    chunk, the sampler, x rebound to the new array aggregate returns, y's
+    block entries) and the same object is returned.
     """
     w = aggregate(entries)
     J = sample_block(state, cfg)
-    entry = _block_entry(cfg, J, None) if state.chunk is None else cfg.blocks[state.chunk]
-    rows, cols, A_J, b_J, factor = entry
+    if state.chunk is None:
+        (rows, cols, _, b_J, factor), A_J = _block_entry(cfg, J, None)
+    else:
+        rows, cols, plan, b_J, factor = cfg.blocks[state.chunk]
+        A_J = densify(cfg.A, plan)
     r = b_J - A_J @ w[cols]
     if cfg.augmented:
         alpha = factor @ (r - cfg.lam * state.y[rows])

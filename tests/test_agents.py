@@ -213,7 +213,7 @@ def test_consistent_step_nonexpansive_toward_solutions():
 def direct_update(cfg, J, w, y=None):
     """The step's update with block J gathered and factored afresh (the iid
     path), for comparison with a chunk's entry in cfg.blocks."""
-    _, cols, A_J, b_J, factor = agents._block_entry(cfg, J, None)
+    (_, cols, _, b_J, factor), A_J = agents._block_entry(cfg, J, None)
     x = w.copy()
     if cfg.lam is None:
         x[cols] += A_J.T @ (factor @ (factor.T @ (b_J - A_J @ w[cols])))
@@ -408,11 +408,13 @@ def test_chunk_factored_once(monkeypatch):
                     agents.step(state, cfg, snap(state.x))
             assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else 2 * steps)
             if sampling == agents.CYCLE:
-                # a chunk's entry holds a view of b, not a copy, and A_J is
-                # the chunk's rows on their columns (all of them here: A is dense)
-                for rows, cols, A_J, b_J, _ in cfg.blocks:
-                    assert np.shares_memory(b_J, cfg.b) and cols is Ellipsis
-                    assert np.array_equal(A_J, A[rows]) and np.array_equal(b_J, b[rows])
+                # a chunk's entry holds a view of b, not a copy, and its plan
+                # gives the chunk's rows on their columns (all of them here:
+                # A is dense)
+                for rows, cols, plan, b_J, _ in cfg.blocks:
+                    assert np.shares_memory(b_J, cfg.b) and np.array_equal(cols, range(4))
+                    assert np.array_equal(agents.densify(cfg.A, plan), A[rows])
+                    assert np.array_equal(b_J, b[rows])
 
 
 def test_block_factors_are_block_by_block(monkeypatch):
@@ -442,8 +444,8 @@ def test_block_factors_are_block_by_block(monkeypatch):
                 agents.step(state, cfg, snap(state.x))
             assert built and all(F.shape == shape(A_J) for A_J, F in built)
             if sampling == agents.CYCLE:
-                assert [F.shape for _, _, A_J, _, F in cfg.blocks] == \
-                    [shape(A_J) for _, _, A_J, _, _ in cfg.blocks]
+                assert [F.shape for *_, F in cfg.blocks] == \
+                    [shape(agents.densify(cfg.A, plan)) for _, _, plan, _, _ in cfg.blocks]
                 assert cfg.blocks[0][4].shape == (3, 3 if lam else 2)
 
 
@@ -469,24 +471,31 @@ def dense_step(cfg, J, w, y=None):
     return w + A_J.T @ alpha, y[J] + cfg.lam * alpha
 
 
-def test_block_rows_half_support_rule():
+def test_block_rows_compresses_to_the_support():
     A = problems.CsrRows.from_dense(np.array([[1.0, 0, 0, 0, 2, 0, 0, 0],
                                               [0, 3.0, 0, 4, 0, 0, 0, 0],
                                               [0, 0, 0, 0, 0, 5.0, 0, 6],
                                               [0, 0, 0, 0, 0, 7.0, 0, 0]]))
-    cols, A_J = agents.block_rows(A, np.array([0, 1]))   # 4 of 8 columns: whole rows
-    assert cols is Ellipsis and np.array_equal(A_J, A.dense()[:2])
-    cols, A_J = agents.block_rows(A, np.array([1, 3]))   # 3 of 8: compressed
+    def block(*J):
+        cols, plan = agents.block_rows(A, np.array(J))
+        return cols, agents.densify(A, plan)
+
+    cols, A_J = block(0, 1)
+    assert np.array_equal(cols, [0, 1, 3, 4])
+    assert np.array_equal(A_J, [[1.0, 0, 0, 2], [0, 3, 4, 0]])
+    cols, A_J = block(1, 3)
     assert np.array_equal(cols, [1, 3, 5])
     assert np.array_equal(A_J, [[3.0, 4, 0], [0, 0, 7]])
-    cols, A_J = agents.block_rows(A, np.array([2, 3]))
+    cols, A_J = block(2, 3)
     assert np.array_equal(cols, [5, 7]) and np.array_equal(A_J, [[5.0, 6], [7, 0]])
 
 
 @pytest.mark.parametrize("lam", [None, 0.7])
 @pytest.mark.parametrize("sampling", [agents.CYCLE, agents.IID])
-def test_compressed_step_matches_dense_step(lam, sampling):
-    cfg = sparse_cfg(lam, sampling)
+@pytest.mark.parametrize("size", [dict(), dict(m=30, n=20, density=0.3)])
+def test_compressed_step_matches_dense_step(lam, sampling, size):
+    # sparse blocks on about 20 of 200 columns, dense-ish ones on 12 to 20 of 20
+    cfg = sparse_cfg(lam, sampling, **size)
     g = np.random.default_rng(32)
     state = fresh(cfg, init=g.normal(size=cfg.dim))
     if lam is not None:
@@ -496,8 +505,8 @@ def test_compressed_step_matches_dense_step(lam, sampling):
         w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
         agents.step(state, cfg, entries)
         J = state.block
-        cols, A_J = agents.block_rows(cfg.A, J)
-        assert cols is not Ellipsis and 2 * len(cols) < cfg.dim
+        cols, plan = agents.block_rows(cfg.A, J)
+        A_J = agents.densify(cfg.A, plan)
         # the products skip the zero columns and the SVD sees a narrower
         # block, so the rounding differs: most steps agree to 1e-16, and on
         # 20 seeds the worst was 15 eps kappa (consistent iid, rank-deficient)
@@ -511,16 +520,16 @@ def test_compressed_step_matches_dense_step(lam, sampling):
 
 @pytest.mark.parametrize("lam", [None, 0.7])
 @pytest.mark.parametrize("sampling", [agents.CYCLE, agents.IID])
-def test_half_support_step_gives_dense_bits(lam, sampling):
-    # density 0.3: every 5-row block covers at least half of the 20 columns
-    cfg = sparse_cfg(lam, sampling, m=30, n=20, density=0.3)
+def test_full_support_step_gives_dense_bits(lam, sampling):
+    # density 1: every block lies on all 20 columns
+    cfg = sparse_cfg(lam, sampling, m=30, n=20, density=1.0)
     g = np.random.default_rng(33)
     state = fresh(cfg, init=g.normal(size=cfg.dim))
     for _ in range(3 * len(cfg.chunks)):
         entries = [(0, state.x, 0), (1, g.normal(size=cfg.dim), 0)]
         w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
         agents.step(state, cfg, entries)
-        assert agents.block_rows(cfg.A, state.block)[0] is Ellipsis
+        assert len(agents.block_rows(cfg.A, state.block)[0]) == cfg.dim
         x_ref, y_J = dense_step(cfg, state.block, w, y)
         assert np.array_equal(state.x, x_ref)
         if lam is not None:
@@ -555,10 +564,26 @@ def test_sparse_shards_hold_no_dense_copy():
             agents.step(state, cfg, [(0, state.x, 0)])
             held = [shard.b, shard.rows, cfg.b, cfg.rows, *cfg.chunks]
             held += [getattr(A, f) for A in (shard.A, cfg.A) for f in ("indptr", "indices", "data")]
-            held += [part for entry in cfg.blocks for part in entry
-                     if isinstance(part, np.ndarray)]
+            for _, cols, (entries, pos, _), b_J, factor in cfg.blocks:
+                held += [a for a in (cols, entries, pos, b_J, factor) if isinstance(a, np.ndarray)]
             assert all(a.size < dense_size for a in held)
             assert sum(a.size for a in held) < dense_size / 10
+
+
+@pytest.mark.parametrize("density", [0.02, 0.3])
+def test_chunk_entries_hold_no_block_copy(density):
+    # a chunk's entry keeps the plan of A_J, not A_J: the data stays in the
+    # shard (entries is a slice), and cols and the positions pos hold at
+    # most one number per entry of the chunk's rows, sparse or dense-ish
+    for lam in (None, 0.7):
+        cfg = sparse_cfg(lam, agents.CYCLE, density=density)
+        dense = cfg.A.dense()
+        for J, (rows, cols, plan, b_J, _) in zip(cfg.chunks, cfg.blocks):
+            entries, pos, shape = plan
+            nnz = cfg.A.indptr[J[-1] + 1] - cfg.A.indptr[J[0]]
+            assert isinstance(entries, slice) and entries.stop - entries.start == len(pos) == nnz
+            assert len(cols) <= nnz
+            assert np.array_equal(agents.densify(cfg.A, plan), dense[rows][:, cols])
 
 
 # ------------------------------------------------------------ payload contract

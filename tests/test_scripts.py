@@ -29,7 +29,7 @@ def test_run_baseline_prints_stop_line(capsys):
 
 def test_sparse_target_prints_timings_and_peak_rss(capsys):
     load_script("sparse_target").main(["--m", "2000", "--n", "200", "--density", "0.01",
-                                       "--agents", "4", "--block-size", "10", "--k-max", "20"])
+                                       "--k-max", "20"])
     values = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
     assert values["stop_reason"] == "k_max" and values["iterations_per_agent"] == "20"
     for name in ("generate_s", "save_s", "load_s", "setup_s", "run_s", "wall_s", "peak_rss_mb"):
