@@ -49,7 +49,7 @@ def main(argv=None):
     start = time.perf_counter()
     inst = problems.generate(spec)
     timings["generate_s"] = time.perf_counter() - start
-    nnz = inst.coo.nnz
+    nnz = inst.A.nnz
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "instance"
         t = time.perf_counter()

@@ -54,7 +54,7 @@ IID = "iid"
 @dataclass(frozen=True)
 class AgentConfig:
     agent_id: int
-    A: CsrRows                    # m_i x n shard; a dense array is converted
+    A: CsrRows                    # m_i x n shard
     b: np.ndarray                 # m_i
     rows: np.ndarray              # global row indices of the shard
     block_size: int               # rows used per projection step
@@ -64,8 +64,6 @@ class AgentConfig:
     sampling: str = CYCLE
 
     def __post_init__(self):
-        if not isinstance(self.A, CsrRows):
-            object.__setattr__(self, "A", CsrRows.from_dense(self.A))
         if not (len(self.b) == len(self.rows) == self.A.shape[0]):
             raise DimensionError(f"shard has {self.A.shape[0]} rows but len(b) = {len(self.b)}, "
                                  f"len(rows) = {len(self.rows)}")

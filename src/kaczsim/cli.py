@@ -77,7 +77,7 @@ def cmd_gen(args) -> int:
     inst = problems.generate(spec)
     out = _out_dir(args, default="instance")
     problems.save(inst, out)
-    print(f"wrote instance ({args.m}x{args.n}, {inst.coo.nnz} nonzeros, {args.agents} shards) to {out}")
+    print(f"wrote instance ({args.m}x{args.n}, {inst.A.nnz} nonzeros, {args.agents} shards) to {out}")
     return 0
 
 

@@ -194,7 +194,7 @@ def config_hash(doc: dict) -> str:
 def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     """Materialize a simulator config (and its oracle) from an instance."""
     n_agents = opts.agents if opts.agents is not None else len(inst.shards)
-    shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.coo, inst.b, n_agents)
+    shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.A, inst.b, n_agents)
     lam = opts.lam if opts.lam else None   # 0 or None -> consistent update
     acfgs = [
         AgentConfig(i, s.A, s.b, s.rows, min(opts.block_size, s.A.shape[0]),
@@ -204,7 +204,7 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     cap = opts.topology_cap if opts.topology_cap is not None else n_agents
     topo = topology.build_pascal(n_agents, cap, seed=opts.topology_seed)
     if lam is not None:
-        oracle, _ = linalg.augmented_min_norm_solve(inst.coo, inst.b, lam)
+        oracle, _ = linalg.augmented_min_norm_solve(inst.A, inst.b, lam)
     else:
         oracle = inst.x_star
     trigger = EveryK(opts.interval) if opts.trigger == "every_k" else GlobalSchedule(opts.spacing)

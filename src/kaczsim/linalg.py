@@ -19,8 +19,8 @@ W W^T = (A_J A_J^T)^+, applied as w + A_J^T W (W^T r), and
 F = (A_J A_J^T + lam^2 I)^{-1}, applied as w + A_J^T (F r).  Importing
 this module loads numpy only.  scipy, whose import takes about 0.2 s, is
 imported only by the LSQR branch of the oracles.
-"Sparse" here means any matrix with a tocsr method: a scipy.sparse matrix
-or a problems.CooMatrix, which densifies with numpy alone.
+"Sparse" here means any matrix with tocsr and toarray methods: a
+scipy.sparse matrix or a problems.CsrRows, which densifies with numpy alone.
 """
 from __future__ import annotations
 

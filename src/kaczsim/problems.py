@@ -9,13 +9,14 @@ On disk an instance is a directory holding A in Matrix Market coordinate
 format, vectors as one-value-per-line text with 17 significant digits, and
 a JSON manifest with the shard row ranges.
 
-A stays sparse, held as coordinate arrays (CooMatrix) and handled with
-numpy alone: the oracle solves take it as it is, and each shard holds its
-rows in compressed sparse row form (CsrRows), so no m x n or m_i x n dense
-array is built on the way to a run (inst.dense() builds one).  Generating,
-loading and partitioning an instance do not import scipy, whose import takes
-about 0.2 s; it is imported only to write A.mtx (save), to solve a system
-above linalg.SVD_MAX_ENTRIES by LSQR, or to build inst.A, the scipy view.
+A is held once, as numpy arrays in compressed sparse row form (CsrRows),
+from generate or load through to the agents: each shard is a view of a
+contiguous run of its rows, so partitioning copies no entry, and no m x n
+or m_i x n dense array is built on the way to a run (inst.dense() builds
+one).  Generating, loading and partitioning an instance do not import
+scipy, whose import takes about 0.2 s; it is imported only to write A.mtx
+(save) and to solve a system above linalg.SVD_MAX_ENTRIES by LSQR, both
+of which take A from CsrRows.tocsr.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +60,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class CsrRows:
-    """Rows of a sparse matrix in compressed sparse row form, as numpy arrays:
-    row i holds data[indptr[i]:indptr[i + 1]] at columns indices[indptr[i]:
-    indptr[i + 1]], sorted and distinct within the row."""
+    """A sparse matrix in compressed sparse row form, as numpy arrays: row i
+    holds data[indptr[i]:indptr[i + 1]] at columns indices[indptr[i]:
+    indptr[i + 1]], sorted and distinct within the row, with indptr[0] = 0."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -70,102 +70,79 @@ class CsrRows:
     data: np.ndarray
 
     @classmethod
+    def from_coo(cls, shape, row, col, data) -> CsrRows:
+        """Coordinate entries, data[e] at 0-based (row[e], col[e]); entries at
+        the same position add up in stored order (so -0.0 alone gives +0.0)."""
+        m, n = shape
+        slots, slot = np.unique(np.asarray(row, np.int64) * n + col, return_inverse=True)
+        summed = np.zeros(len(slots))
+        np.add.at(summed, slot, data)
+        return cls((m, n), np.searchsorted(slots, np.arange(m + 1) * n), slots % n, summed)
+
+    @classmethod
     def from_dense(cls, A: np.ndarray) -> CsrRows:
         """The entries of a dense matrix that are not +0.0 (-0.0 and nan
-        included), so that dense() gives A back bit for bit."""
+        included), so that toarray() gives A back bit for bit."""
         A = np.asarray(A, dtype=float)
         row, col = np.nonzero((A != 0) | np.signbit(A))
         indptr = np.searchsorted(row, np.arange(A.shape[0] + 1))
         return cls(A.shape, indptr, col, A[row, col])
 
-    def dense(self) -> np.ndarray:
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self, start: int, stop: int) -> CsrRows:
+        """Rows start:stop; indices and data are views of this matrix's."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CsrRows((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
+                       self.indices[lo:hi], self.data[lo:hi])
+
+    def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, summing each row's products in stored order (as scipy's CSR
+        product does, bit for bit)."""
+        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(row, weights=self.data * x[self.indices], minlength=self.shape[0])
+
+    def tocsr(self):
+        """This matrix as a scipy.sparse.csr_matrix (imports scipy)."""
+        import scipy.sparse
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass
 class Shard:
     """One agent's contiguous slice of the system."""
 
-    A: CsrRows             # m_i x n, sparse
+    A: CsrRows             # m_i x n, a view of the instance's rows
     b: np.ndarray          # m_i
     rows: np.ndarray       # global row indices, contiguous and sorted
 
 
-@dataclass(frozen=True)
-class CooMatrix:
-    """A sparse matrix as coordinate arrays: entry e is data[e] at (row[e],
-    col[e]), 0-based.  Duplicate entries add up, as in scipy.sparse."""
-
-    shape: tuple[int, int]
-    row: np.ndarray
-    col: np.ndarray
-    data: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def rows_dense(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop as a dense array, entries added in stored order."""
-        sel = (self.row >= start) & (self.row < stop)
-        out = np.zeros((stop - start, self.shape[1]))
-        np.add.at(out, (self.row[sel] - start, self.col[sel]), self.data[sel])
-        return out
-
-    def rows_csr(self, start: int, stop: int) -> CsrRows:
-        """Rows start:stop as CsrRows, duplicate entries added in stored
-        order, so that its dense() equals rows_dense(start, stop) bit for bit."""
-        sel = (self.row >= start) & (self.row < stop)
-        n = self.shape[1]
-        slots, slot = np.unique((self.row[sel] - start) * n + self.col[sel], return_inverse=True)
-        data = np.zeros(len(slots))
-        np.add.at(data, slot, self.data[sel])
-        indptr = np.searchsorted(slots, np.arange(stop - start + 1) * n)
-        return CsrRows((stop - start, n), indptr, slots % n, data)
-
-    def toarray(self) -> np.ndarray:
-        return self.rows_dense(0, self.shape[0])
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x, summing each row's products in stored order (as scipy's COO
-        product does, bit for bit)."""
-        return np.bincount(self.row, weights=self.data * x[self.col], minlength=self.shape[0])
-
-    def to_scipy(self):
-        """This matrix as a scipy.sparse.coo_matrix (imports scipy)."""
-        import scipy.sparse
-        return scipy.sparse.coo_matrix((self.data, (self.row, self.col)), shape=self.shape)
-
-    def tocsr(self):
-        return self.to_scipy().tocsr()
-
-
 @dataclass
 class ProblemInstance:
-    coo: CooMatrix         # A, in row-major entry order for generated instances
+    A: CsrRows
     b: np.ndarray
     x_planted: np.ndarray
     x_star: np.ndarray     # minimum-norm least-squares solution, pinv(A) b
     shards: list[Shard]
     spec: ProblemSpec | None = None
 
-    @cached_property
-    def A(self):
-        """A as a scipy.sparse.coo_matrix, built (and scipy imported) on first use."""
-        return self.coo.to_scipy()
-
     @property
     def m(self) -> int:
-        return self.coo.shape[0]
+        return self.A.shape[0]
 
     @property
     def n(self) -> int:
-        return self.coo.shape[1]
+        return self.A.shape[1]
 
     def dense(self) -> np.ndarray:
-        return self.coo.toarray()
+        return self.A.toarray()
 
 
 def partition_sizes(m: int, agents: int) -> list[int]:
@@ -178,13 +155,13 @@ def partition_sizes(m: int, agents: int) -> list[int]:
     return [base + 1] * extra + [base] * (agents - extra)
 
 
-def _shard(A: CooMatrix, start: int, stop: int, b: np.ndarray) -> Shard:
-    """Shard of rows start:stop of A, in CSR form, with right-hand side b."""
-    return Shard(A.rows_csr(start, stop), b, np.arange(start, stop))
+def _shard(A: CsrRows, start: int, stop: int, b: np.ndarray) -> Shard:
+    """Shard of rows start:stop of A, a view, with right-hand side b."""
+    return Shard(A.rows(start, stop), b, np.arange(start, stop))
 
 
-def partition(A: CooMatrix, b: np.ndarray, agents: int) -> list[Shard]:
-    """Contiguous row shards of the sparse matrix A, sized by partition_sizes."""
+def partition(A: CsrRows, b: np.ndarray, agents: int) -> list[Shard]:
+    """Contiguous row shards of A, sized by partition_sizes."""
     shards = []
     start = 0
     for size in partition_sizes(A.shape[0], agents):
@@ -215,10 +192,11 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     g = rng.stream(spec.seed, rng.MATRIX)
     flat = _sample_positions(g, spec.m, spec.n, nnz)
     values = g.normal(size=nnz)
-    # canonical row-major entry order
+    # row-major entry order: the positions are distinct, so this is CSR
     order = np.argsort(flat, kind="stable")
     flat, values = flat[order], values[order]
-    A = CooMatrix((spec.m, spec.n), flat // spec.n, flat % spec.n, values)
+    A = CsrRows((spec.m, spec.n), np.searchsorted(flat, np.arange(spec.m + 1) * spec.n),
+                flat % spec.n, values)
     x_planted = rng.stream(spec.seed, rng.SOLUTION).normal(size=spec.n)
     b = A @ x_planted
     if spec.noise > 0.0:
@@ -229,15 +207,13 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
 def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance:
     """Wrap explicit (A, b) into an instance: oracle solution plus shards.
 
-    A is a CooMatrix, a scipy.sparse matrix or a dense array, whose
-    nonzeros are taken in row-major order."""
+    A is a CsrRows, a scipy.sparse matrix (its stored entries, duplicates
+    added) or a dense array (CsrRows.from_dense)."""
     if hasattr(A, "tocoo"):
         A = A.tocoo()
-        A = CooMatrix(A.shape, A.row.astype(np.int64), A.col.astype(np.int64), A.data.astype(float))
-    elif not isinstance(A, CooMatrix):
-        A = np.asarray(A, dtype=float)
-        row, col = np.nonzero(A)
-        A = CooMatrix(A.shape, row, col, A[row, col])
+        A = CsrRows.from_coo(A.shape, A.row, A.col, A.data)
+    elif not isinstance(A, CsrRows):
+        A = CsrRows.from_dense(A)
     b = np.asarray(b, dtype=float)
     x_star = min_norm_solve(A, b)
     if x_planted is None:
@@ -261,8 +237,9 @@ def _read_vector(path: Path) -> np.ndarray:
         raise IoError(f"corrupt vector file {path}: {exc}") from exc
 
 
-def _read_matrix(path: Path) -> CooMatrix:
-    """A Matrix Market "coordinate real general" file as a CooMatrix.
+def _read_matrix(path: Path) -> CsrRows:
+    """A Matrix Market "coordinate real general" file as CsrRows, entries
+    at the same position added in file order.
 
     The header, the size line (m n nnz), the entry count and every entry's
     1-based indices are checked; any mismatch raises IoError.
@@ -293,7 +270,7 @@ def _read_matrix(path: Path) -> CooMatrix:
     row, col = entries["i"] - 1, entries["j"] - 1
     if nnz and not (0 <= row.min() and row.max() < m and 0 <= col.min() and col.max() < n):
         raise IoError(f"corrupt matrix file {path}: an entry index lies outside {m} x {n}")
-    return CooMatrix((m, n), row, col, entries["v"].copy())
+    return CsrRows.from_coo((m, n), row, col, entries["v"])
 
 
 def save(inst: ProblemInstance, directory) -> Path:
@@ -302,7 +279,7 @@ def save(inst: ProblemInstance, directory) -> Path:
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    scipy.io.mmwrite(directory / "A.mtx", inst.A, precision=17)
+    scipy.io.mmwrite(directory / "A.mtx", inst.A.tocsr(), precision=17)
     _write_vector(directory / "b.txt", inst.b)
     _write_vector(directory / "x_planted.txt", inst.x_planted)
     _write_vector(directory / "x_star.txt", inst.x_star)

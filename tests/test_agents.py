@@ -12,7 +12,8 @@ from oracles import project_null
 def make_cfg(A, b, block=None, lam=None, sampling=agents.CYCLE):
     A = np.asarray(A, float)
     b = np.asarray(b, float)
-    return AgentConfig(0, A, b, np.arange(A.shape[0]), block or A.shape[0], lam=lam, sampling=sampling)
+    return AgentConfig(0, problems.CsrRows.from_dense(A), b, np.arange(A.shape[0]), block or A.shape[0],
+                       lam=lam, sampling=sampling)
 
 
 def fresh(cfg, seed=0, init=None):
@@ -98,14 +99,15 @@ def test_iid_row_frequencies():
     ({"sampling": "sweep"}, InvalidParameter),
     ({"b": np.ones(2)}, DimensionError),
     ({"rows": np.arange(4)}, DimensionError),
-    ({"A": np.diag([1.0, np.nan, 1.0])}, InvalidParameter),
+    ({"A": problems.CsrRows.from_dense(np.diag([1.0, np.nan, 1.0]))}, InvalidParameter),
     ({"b": np.array([1.0, 1.0, np.inf])}, InvalidParameter),
 ], ids=["block-zero", "block-over-rows", "t-min-zero", "t-min-over-t-max", "t-max-inf",
         "lam-zero", "lam-negative", "lam-nan", "lam-square-underflows", "lam-square-overflows",
         "sampling", "b-length", "rows-length", "A-nan",
         "b-inf"])
 def test_agent_config_validation(change, error):
-    fields = dict(agent_id=0, A=np.eye(3), b=np.ones(3), rows=np.arange(3), block_size=3)
+    fields = dict(agent_id=0, A=problems.CsrRows.from_dense(np.eye(3)), b=np.ones(3),
+                  rows=np.arange(3), block_size=3)
     with pytest.raises(error):
         AgentConfig(**{**fields, **change})
 
@@ -158,8 +160,8 @@ def test_two_agents_alternating_converge_to_min_norm():
     b = A @ g.normal(size=2)
     x_star = linalg.min_norm_solve(A, b)
     cfgs = [
-        AgentConfig(0, A[:2], b[:2], np.arange(0, 2), 2),
-        AgentConfig(1, A[2:], b[2:], np.arange(2, 4), 2),
+        AgentConfig(0, problems.CsrRows.from_dense(A[:2]), b[:2], np.arange(0, 2), 2),
+        AgentConfig(1, problems.CsrRows.from_dense(A[2:]), b[2:], np.arange(2, 4), 2),
     ]
     states = [fresh(cfgs[0], 0), fresh(cfgs[1], 1)]
     for step in range(500):
@@ -340,7 +342,7 @@ def reference_step(state, cfg, entries):
         state.chunk = state.order.pop(0)
         state.block = chunks[state.chunk]
     J = state.block
-    A_J = cfg.A.dense()[J]
+    A_J = cfg.A.toarray()[J]
     if cfg.lam is None:
         return replace(state, x=w + linalg.pinv(A_J) @ (cfg.b[J] - A_J @ w), k=state.k + 1)
     r = cfg.b[J] - A_J @ w - cfg.lam * state.y[J]
@@ -462,7 +464,7 @@ def sparse_cfg(lam, sampling, seed=31, m=60, n=200, density=0.02, block=5):
 
 def dense_step(cfg, J, w, y=None):
     """The step on the whole |J| x n block, as dense shards computed it."""
-    A_J = cfg.A.dense()[J]
+    A_J = cfg.A.toarray()[J]
     factor = agents.block_factor(A_J, cfg.lam)
     r = cfg.b[J] - A_J @ w
     if cfg.lam is None:
@@ -577,7 +579,7 @@ def test_chunk_entries_hold_no_block_copy(density):
     # most one number per entry of the chunk's rows, sparse or dense-ish
     for lam in (None, 0.7):
         cfg = sparse_cfg(lam, agents.CYCLE, density=density)
-        dense = cfg.A.dense()
+        dense = cfg.A.toarray()
         for J, (rows, cols, plan, b_J, _) in zip(cfg.chunks, cfg.blocks):
             entries, pos, shape = plan
             nnz = cfg.A.indptr[J[-1] + 1] - cfg.A.indptr[J[0]]

@@ -74,7 +74,8 @@ def test_golden_digests(name):
 @pytest.mark.parametrize("name", ["sparse_consistent_cycle_every_k_all",
                                   "sparse_regularized_iid_every_k_all"])
 def test_sparse_cases_take_the_compressed_path(name, monkeypatch):
-    # every block of these cases has its rows on fewer than n/2 columns
+    # these cases pin narrow blocks: every block's rows have entries on fewer
+    # than n/2 columns, so each A_J is much narrower than the shard
     block_rows, wide = agents.block_rows, []
 
     def recording(A, J):

@@ -1,10 +1,12 @@
-"""Import contract: the CLI import, a consistent or regularized `kaczsim
-run`, a lambda sweep and `kaczsim certify` load numpy only.
+"""Import contract: the CLI import, loading and partitioning an instance
+and reading its matrix, a consistent or regularized `kaczsim run`, a lambda
+sweep and `kaczsim certify` load numpy only.
 
 scipy's import takes about 0.2 s, more than a small run's whole set-up, so
-only the functions that call it import it: the LSQR branch of the oracles,
-Matrix Market writing (problems.save) and ProblemInstance.A.  Each check
-runs in a fresh interpreter and fails if any scipy module was loaded.
+only the functions that call it import it: the LSQR branch of the oracles
+and Matrix Market writing (problems.save), which both take A from
+problems.CsrRows.tocsr.  Each check runs in a fresh interpreter and fails
+if any scipy module was loaded.
 """
 import os
 import subprocess
@@ -44,6 +46,18 @@ def cli_code(*argv) -> str:
 
 def test_import_cli_loads_no_scipy(tmp_path):
     proc = run_python("import kaczsim.cli\n", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_load_and_partition_load_no_scipy(tmp_path, saved_instance):
+    code = ("import numpy as np\n"
+            "from kaczsim import problems\n"
+            f"inst = problems.load({str(saved_instance)!r})\n"
+            "assert inst.A.nnz == 216\n"
+            "assert (inst.A @ np.ones(inst.n)).shape == (inst.m,)\n"
+            "assert inst.dense().shape == (inst.m, inst.n)\n"
+            "assert len(problems.partition(inst.A, inst.b, 4)) == 4\n")
+    proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from kaczsim import cli, problems
+from kaczsim import cli, linalg, problems
 from kaczsim.errors import DegenerateInstance, IoError, TooManyAgents
 from kaczsim.linalg import min_norm_solve
+from oracles import coo_dense
 
 
 def small_spec(**kw):
@@ -63,7 +65,7 @@ def test_partition_sizes_10_3():
 def test_partition_single_agent_is_whole_system():
     inst = problems.generate(small_spec(agents=1))
     (shard,) = inst.shards
-    assert np.array_equal(shard.A.dense(), inst.dense())
+    assert np.array_equal(shard.A.toarray(), inst.dense())
     assert np.array_equal(shard.b, inst.b)
 
 
@@ -83,7 +85,7 @@ def test_partition_rejects_too_many_agents():
 
 def test_shards_reassemble_exactly():
     inst = problems.generate(small_spec(noise=0.3, agents=5))
-    A = np.vstack([s.A.dense() for s in inst.shards])
+    A = np.vstack([s.A.toarray() for s in inst.shards])
     b = np.concatenate([s.b for s in inst.shards])
     rows = np.concatenate([s.rows for s in inst.shards])
     assert np.array_equal(rows, np.arange(inst.m))
@@ -103,7 +105,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.x_star, inst.x_star)
     assert len(back.shards) == len(inst.shards)
     for s0, s1 in zip(inst.shards, back.shards):
-        assert np.array_equal(s0.A.dense(), s1.A.dense())
+        assert np.array_equal(s0.A.toarray(), s1.A.toarray())
         assert np.array_equal(s0.b, s1.b)
         assert np.array_equal(s0.rows, s1.rows)
     assert back.spec == inst.spec
@@ -236,9 +238,8 @@ def test_load_keeps_comments_and_stored_entry_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     back = problems.load(tmp_path / "inst")
     assert np.array_equal(back.dense(), inst.dense())
-    assert np.array_equal(back.coo.row, inst.coo.row[::-1])
     for s0, s1 in zip(inst.shards, back.shards):
-        assert np.array_equal(s0.A.dense(), s1.A.dense())
+        assert np.array_equal(s0.A.toarray(), s1.A.toarray())
         assert all(np.array_equal(getattr(s0.A, f), getattr(s1.A, f))
                    for f in ("indptr", "indices", "data"))
 
@@ -247,7 +248,56 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_rows_csr_matches_rows_dense_bit_for_bit():
+@pytest.mark.parametrize("reverse", [False, True], ids=["stored", "reversed"])
+def test_load_adds_duplicate_entries_once_for_every_reader(tmp_path, monkeypatch, reverse):
+    problems.save(problems.generate(small_spec(agents=2)), tmp_path / "inst")
+    path = tmp_path / "inst" / "A.mtx"
+    lines = path.read_text().splitlines()
+    at = _entries(lines)
+    i, j, _ = lines[at + 1].split()
+    # three entries at one slot: 1 + 1e16 rounds, so their sum depends on their order
+    entries = [f"{i} {j} {v}" for v in ("1", "1e16", "-1e16")] + lines[at + 2:]
+    if reverse:
+        entries = entries[::-1]
+    _set_size(lines, 2, +2)
+    path.write_text("\n".join(lines[:at + 1] + entries) + "\n")
+    row, col, data = (np.array(v) for v in zip(*[(int(a) - 1, int(b) - 1, float(c))
+                                                 for a, b, c in map(str.split, entries)]))
+    back = problems.load(tmp_path / "inst")
+    want = coo_dense(back.A.shape, row, col, data)
+    assert want[int(i) - 1, int(j) - 1] == (1.0 if reverse else 0.0)
+    assert same_bits(back.dense(), want)
+    assert same_bits(np.vstack([s.A.toarray() for s in back.shards]), want)
+    received = []
+
+    def recording(A, b, **kw):
+        received.append(A.toarray())
+        return lsqr(A, b, **kw)
+
+    lsqr = scipy.sparse.linalg.lsqr
+    monkeypatch.setattr(scipy.sparse.linalg, "lsqr", recording)
+    monkeypatch.setattr(linalg, "SVD_MAX_ENTRIES", 0)
+    linalg.min_norm_solve(back.A, back.b)
+    assert len(received) == 1 and same_bits(received[0], want)
+
+
+def test_shards_are_views_of_the_instance_matrix(tmp_path):
+    inst = problems.generate(small_spec(agents=5))
+    problems.save(inst, tmp_path / "inst")
+    back = problems.load(tmp_path / "inst")
+    for A, shards in [(inst.A, inst.shards), (back.A, back.shards),
+                      (inst.A, problems.partition(inst.A, inst.b, 3))]:
+        for s in shards:
+            assert np.shares_memory(s.A.data, A.data)
+            assert np.shares_memory(s.A.indices, A.indices)
+        assert sum(s.A.nnz for s in shards) == A.nnz
+    # partition copies no entry: a change to the instance's entries shows in every shard
+    inst.A.data[:] *= 2.0
+    for s in inst.shards:
+        assert np.array_equal(s.A.toarray(), inst.dense()[s.rows])
+
+
+def test_from_coo_rows_match_dense_reference_bit_for_bit():
     g = np.random.default_rng(21)
     for case in range(60):
         m, n = int(g.integers(1, 12)), int(g.integers(1, 12))
@@ -259,43 +309,44 @@ def test_rows_csr_matches_rows_dense_bit_for_bit():
         start = int(g.integers(0, m))
         stop = int(g.integers(start + 1, m + 1))
         for order in (slice(None), slice(None, None, -1)):   # stored and reversed order
-            A = problems.CooMatrix((m, n), row[order], col[order], data[order])
-            csr = A.rows_csr(start, stop)
-            assert same_bits(csr.dense(), A.rows_dense(start, stop))
+            entries = (row[order], col[order], data[order])
+            csr = problems.CsrRows.from_coo((m, n), *entries).rows(start, stop)
+            assert same_bits(csr.toarray(), coo_dense((m, n), *entries)[start:stop])
             assert csr.shape == (stop - start, n) and csr.indptr[0] == 0
             assert csr.indptr[-1] == len(csr.indices) == len(csr.data)
             for i in range(stop - start):   # columns sorted and distinct within a row
                 assert np.all(np.diff(csr.indices[csr.indptr[i]:csr.indptr[i + 1]]) > 0)
 
 
-def test_rows_csr_adds_duplicates_in_stored_order():
+def test_from_coo_adds_duplicates_in_stored_order():
     # 1 + 1e16 rounds, so the sum of these three entries depends on their order
     row, col, data = np.zeros(3, np.int64), np.zeros(3, np.int64), np.array([1.0, 1e16, -1e16])
     sums = []
     for order in (slice(None), slice(None, None, -1)):
-        A = problems.CooMatrix((1, 1), row, col, data[order])
-        sums.append(A.rows_csr(0, 1).data[0])
-        assert same_bits(A.rows_csr(0, 1).dense(), A.rows_dense(0, 1))
+        A = problems.CsrRows.from_coo((1, 1), row, col, data[order])
+        sums.append(A.data[0])
+        assert same_bits(A.rows(0, 1).toarray(), coo_dense((1, 1), row, col, data[order]))
     assert sums[0] != sums[1]
     # -0.0 entries densify to +0.0, in both forms
-    A = problems.CooMatrix((1, 2), np.zeros(2, np.int64), np.array([1, 1]), np.array([-0.0, -0.0]))
-    assert same_bits(A.rows_csr(0, 1).dense(), np.zeros((1, 2)))
-    assert same_bits(A.rows_dense(0, 1), np.zeros((1, 2)))
+    row, col, data = np.zeros(2, np.int64), np.array([1, 1]), np.array([-0.0, -0.0])
+    assert same_bits(problems.CsrRows.from_coo((1, 2), row, col, data).rows(0, 1).toarray(),
+                     np.zeros((1, 2)))
+    assert same_bits(coo_dense((1, 2), row, col, data), np.zeros((1, 2)))
 
 
 def test_csr_from_dense_round_trip():
     A = np.array([[0.0, -0.0, 1.5], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
     csr = problems.CsrRows.from_dense(A)
-    assert same_bits(csr.dense(), A)
+    assert same_bits(csr.toarray(), A)
     assert list(csr.indptr) == [0, 2, 3, 3] and list(csr.indices) == [1, 2, 0]
 
 
-def test_coo_matvec_matches_scipy_bit_for_bit():
+def test_matvec_matches_scipy_bit_for_bit():
     g = np.random.default_rng(3)
     for case in range(80):
         m, n = int(g.integers(1, 60)), int(g.integers(1, 60))
         inst = problems.generate(problems.ProblemSpec(m=m, n=n, density=float(g.uniform(0.05, 1.0)),
                                                       seed=case, agents=1))
         x = g.normal(size=n) * 10.0 ** g.integers(-8, 8, size=n)
-        assert np.array_equal(inst.coo @ x, inst.A @ x)
-        assert np.array_equal(inst.dense(), inst.A.toarray())
+        assert same_bits(inst.A @ x, inst.A.tocsr() @ x)
+        assert same_bits(inst.dense(), inst.A.tocsr().toarray())
