@@ -193,8 +193,8 @@ def config_hash(doc: dict) -> str:
 
 def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
     """Materialize a simulator config (and its oracle) from an instance."""
-    n_agents = opts.agents if opts.agents is not None else len(inst.shards)
-    shards = inst.shards if n_agents == len(inst.shards) else problems.partition(inst.A, inst.b, n_agents)
+    n_agents = opts.agents if opts.agents is not None else inst.agents
+    shards = problems.partition(inst.A, inst.b, n_agents)
     lam = opts.lam if opts.lam else None   # 0 or None -> consistent update
     acfgs = [
         AgentConfig(i, s.A, s.b, s.rows, min(opts.block_size, s.A.shape[0]),
@@ -251,7 +251,7 @@ def _cells_for_axis(inst: ProblemInstance, axis: str, values, xi_values, base: R
             n = derive_agent_count(inst.m, inst.n, float(theta1))
             cells.append(SweepCell(c, (float(theta1),), replace(base, agents=n, topology_cap=None)))
     elif axis == "neighbors":
-        n = base.agents if base.agents is not None else len(inst.shards)
+        n = base.agents if base.agents is not None else inst.agents
         for c, theta2 in enumerate(values):
             if not 0 < theta2 <= 1:
                 raise InvalidParameter(f"theta2 is a neighbor fraction in (0, 1], got {theta2}")

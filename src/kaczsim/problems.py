@@ -5,18 +5,21 @@ nonzero count: duplicate positions drawn during sampling are re-drawn until
 ceil(density * m * n) distinct slots are filled, so the density is honored
 exactly and the construction stays a pure function of the seed.
 
-On disk an instance is a directory holding A in Matrix Market coordinate
-format, vectors as one-value-per-line text with 17 significant digits, and
-a JSON manifest with the shard row ranges.
+On disk an instance is a directory of five files: A in Matrix Market
+coordinate format (A.mtx), the vectors b, x_planted and x_star as
+one-value-per-line text with 17 significant digits, and a JSON manifest
+with the default agent count, the file names and the generating spec.
 
-A is held once, as numpy arrays in compressed sparse row form (CsrRows),
-from generate or load through to the agents: each shard is a view of a
-contiguous run of its rows, so partitioning copies no entry, and no m x n
-or m_i x n dense array is built on the way to a run (inst.dense() builds
-one).  Generating, loading and partitioning an instance do not import
-scipy, whose import takes about 0.2 s; it is imported only to write A.mtx
-(save) and to solve a system above linalg.SVD_MAX_ENTRIES by LSQR, both
-of which take A from CsrRows.tocsr.
+Each datum is held once.  A is numpy arrays in compressed sparse row form
+(CsrRows), from generate or load through to the agents.  An instance
+stores no shards, only its default agent count: partition cuts (A, b)
+into contiguous row runs whose A and b are views of the instance's, so
+partitioning copies no entry, and no m x n or m_i x n dense array is
+built on the way to a run (inst.dense() builds one).  Generating, loading
+and partitioning an instance do not import scipy, whose import takes
+about 0.2 s; it is imported only to write A.mtx (save) and to solve a
+system above linalg.SVD_MAX_ENTRIES by LSQR, both of which take A from
+CsrRows.tocsr.
 """
 from __future__ import annotations
 
@@ -117,9 +120,10 @@ class CsrRows:
 
 @dataclass
 class Shard:
-    """One agent's contiguous slice of the system."""
+    """One agent's contiguous run of rows of the system; A and b are views
+    of the instance's, made by partition."""
 
-    A: CsrRows             # m_i x n, a view of the instance's rows
+    A: CsrRows             # m_i x n
     b: np.ndarray          # m_i
     rows: np.ndarray       # global row indices, contiguous and sorted
 
@@ -130,7 +134,7 @@ class ProblemInstance:
     b: np.ndarray
     x_planted: np.ndarray
     x_star: np.ndarray     # minimum-norm least-squares solution, pinv(A) b
-    shards: list[Shard]
+    agents: int            # default shard count, in [1, m]
     spec: ProblemSpec | None = None
 
     @property
@@ -155,18 +159,15 @@ def partition_sizes(m: int, agents: int) -> list[int]:
     return [base + 1] * extra + [base] * (agents - extra)
 
 
-def _shard(A: CsrRows, start: int, stop: int, b: np.ndarray) -> Shard:
-    """Shard of rows start:stop of A, a view, with right-hand side b."""
-    return Shard(A.rows(start, stop), b, np.arange(start, stop))
-
-
 def partition(A: CsrRows, b: np.ndarray, agents: int) -> list[Shard]:
-    """Contiguous row shards of A, sized by partition_sizes."""
+    """Contiguous row shards of (A, b), sized by partition_sizes; each
+    shard's A and b are views of A's and b's rows."""
     shards = []
     start = 0
     for size in partition_sizes(A.shape[0], agents):
-        shards.append(_shard(A, start, start + size, b[start:start + size].copy()))
-        start += size
+        stop = start + size
+        shards.append(Shard(A.rows(start, stop), b[start:stop], np.arange(start, stop)))
+        start = stop
     return shards
 
 
@@ -205,7 +206,8 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
 
 
 def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance:
-    """Wrap explicit (A, b) into an instance: oracle solution plus shards.
+    """Wrap explicit (A, b) into an instance: the oracle solution plus a
+    default agent count, checked against m here.
 
     A is a CsrRows, a scipy.sparse matrix (its stored entries, duplicates
     added) or a dense array (CsrRows.from_dense)."""
@@ -214,11 +216,12 @@ def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance
         A = CsrRows.from_coo(A.shape, A.row, A.col, A.data)
     elif not isinstance(A, CsrRows):
         A = CsrRows.from_dense(A)
+    partition_sizes(A.shape[0], agents)
     b = np.asarray(b, dtype=float)
     x_star = min_norm_solve(A, b)
     if x_planted is None:
         x_planted = x_star.copy()
-    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, partition(A, b, agents), spec)
+    return ProblemInstance(A, b, np.asarray(x_planted, float), x_star, agents, spec)
 
 
 def _write_vector(path: Path, v: np.ndarray) -> None:
@@ -232,9 +235,12 @@ def _read_vector(path: Path) -> np.ndarray:
         raise IoError(f"missing vector file {path}")
     try:
         with open(path) as fh:
-            return np.array([float(line) for line in fh if line.strip()], dtype=float)
+            v = np.array([float(line) for line in fh if line.strip()], dtype=float)
     except ValueError as exc:
         raise IoError(f"corrupt vector file {path}: {exc}") from exc
+    if not np.all(np.isfinite(v)):
+        raise IoError(f"corrupt vector file {path}: non-finite value")
+    return v
 
 
 def _read_matrix(path: Path) -> CsrRows:
@@ -283,19 +289,9 @@ def save(inst: ProblemInstance, directory) -> Path:
     _write_vector(directory / "b.txt", inst.b)
     _write_vector(directory / "x_planted.txt", inst.x_planted)
     _write_vector(directory / "x_star.txt", inst.x_star)
-    shard_entries = []
-    for i, shard in enumerate(inst.shards):
-        name = f"shard_{i:02d}_b.txt"
-        _write_vector(directory / name, shard.b)
-        shard_entries.append(
-            {"rows": [int(shard.rows[0]), int(shard.rows[-1]) + 1], "b": name}
-        )
     manifest = {
-        "m": inst.m,
-        "n": inst.n,
-        "agents": len(inst.shards),
+        "agents": inst.agents,
         "files": {"A": "A.mtx", "b": "b.txt", "x_planted": "x_planted.txt", "x_star": "x_star.txt"},
-        "shards": shard_entries,
     }
     if inst.spec is not None:
         manifest["spec"] = {
@@ -308,6 +304,8 @@ def save(inst: ProblemInstance, directory) -> Path:
 
 
 def load(directory) -> ProblemInstance:
+    """Read an instance directory; keys of the manifest it does not read
+    (the shard list and m, n of older directories) are ignored."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
@@ -315,8 +313,7 @@ def load(directory) -> ProblemInstance:
     try:
         manifest = json.loads(manifest_path.read_text())
         paths = {key: directory / manifest["files"][key] for key in ("A", "b", "x_planted", "x_star")}
-        shard_entries = [(int(e["rows"][0]), int(e["rows"][1]), directory / e["b"])
-                         for e in manifest["shards"]]
+        agents = manifest["agents"]
         spec = ProblemSpec(**manifest["spec"]) if "spec" in manifest else None
     except json.JSONDecodeError as exc:
         raise IoError(f"corrupt manifest {manifest_path}: {exc}") from exc
@@ -329,13 +326,7 @@ def load(directory) -> ProblemInstance:
     if b.shape[0] != A.shape[0] or not x_planted.shape[0] == x_star.shape[0] == A.shape[1]:
         raise IoError(f"vector lengths b {b.shape[0]}, x_planted {x_planted.shape[0]}, "
                       f"x_star {x_star.shape[0]} do not fit the {A.shape[0]} x {A.shape[1]} A")
-    shards = []
-    for start, stop, b_path in shard_entries:
-        if not 0 <= start < stop <= A.shape[0]:
-            raise IoError(f"malformed manifest {manifest_path}: shard rows [{start}, {stop}) "
-                          f"outside the {A.shape[0]} rows of A")
-        shard_b = _read_vector(b_path)
-        if shard_b.shape[0] != stop - start:
-            raise IoError(f"shard file {b_path.name} length {shard_b.shape[0]} != row range {stop - start}")
-        shards.append(_shard(A, start, stop, shard_b))
-    return ProblemInstance(A, b, x_planted, x_star, shards, spec)
+    if type(agents) is not int or not 1 <= agents <= A.shape[0]:
+        raise IoError(f"malformed manifest {manifest_path}: agents {agents!r} is not an "
+                      f"integer in [1, {A.shape[0]}]")
+    return ProblemInstance(A, b, x_planted, x_star, agents, spec)

@@ -51,7 +51,7 @@ def consistent_config(inst, seed, *, budget=50_000, stop_mode="all", tol_rel=1e-
                       failure=None, init=None, trigger=EveryK(5),
                       tol=None, k_max=10**6):
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, 10, t_min=0.5, t_max=1.0)
-             for i, s in enumerate(inst.shards)]
+             for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]
     topo = topology.build_pascal(4, 4, seed=0)
     tol = tol_rel * np.linalg.norm(inst.x_star) if tol is None else tol
     return SimConfig(topo, acfgs, inst.x_star, 1.0, trigger, tol=tol,
@@ -143,7 +143,7 @@ def test_criterion_04_regularized_oracle_bound(inconsistent_instance):
         # (a) the regularized iteration converges to the widened-system point;
         #     run undiluted (single agent) where the update realizes it exactly
         single = problems.from_arrays(dense, inst.b, 1, x_planted=inst.x_planted)
-        shard = single.shards[0]
+        shard = problems.partition(single.A, single.b, single.agents)[0]
         acfg = [AgentConfig(0, shard.A, shard.b, shard.rows, 10, lam=lam,
                             t_min=0.5, t_max=1.0)]
         cfg = SimConfig(topology.build_pascal(1, 1, seed=0), acfg, x_reg, 1.0,
@@ -169,8 +169,9 @@ def test_criterion_05_lambda_monotonicity(inconsistent_instance):
     dense = inst.dense()
     lams = (0.7, 1.3, 2.0, 3.0)
     oracles = {lam: linalg.augmented_min_norm_solve(dense, inst.b, lam)[0] for lam in lams}
+    shards = problems.partition(inst.A, inst.b, inst.agents)
     acfgs = {lam: [AgentConfig(i, s.A, s.b, s.rows, 10, lam=lam, t_min=0.5, t_max=1.0)
-                   for i, s in enumerate(inst.shards)] for lam in lams}
+                   for i, s in enumerate(shards)] for lam in lams}
     topo = topology.build_pascal(4, 4, seed=0)
     monotone = 0
     for seed in range(10):

@@ -458,7 +458,7 @@ def sparse_cfg(lam, sampling, seed=31, m=60, n=200, density=0.02, block=5):
     5-row blocks lie on about 20 of the 200 columns."""
     inst = problems.generate(problems.ProblemSpec(m=m, n=n, density=density, noise=0.1,
                                                   seed=seed, agents=1))
-    (shard,) = inst.shards
+    (shard,) = problems.partition(inst.A, inst.b, inst.agents)
     return AgentConfig(0, shard.A, shard.b, shard.rows, block, lam=lam, sampling=sampling)
 
 
@@ -558,7 +558,7 @@ def test_sparse_shards_hold_no_dense_copy():
     # 20000 x 2000 at 0.1 %: a dense shard would hold m_i * n = 10^7 doubles
     inst = problems.generate(problems.ProblemSpec(m=20000, n=2000, density=0.001, seed=35,
                                                   agents=4))
-    for i, shard in enumerate(inst.shards):
+    for i, shard in enumerate(problems.partition(inst.A, inst.b, inst.agents)):
         dense_size = len(shard.rows) * inst.n
         for lam, sampling in ((None, agents.CYCLE), (0.5, agents.IID)):
             cfg = AgentConfig(i, shard.A, shard.b, shard.rows, 10, lam=lam, sampling=sampling)

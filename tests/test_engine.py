@@ -13,11 +13,11 @@ from kaczsim.errors import InvalidParameter, NoConvergence
 def build_cfg(inst, *, block=10, lam=None, trigger=EveryK(5), tol=None, seed=0,
               stop_mode="all", budget=50_000, k_max=10**6, failure=None,
               delay_bound=1.0, t_min=0.5, t_max=1.0, oracle=None, **kw):
-    n_agents = len(inst.shards)
+    n_agents = inst.agents
     topo = topology.build_pascal(n_agents, n_agents, seed=0)
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, min(block, s.A.shape[0]),
                          lam=lam, t_min=t_min, t_max=t_max)
-             for i, s in enumerate(inst.shards)]
+             for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]
     oracle = inst.x_star if oracle is None else oracle
     tol = 1e-4 * np.linalg.norm(oracle) if tol is None else tol
     return SimConfig(topo, acfgs, oracle, delay_bound, trigger, tol=tol,
@@ -122,7 +122,7 @@ def test_stop_all_converges_at_first_iterate_with_every_agent_within_tol(
     cfg = build_cfg(inst, seed=seed, stop_mode="all", tol=rel_tol * np.linalg.norm(inst.x_star))
     res = engine.run(cfg)
     # brute force over the Iterates: every agent's latest error, starting from x = 0
-    latest = [float(np.linalg.norm(inst.x_star))] * len(inst.shards)
+    latest = [float(np.linalg.norm(inst.x_star))] * inst.agents
     expected = None
     for ev_idx, agent, err in err_trace(res):
         latest[agent] = err
@@ -142,7 +142,7 @@ def test_stop_all_counts_agents_leaving_tol(consistent_instance):
     inst = consistent_instance
     cfg = build_cfg(inst, seed=1, stop_mode="all", tol=0.1 * np.linalg.norm(inst.x_star))
     res = engine.run(cfg)
-    inside = [False] * len(inst.shards)
+    inside = [False] * inst.agents
     leaves = 0
     for _, agent, err in err_trace(res):
         leaves += inside[agent] and err > cfg.tol
@@ -289,7 +289,7 @@ def test_mailbox_keeps_latest_and_drops_stale():
 
 def test_snapshot_weights_row_stochastic(consistent_instance):
     res = run_tolerant(build_cfg(consistent_instance, budget=4000, tol=1e-12))
-    n_agents = len(consistent_instance.shards)
+    n_agents = consistent_instance.agents
     for rec in graphs.tick_trace(res):
         assert 1 <= rec.d_used <= n_agents
         assert len(rec.used) == rec.d_used
@@ -474,7 +474,7 @@ def test_config_validation():
     A = g.normal(size=(4, 4))
     inst = problems.from_arrays(A, g.normal(size=4), 1)
     topo = topology.build_pascal(1, 1, seed=0)
-    shard = inst.shards[0]
+    shard = problems.partition(inst.A, inst.b, inst.agents)[0]
     acfg = [AgentConfig(0, shard.A, shard.b, shard.rows, 4)]
     with pytest.raises(InvalidParameter):
         SimConfig(topo, acfg, inst.x_star, 0.0, EveryK(5))

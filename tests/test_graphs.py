@@ -191,7 +191,7 @@ def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3,
                                                   seed=5, agents=agents))
     topo = topology.build_pascal(agents, agents, seed=0)
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, 4, sampling=sampling)
-             for i, s in enumerate(inst.shards)]
+             for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]
     cfg = engine.SimConfig(topo, acfgs, inst.x_star, 1.0, trigger,
                            tol=1e-6, k_max=10**6, event_budget=budget,
                            seed=seed, stop_mode="all", failure=failure)
@@ -466,7 +466,8 @@ def test_transition_matrix_reproduces_live_run_errors(monkeypatch):
     x_sol = g.normal(size=3)
     inst = problems.from_arrays(A, A @ x_sol, 2, x_planted=x_sol)
     topo = topology.build_pascal(2, 2, seed=0)
-    acfgs = [AgentConfig(i, s.A, s.b, s.rows, 2) for i, s in enumerate(inst.shards)]
+    acfgs = [AgentConfig(i, s.A, s.b, s.rows, 2)
+             for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]
     cfg = engine.SimConfig(topo, acfgs, inst.x_star, 1.0, engine.EveryK(2),
                            tol=1e-13, k_max=10**6, event_budget=220, seed=1,
                            stop_mode="all")

@@ -159,7 +159,7 @@ def test_cli_gen_creates_instance(tmp_path):
     header = (out / "A.mtx").read_text().splitlines()[0]
     assert header.startswith("%%MatrixMarket matrix coordinate real general")
     inst = problems.load(out)
-    assert len(inst.shards) == 3
+    assert inst.agents == 3
 
 
 def test_cli_run_deterministic(tmp_path, instance_dir):
@@ -255,8 +255,11 @@ def test_cli_missing_instance_exit_1(tmp_path):
 
 BAD_INPUTS = {
     "manifest-without-files": (lambda manifest: manifest.pop("files"), None),
-    "manifest-shard-past-end": (lambda manifest: manifest["shards"][-1].update(
-        rows=[r + 1 for r in manifest["shards"][-1]["rows"]]), None),
+    "manifest-agents-zero": (lambda manifest: manifest.update(agents=0), None),
+    "manifest-agents-past-m": (lambda manifest: manifest.update(agents=41), None),
+    "manifest-agents-string": (lambda manifest: manifest.update(agents="4"), None),
+    "manifest-agents-bool": (lambda manifest: manifest.update(agents=True), None),
+    "manifest-agents-missing": (lambda manifest: manifest.pop("agents"), None),
     "config-not-json": (None, "{block_size: 5"),
     "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
     "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
@@ -287,7 +290,8 @@ def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
         (tmp_path / "cfg.json").write_text(config_text)
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 BAD_RUN_FLAGS = {
@@ -452,15 +456,39 @@ def test_non_utf8_input_raises_kaczsim_errors(tmp_path):
         cli._resolve_options(args)
 
 
-def test_cli_non_finite_shard_exit_1(tmp_path, instance_dir, capsys):
+@pytest.mark.parametrize("name", ["b", "x_planted", "x_star"])
+def test_cli_non_finite_vector_exit_1(tmp_path, instance_dir, capsys, name):
     inst_dir = tmp_path / "inst"
     shutil.copytree(instance_dir, inst_dir)
-    shard = inst_dir / "shard_00_b.txt"
-    values = shard.read_text().splitlines()
+    path = inst_dir / f"{name}.txt"
+    values = path.read_text().splitlines()
     values[3] = "nan"
-    shard.write_text("\n".join(values) + "\n")
+    path.write_text("\n".join(values) + "\n")
     assert run_cli("run", "--instance", str(inst_dir), "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name}.txt" in err and err.count("\n") == 1
+
+
+def test_shard_data_of_an_older_directory_cannot_disagree(tmp_path, instance_dir):
+    """Directories written before shards became views of (A, b) also hold a
+    shard list and one b file per shard; load ignores both, so overlapping
+    rows and an edited shard file reach no agent."""
+    inst_dir = tmp_path / "inst"
+    shutil.copytree(instance_dir, inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    b = (inst_dir / "b.txt").read_text().splitlines()
+    manifest.update(m=40, n=10, shards=[])
+    for i, (start, stop) in enumerate([(0, 10), (0, 10), (20, 30), (30, 40)]):
+        values = b[start:stop]
+        if i == 0:
+            values[0] = "123.0"
+        (inst_dir / f"shard_{i:02d}_b.txt").write_text("\n".join(values) + "\n")
+        manifest["shards"].append({"rows": [start, stop], "b": f"shard_{i:02d}_b.txt"})
+    (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    inst = problems.load(inst_dir)
+    cfg = harness.build_sim_config(inst, fast_options())
+    assert all(np.shares_memory(a.b, inst.b) for a in cfg.agents)
+    assert np.array_equal(np.concatenate([a.rows for a in cfg.agents]), np.arange(inst.m))
 
 
 @pytest.mark.parametrize("lam", ["0", "1"], ids=["consistent", "regularized"])

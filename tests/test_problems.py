@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -64,7 +66,7 @@ def test_partition_sizes_10_3():
 
 def test_partition_single_agent_is_whole_system():
     inst = problems.generate(small_spec(agents=1))
-    (shard,) = inst.shards
+    (shard,) = problems.partition(inst.A, inst.b, inst.agents)
     assert np.array_equal(shard.A.toarray(), inst.dense())
     assert np.array_equal(shard.b, inst.b)
 
@@ -85,9 +87,10 @@ def test_partition_rejects_too_many_agents():
 
 def test_shards_reassemble_exactly():
     inst = problems.generate(small_spec(noise=0.3, agents=5))
-    A = np.vstack([s.A.toarray() for s in inst.shards])
-    b = np.concatenate([s.b for s in inst.shards])
-    rows = np.concatenate([s.rows for s in inst.shards])
+    shards = problems.partition(inst.A, inst.b, inst.agents)
+    A = np.vstack([s.A.toarray() for s in shards])
+    b = np.concatenate([s.b for s in shards])
+    rows = np.concatenate([s.rows for s in shards])
     assert np.array_equal(rows, np.arange(inst.m))
     assert np.array_equal(A, inst.dense())
     assert np.array_equal(b, inst.b)
@@ -103,8 +106,9 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.b, inst.b)
     assert np.array_equal(back.x_planted, inst.x_planted)
     assert np.array_equal(back.x_star, inst.x_star)
-    assert len(back.shards) == len(inst.shards)
-    for s0, s1 in zip(inst.shards, back.shards):
+    assert back.agents == inst.agents
+    for s0, s1 in zip(problems.partition(inst.A, inst.b, inst.agents),
+                      problems.partition(back.A, back.b, back.agents)):
         assert np.array_equal(s0.A.toarray(), s1.A.toarray())
         assert np.array_equal(s0.b, s1.b)
         assert np.array_equal(s0.rows, s1.rows)
@@ -124,11 +128,12 @@ def test_load_corrupt_vector_raises(tmp_path):
         problems.load(tmp_path / "inst")
 
 
-def test_shard_file_count_matches_agents(tmp_path):
-    inst = problems.generate(small_spec(agents=3))
-    problems.save(inst, tmp_path / "inst")
-    shard_files = sorted(p.name for p in (tmp_path / "inst").glob("shard_*_b.txt"))
-    assert len(shard_files) == 3
+def test_save_writes_exactly_five_files(tmp_path):
+    problems.save(problems.generate(small_spec(agents=3)), tmp_path / "inst")
+    names = sorted(p.name for p in (tmp_path / "inst").iterdir())
+    assert names == ["A.mtx", "b.txt", "manifest.json", "x_planted.txt", "x_star.txt"]
+    manifest = json.loads((tmp_path / "inst" / "manifest.json").read_text())
+    assert sorted(manifest) == ["agents", "files", "spec"] and manifest["agents"] == 3
 
 
 def test_matrix_market_header(tmp_path):
@@ -238,7 +243,8 @@ def test_load_keeps_comments_and_stored_entry_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     back = problems.load(tmp_path / "inst")
     assert np.array_equal(back.dense(), inst.dense())
-    for s0, s1 in zip(inst.shards, back.shards):
+    for s0, s1 in zip(problems.partition(inst.A, inst.b, inst.agents),
+                      problems.partition(back.A, back.b, back.agents)):
         assert np.array_equal(s0.A.toarray(), s1.A.toarray())
         assert all(np.array_equal(getattr(s0.A, f), getattr(s1.A, f))
                    for f in ("indptr", "indices", "data"))
@@ -267,7 +273,8 @@ def test_load_adds_duplicate_entries_once_for_every_reader(tmp_path, monkeypatch
     want = coo_dense(back.A.shape, row, col, data)
     assert want[int(i) - 1, int(j) - 1] == (1.0 if reverse else 0.0)
     assert same_bits(back.dense(), want)
-    assert same_bits(np.vstack([s.A.toarray() for s in back.shards]), want)
+    shards = problems.partition(back.A, back.b, back.agents)
+    assert same_bits(np.vstack([s.A.toarray() for s in shards]), want)
     received = []
 
     def recording(A, b, **kw):
@@ -285,16 +292,20 @@ def test_shards_are_views_of_the_instance_matrix(tmp_path):
     inst = problems.generate(small_spec(agents=5))
     problems.save(inst, tmp_path / "inst")
     back = problems.load(tmp_path / "inst")
-    for A, shards in [(inst.A, inst.shards), (back.A, back.shards),
-                      (inst.A, problems.partition(inst.A, inst.b, 3))]:
+    for source, agents in [(inst, inst.agents), (back, back.agents), (inst, 3)]:
+        shards = problems.partition(source.A, source.b, agents)
         for s in shards:
-            assert np.shares_memory(s.A.data, A.data)
-            assert np.shares_memory(s.A.indices, A.indices)
-        assert sum(s.A.nnz for s in shards) == A.nnz
+            assert np.shares_memory(s.A.data, source.A.data)
+            assert np.shares_memory(s.A.indices, source.A.indices)
+            assert np.shares_memory(s.b, source.b)
+        assert sum(s.A.nnz for s in shards) == source.A.nnz
     # partition copies no entry: a change to the instance's entries shows in every shard
+    shards = problems.partition(inst.A, inst.b, inst.agents)
     inst.A.data[:] *= 2.0
-    for s in inst.shards:
+    inst.b[:] *= 2.0
+    for s in shards:
         assert np.array_equal(s.A.toarray(), inst.dense()[s.rows])
+        assert np.array_equal(s.b, inst.b[s.rows])
 
 
 def test_from_coo_rows_match_dense_reference_bit_for_bit():
