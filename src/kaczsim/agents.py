@@ -25,16 +25,22 @@ for bit; a narrower one rounds its products over fewer terms.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
-without replacement.  The agent config owns its block operators: the chunk
-table (AgentConfig.chunks) and, built on first use, one block entry per
-chunk (AgentConfig.blocks): the chunk's row slice, its columns cols, the
-plan that places the chunk's entries in A_J (block_rows), the view b_J
-into the shard and the factor W or F (block_factor).  A cyclic step finds
-no support and factors nothing; it densifies A_J from the plan, one zero
-array and one scatter, so that the entries hold one index per entry of
-the shard rather than a dense copy of every block.  Iid blocks are
-gathered and factored afresh every step.  The step updates the agent
-state in place.  Every operation here is numpy.
+without replacement.  Both samplings build their block entries (rows,
+cols, plan, b_J, factor) on one path, block_entries: the block's rows, its
+columns cols, the plan that places its entries in A_J (plan_blocks, which
+plans many blocks in one gather), b_J and the factor W or F
+(block_factors, which inverts the regularized Gram matrices of equal-height
+blocks as one stack, bit for bit what block_factor gives one block).  The
+agent config owns the chunk table (AgentConfig.chunks) and, built on first
+use, one entry per chunk (AgentConfig.blocks), whose rows are a slice and
+b_J a view into the shard.  An iid agent draws its next BATCH blocks from
+its stream in order (prepare_blocks; fewer when the run's k_max is nearer,
+so a k_max run draws exactly k_max blocks), builds their entries in one
+pass and uses one per step; a block whose factoring failed raises at the
+step that uses it, as if it had been factored there.  A step densifies A_J
+from the plan, one zero array and one scatter, so that entries hold one
+index per entry of the shard rather than a dense copy of every block.  The
+step updates the agent state in place.  Every operation here is numpy.
 """
 from __future__ import annotations
 
@@ -49,6 +55,10 @@ from .problems import CsrRows
 
 CYCLE = "cycle"
 IID = "iid"
+
+# Row blocks an iid agent draws, plans and factors in one pass, then uses
+# one per step.
+BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -102,11 +112,20 @@ class AgentConfig:
 
     @cached_property
     def blocks(self) -> list[tuple]:
-        """_block_entry of each chunk, built on first use: the entries a
-        cyclic step reads, so each chunk is factored once per config.  An
-        entry keeps the plan of A_J, not A_J, so the entries of all chunks
-        hold no copy of the shard's data."""
-        return [_block_entry(self, chunk, c)[0] for c, chunk in enumerate(self.chunks)]
+        """block_entries of the chunks, built on first use, BATCH chunks per
+        pass (which bounds the pass's support grid at BATCH x n): the
+        entries a cyclic step reads, so each chunk is factored once per
+        config.  An entry keeps the plan of A_J, not A_J, so the entries of
+        all chunks hold no copy of the shard's data.  A chunk whose
+        factoring fails raises its error here, at the first cyclic step."""
+        entries = []
+        for lo in range(0, len(self.chunks), BATCH):
+            part = self.chunks[lo:lo + BATCH]
+            entries += block_entries(self, part, [slice(int(J[0]), int(J[-1]) + 1) for J in part])
+        for *_, factor in entries:
+            if isinstance(factor, Exception):
+                raise factor
+        return entries
 
 
 def make_chunks(local_rows: int, block_size: int) -> list[np.ndarray]:
@@ -130,16 +149,19 @@ class AgentState:
     chunk: int | None             # chunk id of the last block (cyclic mode)
     rng: np.random.Generator      # block-sampling stream (advances in place)
     order: list[int] = field(default_factory=list)  # remaining chunks this pass
+    k_max: int | None = None      # iid: no block is prepared for a step past it
+    ready: list[tuple] = field(default_factory=list)  # iid: prepared block entries, next last
 
 
-def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.ndarray | None = None) -> AgentState:
+def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.ndarray | None = None,
+                  k_max: int | None = None) -> AgentState:
     x = np.zeros(cfg.dim) if init is None else np.asarray(init, dtype=float).copy()
     if x.shape != (cfg.dim,):
         raise CorruptMessage(f"initial estimate has shape {x.shape}, expected ({cfg.dim},)")
     if not np.all(np.isfinite(x)):
         raise CorruptMessage("initial estimate has non-finite entries")
     y = np.zeros(cfg.local_rows) if cfg.augmented else None
-    return AgentState(x=x, y=y, k=0, block=np.arange(0), chunk=None, rng=block_rng)
+    return AgentState(x=x, y=y, k=0, block=np.arange(0), chunk=None, rng=block_rng, k_max=k_max)
 
 
 def aggregate(entries: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
@@ -179,43 +201,112 @@ def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
     return linalg.gram_inverse(A_J, lam)
 
 
-def block_rows(A: CsrRows, J: np.ndarray) -> tuple:
-    """(cols, plan) for the sorted, distinct rows J of A: cols, the sorted
-    columns where they have entries, and plan = (entries, pos, shape), from
-    which densify builds A_J, the rows on those columns (|J| x |cols|):
-    A.data[entries] at the flat positions pos of a zero array of that
-    shape.  entries is a slice when J is a contiguous range, so a chunk's
-    plan holds no copy of the data."""
-    starts = A.indptr[J]
-    counts = A.indptr[J + 1] - starts
-    row = np.repeat(np.arange(len(J)), counts)
-    entries = np.arange(len(row)) + (starts - counts.cumsum() + counts)[row]
-    col = A.indices[entries]
-    support = np.zeros(A.shape[1], dtype=bool)
-    support[col] = True
-    cols = support.nonzero()[0]
-    pos = row * len(cols) + cols.searchsorted(col)
-    if J[-1] - J[0] == len(J) - 1:
-        entries = slice(int(starts[0]), int(starts[0]) + len(row))
-    return cols, (entries, pos, (len(J), len(cols)))
+def block_factors(A_Js: list[np.ndarray], lam: float | None) -> list:
+    """block_factor of each block, bit for bit, or the exception it raised.
+
+    Regularized blocks of one height are factored as a stack: their Gram
+    matrices A_J A_J^T + lam^2 I go through one linalg.shifted_gram_inverse
+    call, whose LAPACK routines run on each matrix of the stack as on a
+    single one.  If any matrix of a stack fails, its blocks are factored one
+    by one, so that each failure stays with its own block.  Consistent
+    blocks are factored one by one: their SVDs have different widths.
+    """
+    factors: list = [None] * len(A_Js)
+    if lam is not None:
+        heights: dict[int, list[int]] = {}
+        for i, A_J in enumerate(A_Js):
+            heights.setdefault(len(A_J), []).append(i)
+        for height, idx in heights.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = np.stack([A_Js[i] @ A_Js[i].T for i in idx]) + (lam * lam) * np.eye(height)
+            try:
+                F = linalg.shifted_gram_inverse(G, lam)
+            except (InvalidParameter, np.linalg.LinAlgError):
+                continue   # factored one by one below
+            for i, F_i in zip(idx, F):
+                factors[i] = F_i
+    for i, A_J in enumerate(A_Js):
+        if factors[i] is None:
+            try:
+                factors[i] = block_factor(A_J, lam)
+            except (InvalidParameter, np.linalg.LinAlgError) as exc:
+                factors[i] = exc
+    return factors
+
+
+def plan_blocks(A: CsrRows, blocks: list[np.ndarray]) -> list[tuple]:
+    """(cols, plan) of each sorted, distinct row block J of A: cols, the
+    sorted columns where the rows of J have entries, and plan = (entries,
+    pos, shape), from which densify builds A_J, the rows on those columns
+    (|J| x |cols|): A.data[entries] at the flat positions pos of a zero
+    array of that shape.  entries is a slice when J is a contiguous range,
+    so a chunk's plan holds no copy of the data.
+
+    All blocks are planned in one pass: one gather collects the entries of
+    their rows, and a len(blocks) x n boolean grid marks each block's
+    support.  Numbering the marked cells in order gives every entry its
+    place in its block's cols.
+    """
+    n = A.shape[1]
+    sizes = np.array([len(J) for J in blocks])
+    rows = np.concatenate(blocks)
+    starts = A.indptr[rows]
+    counts = A.indptr[rows + 1] - starts
+    ends = counts.cumsum()
+    last_row = sizes.cumsum() - 1
+    first_row = last_row - (sizes - 1)
+    bounds = np.concatenate(([0], ends[last_row]))           # each block's first entry
+    entries = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    block = np.repeat(np.arange(len(blocks)), bounds[1:] - bounds[:-1])   # of each entry
+    row = np.repeat(np.arange(len(rows)) - first_row.repeat(sizes), counts)   # in its block
+    cell = block * n + A.indices[entries]
+    support = np.zeros(len(blocks) * n, dtype=bool)
+    support[cell] = True
+    marked = support.nonzero()[0]
+    number = np.empty(len(support), dtype=np.intp)           # read only at marked cells
+    number[marked] = np.arange(len(marked))
+    before = marked.searchsorted(np.arange(len(blocks) + 1) * n)   # marked cells before each block
+    widths = before[1:] - before[:-1]
+    pos = row * widths[block] + number[cell] - before[block]
+    cols = marked - np.repeat(np.arange(len(blocks)) * n, widths)
+    contiguous = (rows[last_row] - rows[first_row] == sizes - 1).tolist()
+    bounds = bounds.tolist()
+    firsts = starts[first_row].tolist()
+    before = before.tolist()
+    plans = []
+    for b, size in enumerate(sizes.tolist()):
+        lo, hi, c0, c1 = bounds[b], bounds[b + 1], before[b], before[b + 1]
+        used = slice(firsts[b], firsts[b] + hi - lo) if contiguous[b] else entries[lo:hi]
+        plans.append((cols[c0:c1], (used, pos[lo:hi], (size, c1 - c0))))
+    return plans
 
 
 def densify(A: CsrRows, plan: tuple) -> np.ndarray:
-    """The dense block A_J of a block_rows plan, a new C-ordered array."""
+    """The dense block A_J of a plan_blocks plan, a new C-ordered array."""
     entries, pos, shape = plan
     A_J = np.zeros(shape[0] * shape[1])
     A_J[pos] = A.data[entries]
     return A_J.reshape(shape)
 
 
-def _block_entry(cfg: AgentConfig, J: np.ndarray, chunk: int | None) -> tuple:
-    """((rows, cols, plan, b_J, factor), A_J) for block J, with cols and
-    plan from block_rows.  A chunk is a contiguous range, so rows is a
-    slice and b_J a view into the shard; an iid block's b_J is gathered."""
-    rows = J if chunk is None else slice(int(J[0]), int(J[-1]) + 1)
-    cols, plan = block_rows(cfg.A, J)
-    A_J = densify(cfg.A, plan)
-    return (rows, cols, plan, cfg.b[rows], block_factor(A_J, cfg.lam)), A_J
+def block_entries(cfg: AgentConfig, blocks: list[np.ndarray], rows: list) -> list[tuple]:
+    """(rows, cols, plan, b_J, factor) of each row block, planned in one
+    pass (plan_blocks) and factored in one (block_factors).  rows[i] indexes
+    block i in the shard: the array J itself, or the slice of a contiguous
+    chunk, whose b_J is then a view into the shard.  factor is the
+    exception the block's factoring raised, if it failed."""
+    planned = plan_blocks(cfg.A, blocks)
+    factors = block_factors([densify(cfg.A, plan) for _, plan in planned], cfg.lam)
+    return [(r, cols, plan, cfg.b[r], F) for r, (cols, plan), F in zip(rows, planned, factors)]
+
+
+def prepare_blocks(state: AgentState, cfg: AgentConfig) -> None:
+    """Draw an iid agent's next row blocks from its stream, in order (BATCH
+    of them, or the steps left before state.k_max), and put their
+    block_entries on state.ready, the next block last."""
+    count = BATCH if state.k_max is None else max(1, min(BATCH, state.k_max - state.k))
+    blocks = [sample_block(state, cfg) for _ in range(count)]
+    state.ready = block_entries(cfg, blocks, blocks)[::-1]
 
 
 def step(state: AgentState, cfg: AgentConfig,
@@ -223,19 +314,26 @@ def step(state: AgentState, cfg: AgentConfig,
     """Average the snapshot entries (self and the latest estimate from each
     neighbor heard from), then project onto the sampled block equations.
 
-    A chunk's block entry (rows, cols, plan, b_J, factor) comes from
-    cfg.blocks and its A_J is densified from the plan; an iid block is
-    gathered and factored afresh.  The state is updated in place (k, block,
+    The block entry (rows, cols, plan, b_J, factor) is a chunk's from
+    cfg.blocks or the next prepared iid block from state.ready, which
+    prepare_blocks refills when it runs out; a prepared block whose
+    factoring failed raises its error here, at the step that uses it.  A_J
+    is densified from the plan.  The state is updated in place (k, block,
     chunk, the sampler, x rebound to the new array aggregate returns, y's
     block entries) and the same object is returned.
     """
     w = aggregate(entries)
-    J = sample_block(state, cfg)
-    if state.chunk is None:
-        (rows, cols, _, b_J, factor), A_J = _block_entry(cfg, J, None)
+    if cfg.sampling == IID:
+        if not state.ready:
+            prepare_blocks(state, cfg)
+        rows, cols, plan, b_J, factor = state.ready.pop()
+        state.block = rows
+        if isinstance(factor, Exception):
+            raise factor
     else:
+        sample_block(state, cfg)
         rows, cols, plan, b_J, factor = cfg.blocks[state.chunk]
-        A_J = densify(cfg.A, plan)
+    A_J = densify(cfg.A, plan)
     r = b_J - A_J @ w[cols]
     if cfg.augmented:
         alpha = factor @ (r - cfg.lam * state.y[rows])

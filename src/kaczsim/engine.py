@@ -305,7 +305,8 @@ def run(cfg: SimConfig) -> RunResult:
     runtimes: list[_Runtime] = []
     for i, acfg in enumerate(cfg.agents):
         init = None if cfg.init is None else cfg.init[i]
-        state = agents_mod.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), init=init)
+        state = agents_mod.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), init=init,
+                                          k_max=cfg.k_max)
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
                       rng.stream(cfg.seed, rng.DELAY, i))

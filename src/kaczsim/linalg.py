@@ -115,17 +115,26 @@ def gram_pinv_root(A_J) -> np.ndarray:
 
 
 def gram_inverse(A_J, lam: float) -> np.ndarray:
-    """Inverse of the block Gram matrix G = A_J A_J^T + lam^2 I (cacheable
-    per block).
-
-    A Gram matrix that overflows, or that is not numerically positive
-    definite (lam^2 lost against the entries of A_J A_J^T on a
-    rank-deficient block) and so fails its Cholesky factorization, raises
-    InvalidParameter.
-    """
+    """Inverse of the block Gram matrix G = A_J A_J^T + lam^2 I, by
+    shifted_gram_inverse."""
     A_J = as_matrix(A_J)
     with np.errstate(over="ignore", invalid="ignore"):
         G = A_J @ A_J.T + (lam * lam) * np.eye(A_J.shape[0])
+    return shifted_gram_inverse(G, lam)
+
+
+def shifted_gram_inverse(G: np.ndarray, lam: float) -> np.ndarray:
+    """Inverse of a block Gram matrix G = A_J A_J^T + lam^2 I, or of each
+    matrix in a stack of them (shape (..., |J|, |J|)).  numpy runs the same
+    LAPACK routines on each matrix of a stack as on a single matrix, so a
+    stack's inverses equal the single ones bit for bit.
+
+    A G that is not finite (the Gram matrix overflowed), or that is not
+    numerically positive definite (lam^2 lost against the entries of
+    A_J A_J^T on a rank-deficient block) and so fails its Cholesky
+    factorization, raises InvalidParameter; in a stack, one such matrix
+    fails the whole call.
+    """
     if not np.all(np.isfinite(G)):
         raise InvalidParameter(f"block Gram matrix A_J A_J^T + lambda^2 I overflows at "
                                f"lambda = {lam!r}: the block's entries are too large")

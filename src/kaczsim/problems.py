@@ -329,4 +329,7 @@ def load(directory) -> ProblemInstance:
     if type(agents) is not int or not 1 <= agents <= A.shape[0]:
         raise IoError(f"malformed manifest {manifest_path}: agents {agents!r} is not an "
                       f"integer in [1, {A.shape[0]}]")
+    if spec is not None and (spec.m, spec.n) != A.shape:
+        raise IoError(f"malformed manifest {manifest_path}: spec is {spec.m} x {spec.n} but "
+                      f"{paths['A'].name} is {A.shape[0]} x {A.shape[1]}")
     return ProblemInstance(A, b, x_planted, x_star, agents, spec)

@@ -2,11 +2,13 @@
 
 Each one computes its result the textbook way (a projection directly from
 the SVD or the pseudoinverse, a dense matrix by np.add.at), with none of
-the caching, factoring or compression the package does.
+the caching, factoring or compression the package does.  The exception is
+sequential_iid_step, the iid block step one block at a time: it keeps the
+package's arithmetic, so that the batched step must match it bit for bit.
 """
 import numpy as np
 
-from kaczsim import linalg
+from kaczsim import agents, linalg
 from kaczsim.errors import DimensionError
 
 
@@ -31,6 +33,30 @@ def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> flo
         A_J = A[list(rows)]
         P = (np.eye(n) - linalg.pinv(A_J) @ A_J) @ P
     return float(np.linalg.norm(basis.T @ P @ basis, 2))
+
+
+def sequential_iid_step(state, cfg, entries):
+    """agents.step for an iid agent, one block at a time: sample_block, then
+    the block's columns and dense rows read off the shard, its factor from
+    agents.block_factor and the step's row-space update, with no block drawn
+    ahead, no planning pass and no stacked factor."""
+    w = agents.aggregate(entries)
+    J = agents.sample_block(state, cfg)
+    A = cfg.A
+    cols = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in J]))
+    # C order, as the package's blocks: a BLAS product rounds by memory layout
+    A_J = np.ascontiguousarray(A.toarray()[J][:, cols])
+    factor = agents.block_factor(A_J, cfg.lam)
+    r = cfg.b[J] - A_J @ w[cols]
+    if cfg.lam is None:
+        alpha = factor @ (factor.T @ r)
+    else:
+        alpha = factor @ (r - cfg.lam * state.y[J])
+        state.y[J] += cfg.lam * alpha
+    w[cols] += A_J.T @ alpha
+    state.x = w
+    state.k += 1
+    return state
 
 
 def coo_dense(shape, row, col, data) -> np.ndarray:

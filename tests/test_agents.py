@@ -6,7 +6,7 @@ import pytest
 from kaczsim import agents, linalg, problems
 from kaczsim.agents import AgentConfig
 from kaczsim.errors import CorruptMessage, DimensionError, InvalidParameter
-from oracles import project_null
+from oracles import project_null, sequential_iid_step
 
 
 def make_cfg(A, b, block=None, lam=None, sampling=agents.CYCLE):
@@ -213,9 +213,10 @@ def test_consistent_step_nonexpansive_toward_solutions():
 
 
 def direct_update(cfg, J, w, y=None):
-    """The step's update with block J gathered and factored afresh (the iid
-    path), for comparison with a chunk's entry in cfg.blocks."""
-    (_, cols, _, b_J, factor), A_J = agents._block_entry(cfg, J, None)
+    """The step's update with block J planned and factored on its own, as
+    an iid block, for comparison with a chunk's entry in cfg.blocks."""
+    ((_, cols, plan, b_J, factor),) = agents.block_entries(cfg, [J], [J])
+    A_J = agents.densify(cfg.A, plan)
     x = w.copy()
     if cfg.lam is None:
         x[cols] += A_J.T @ (factor @ (factor.T @ (b_J - A_J @ w[cols])))
@@ -390,22 +391,24 @@ def test_step_matches_reference_update():
 
 
 def test_chunk_factored_once(monkeypatch):
-    calls = []
-    gram_pinv_root, gram_inverse = linalg.gram_pinv_root, linalg.gram_inverse
+    calls = []   # the routine of each block factored, once per block of a stack
+    gram_pinv_root, shifted_gram_inverse = linalg.gram_pinv_root, linalg.shifted_gram_inverse
     monkeypatch.setattr(linalg, "gram_pinv_root",
                         lambda A_J: calls.append("gram_pinv_root") or gram_pinv_root(A_J))
-    monkeypatch.setattr(linalg, "gram_inverse",
-                        lambda A_J, lam: calls.append("gram_inverse") or gram_inverse(A_J, lam))
+    monkeypatch.setattr(linalg, "shifted_gram_inverse",
+                        lambda G, lam: calls.extend(["shifted_gram_inverse"] * len(G))
+                        or shifted_gram_inverse(G, lam))
     g = np.random.default_rng(16)
     A = g.normal(size=(11, 4))
     b = g.normal(size=11)
-    for lam, routine in ((None, "gram_pinv_root"), (0.5, "gram_inverse")):
+    for lam, routine in ((None, "gram_pinv_root"), (0.5, "shifted_gram_inverse")):
         for sampling in (agents.CYCLE, agents.IID):
             cfg = make_cfg(A, b, block=3, lam=lam, sampling=sampling)
             steps = 3 * len(cfg.chunks)
             calls.clear()
             for run in range(2):   # a second run on the same config factors nothing new
-                state = fresh(cfg, seed=run)
+                # an iid run to k_max = steps prepares exactly steps blocks
+                state = agents.initial_state(cfg, np.random.default_rng(run), k_max=steps)
                 for _ in range(steps):
                     agents.step(state, cfg, snap(state.x))
             assert calls == [routine] * (len(cfg.chunks) if sampling == agents.CYCLE else 2 * steps)
@@ -421,14 +424,14 @@ def test_chunk_factored_once(monkeypatch):
 
 def test_block_factors_are_block_by_block(monkeypatch):
     built = []   # (A_J, factor) of every factor a step builds, cyclic or iid
-    block_factor = agents.block_factor
+    block_factors = agents.block_factors
 
-    def recording(A_J, lam):
-        F = block_factor(A_J, lam)
-        built.append((A_J, F))
-        return F
+    def recording(A_Js, lam):
+        factors = block_factors(A_Js, lam)
+        built.extend(zip(A_Js, factors))
+        return factors
 
-    monkeypatch.setattr(agents, "block_factor", recording)
+    monkeypatch.setattr(agents, "block_factors", recording)
     g = np.random.default_rng(17)
     A = g.normal(size=(11, 6))    # n = 6 columns, blocks of 2 or 3 rows
     A[1] = A[0]                   # the first chunk, rows 0-2, has rank 2
@@ -445,10 +448,82 @@ def test_block_factors_are_block_by_block(monkeypatch):
             for _ in range(2 * len(cfg.chunks)):
                 agents.step(state, cfg, snap(state.x))
             assert built and all(F.shape == shape(A_J) for A_J, F in built)
+            # stacked or not, each factor is the one block_factor gives its block
+            assert all(np.array_equal(F, agents.block_factor(A_J, lam)) for A_J, F in built)
             if sampling == agents.CYCLE:
                 assert [F.shape for *_, F in cfg.blocks] == \
                     [shape(agents.densify(cfg.A, plan)) for _, _, plan, _, _ in cfg.blocks]
                 assert cfg.blocks[0][4].shape == (3, 3 if lam else 2)
+
+
+# ------------------------------------------------------------ batched iid blocks
+
+def random_sparse_cfg(g, lam, whole):
+    """An iid agent on a random m x n shard of density 0.05 to 1 (rows may be
+    empty); its blocks are the whole shard or of a random height."""
+    m, n = int(g.integers(1, 40)), int(g.integers(1, 50))
+    A = g.normal(size=(m, n)) * (g.random(size=(m, n)) < g.uniform(0.05, 1.0))
+    return make_cfg(A, g.normal(size=m), block=m if whole else int(g.integers(1, m + 1)),
+                    lam=lam, sampling=agents.IID)
+
+
+@pytest.mark.parametrize("lam", [None, 0.7], ids=["consistent", "regularized"])
+def test_batched_iid_step_matches_sequential_reference(lam):
+    for seed in range(40):
+        g = np.random.default_rng(400 + seed)
+        cfg = random_sparse_cfg(g, lam, whole=seed % 4 == 0)   # block_size == m_i
+        steps = int(g.integers(1, 3 * agents.BATCH + 8))   # up to three batch boundaries
+        k_max = steps if seed % 2 else None
+        init = g.normal(size=cfg.dim)
+        state = agents.initial_state(cfg, np.random.default_rng(seed), init, k_max=k_max)
+        ref = agents.initial_state(cfg, np.random.default_rng(seed), init)
+        if lam is not None:
+            state.y[:] = ref.y[:] = g.normal(size=cfg.local_rows)
+        for _ in range(steps):
+            others = [(i, g.normal(size=cfg.dim), 0) for i in range(1, int(g.integers(1, 4)))]
+            agents.step(state, cfg, [(0, state.x, state.k)] + others)
+            sequential_iid_step(ref, cfg, [(0, ref.x, ref.k)] + others)
+            assert np.array_equal(state.x, ref.x) and np.array_equal(state.block, ref.block)
+            assert state.k == ref.k and state.chunk is None
+            if lam is not None:
+                assert np.array_equal(state.y, ref.y)
+        # the batch drew ahead only the blocks it has not used yet, none when
+        # the run's k_max was known
+        assert len(state.ready) == (0 if k_max else -steps % agents.BATCH)
+        for _ in state.ready:
+            agents.sample_block(ref, cfg)
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_iid_block_failure_raises_at_its_step():
+    # row 7 near 1e160: a block holding it has a Gram matrix that overflows,
+    # and the run must fail at the step that uses that block, not when its
+    # batch is prepared
+    g = np.random.default_rng(41)
+    A = g.normal(size=(12, 5))
+    A[7] *= 1e160
+    cfg = make_cfg(A, g.normal(size=12), block=3, lam=1.0, sampling=agents.IID)
+
+    def failing_step(step_fn):
+        state = agents.initial_state(cfg, np.random.default_rng(5))
+        while state.k < 200:
+            try:
+                step_fn(state, cfg, snap(state.x))
+            except InvalidParameter as exc:
+                assert "overflows" in str(exc) and 7 in state.block
+                return state.k
+        return None
+
+    k_fail = failing_step(sequential_iid_step)
+    assert k_fail is not None and k_fail % agents.BATCH != 0   # not the first of its batch
+    assert failing_step(agents.step) == k_fail
+    # a run that ends before that block finishes without error, though the
+    # block was drawn and factored with its batch
+    state = agents.initial_state(cfg, np.random.default_rng(5))
+    for _ in range(k_fail):
+        agents.step(state, cfg, snap(state.x))
+    assert state.k == k_fail and np.all(np.isfinite(state.x))
+    assert any(isinstance(entry[-1], InvalidParameter) for entry in state.ready)
 
 
 # ---------------------------------------------------------------- sparse shards
@@ -478,18 +553,23 @@ def test_block_rows_compresses_to_the_support():
                                               [0, 3.0, 0, 4, 0, 0, 0, 0],
                                               [0, 0, 0, 0, 0, 5.0, 0, 6],
                                               [0, 0, 0, 0, 0, 7.0, 0, 0]]))
-    def block(*J):
-        cols, plan = agents.block_rows(A, np.array(J))
-        return cols, agents.densify(A, plan)
+    def planned(*blocks):
+        return [(cols, agents.densify(A, plan))
+                for cols, plan in agents.plan_blocks(A, [np.array(J) for J in blocks])]
 
-    cols, A_J = block(0, 1)
-    assert np.array_equal(cols, [0, 1, 3, 4])
-    assert np.array_equal(A_J, [[1.0, 0, 0, 2], [0, 3, 4, 0]])
-    cols, A_J = block(1, 3)
-    assert np.array_equal(cols, [1, 3, 5])
-    assert np.array_equal(A_J, [[3.0, 4, 0], [0, 0, 7]])
-    cols, A_J = block(2, 3)
-    assert np.array_equal(cols, [5, 7]) and np.array_equal(A_J, [[5.0, 6], [7, 0]])
+    expected = {(0, 1): ([0, 1, 3, 4], [[1.0, 0, 0, 2], [0, 3, 4, 0]]),
+                (1, 3): ([1, 3, 5], [[3.0, 4, 0], [0, 0, 7]]),
+                (2, 3): ([5, 7], [[5.0, 6], [7, 0]]),
+                (3,): ([5], [[7.0]]),
+                (0, 1, 2, 3): ([0, 1, 3, 4, 5, 7], A.toarray()[:, [0, 1, 3, 4, 5, 7]])}
+    for J, (cols, A_J) in expected.items():
+        ((got_cols, got_A_J),) = planned(J)
+        assert np.array_equal(got_cols, cols) and np.array_equal(got_A_J, A_J)
+    # planned together, in any order and with repeats, each block gets the
+    # plan it gets alone
+    order = [(1, 3), (0, 1, 2, 3), (3,), (0, 1), (2, 3), (1, 3)]
+    for J, (cols, A_J) in zip(order, planned(*order)):
+        assert np.array_equal(cols, expected[J][0]) and np.array_equal(A_J, expected[J][1])
 
 
 @pytest.mark.parametrize("lam", [None, 0.7])
@@ -507,7 +587,7 @@ def test_compressed_step_matches_dense_step(lam, sampling, size):
         w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
         agents.step(state, cfg, entries)
         J = state.block
-        cols, plan = agents.block_rows(cfg.A, J)
+        ((cols, plan),) = agents.plan_blocks(cfg.A, [J])
         A_J = agents.densify(cfg.A, plan)
         # the products skip the zero columns and the SVD sees a narrower
         # block, so the rounding differs: most steps agree to 1e-16, and on
@@ -531,7 +611,7 @@ def test_full_support_step_gives_dense_bits(lam, sampling):
         entries = [(0, state.x, 0), (1, g.normal(size=cfg.dim), 0)]
         w, y = agents.aggregate(entries), None if lam is None else state.y.copy()
         agents.step(state, cfg, entries)
-        assert len(agents.block_rows(cfg.A, state.block)[0]) == cfg.dim
+        assert len(agents.plan_blocks(cfg.A, [state.block])[0][0]) == cfg.dim
         x_ref, y_J = dense_step(cfg, state.block, w, y)
         assert np.array_equal(state.x, x_ref)
         if lam is not None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kaczsim import engine, graphs, harness, linalg, problems, rng, topology
+from kaczsim import agents, engine, graphs, harness, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import Event, EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InvalidParameter, NoConvergence
@@ -112,6 +112,52 @@ def test_k_max_holds_under_failure_injection():
     assert res.stop_reason == "k_max"
     assert max(st.k for st in res.states) == 50
     assert max(len(times) for times in iterate_times(res)) == 50
+
+
+@pytest.mark.parametrize("lam", [None, 0.5], ids=["consistent", "regularized"])
+def test_iid_k_max_run_draws_exactly_k_max_blocks(consistent_instance, monkeypatch, lam):
+    # iid agents prepare their blocks in batches; a run to k_max = 40 (a batch
+    # of agents.BATCH, then a short one) draws 40 blocks per agent and leaves
+    # each block stream where 40 one-at-a-time draws leave it
+    drawn = []
+    sample_block = agents.sample_block
+    monkeypatch.setattr(agents, "sample_block",
+                        lambda state, acfg: drawn.append(acfg.agent_id) or sample_block(state, acfg))
+    cfg = build_cfg(consistent_instance, block=4, lam=lam, tol=1e-300, k_max=40)
+    cfg.agents = [dataclasses.replace(acfg, sampling=agents.IID) for acfg in cfg.agents]
+    res = run_tolerant(cfg)
+    assert res.stop_reason == "k_max" and all(st.k == 40 for st in res.states)
+    assert sorted(drawn) == sorted(list(range(len(cfg.agents))) * 40)
+    for i, (acfg, st) in enumerate(zip(cfg.agents, res.states)):
+        replay = agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i))
+        for _ in range(40):
+            sample_block(replay, acfg)
+        assert st.rng.bit_generator.state == replay.rng.bit_generator.state and not st.ready
+
+
+def test_iid_block_failure_raises_only_when_used():
+    # one agent whose row 7 is near 1e160: a block holding it has a Gram
+    # matrix that overflows.  A run whose budget ends before the first such
+    # block finishes, though that block was drawn and factored with its batch.
+    g = np.random.default_rng(41)
+    A = g.normal(size=(12, 5))
+    A[7] *= 1e160
+    acfg = AgentConfig(0, problems.CsrRows.from_dense(A), g.normal(size=12), np.arange(12), 3,
+                       lam=1.0, sampling=agents.IID)
+    replay = agents.initial_state(acfg, rng.stream(3, rng.BLOCKS, 0))
+    k_fail = next(k for k in range(1000) if 7 in agents.sample_block(replay, acfg))
+    assert k_fail % agents.BATCH != 0   # the block is not the first of its batch
+
+    def run(budget):
+        # no neighbors and no broadcasts: the log is one Iterate per step
+        cfg = SimConfig(topology.build_pascal(1, 1), [acfg], np.zeros(5), 1.0, EveryK(10**6),
+                        tol=1e-300, k_max=1000, event_budget=budget, seed=3)
+        return run_tolerant(cfg)
+
+    res = run(k_fail)
+    assert res.stop_reason == "budget" and res.states[0].k == k_fail
+    with pytest.raises(InvalidParameter, match="overflows"):
+        run(k_fail + 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -76,14 +76,14 @@ def test_golden_digests(name):
 def test_sparse_cases_take_the_compressed_path(name, monkeypatch):
     # these cases pin narrow blocks: every block's rows have entries on fewer
     # than n/2 columns, so each A_J is much narrower than the shard
-    block_rows, wide = agents.block_rows, []
+    plan_blocks, wide = agents.plan_blocks, []
 
-    def recording(A, J):
-        cols, plan = block_rows(A, J)
-        wide.append(2 * len(cols) >= A.shape[1])
-        return cols, plan
+    def recording(A, blocks):
+        planned = plan_blocks(A, blocks)
+        wide.extend(2 * len(cols) >= A.shape[1] for cols, _ in planned)
+        return planned
 
-    monkeypatch.setattr(agents, "block_rows", recording)
+    monkeypatch.setattr(agents, "plan_blocks", recording)
     run_case(load_corpus()[name])
     assert wide and not any(wide)
 

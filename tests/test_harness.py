@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,21 @@ def test_cli_missing_instance_exit_1(tmp_path):
     assert run_cli("run", "--instance", str(tmp_path / "absent")) == 1
 
 
+def test_python_m_kaczsim_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def kaczsim(*argv):
+        return subprocess.run([sys.executable, "-m", "kaczsim", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env=env, timeout=120)
+
+    shown = kaczsim("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage:")
+    failed = kaczsim("run", "--instance", str(tmp_path / "absent"))
+    assert failed.returncode == 1
+    assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1
+
+
 BAD_INPUTS = {
     "manifest-without-files": (lambda manifest: manifest.pop("files"), None),
     "manifest-agents-zero": (lambda manifest: manifest.update(agents=0), None),
@@ -260,6 +279,8 @@ BAD_INPUTS = {
     "manifest-agents-string": (lambda manifest: manifest.update(agents="4"), None),
     "manifest-agents-bool": (lambda manifest: manifest.update(agents=True), None),
     "manifest-agents-missing": (lambda manifest: manifest.pop("agents"), None),
+    "manifest-spec-m": (lambda manifest: manifest["spec"].update(m=999), None),
+    "manifest-spec-n": (lambda manifest: manifest["spec"].update(n=7), None),
     "config-not-json": (None, "{block_size: 5"),
     "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
     "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
