@@ -1,13 +1,17 @@
 """Scale target: a 10^5 x 10^4 system at 0.1 % density, end to end.
 
 Generates the instance (10^6 entries), writes it as an instance directory,
-loads it back and runs a fixed number of iterations per agent on the
-loaded copy.  Held as dense shards, A would take 8 GB; the agents hold it
-as sparse rows.  Prints the phase timings, setup_s (generate, save and
-load), wall_s (setup and run) and peak_rss_mb, the process's peak
+loads it back and runs on the loaded copy: a fixed number of iterations
+per agent, or with --tol-rel a solve, until every agent is within
+tol_rel * |x*| of the solution (stop_mode all; --k-max then caps the
+iterations, 80 000 by default).  Held as dense shards, A would take 8 GB;
+the agents hold it as sparse rows.  Prints the stop reason, the
+iterations per agent, the phase timings, setup_s (generate, save and
+load), run_s, wall_s (setup and run) and peak_rss_mb, the process's peak
 resident set size.
 
     PYTHONPATH=src python scripts/sparse_target.py [--sampling iid] [--lam 1] [--m 20000 --n 2000]
+    PYTHONPATH=src python scripts/sparse_target.py --tol-rel 1e-6
 
 The instance directory is written to a temporary directory.
 """
@@ -16,6 +20,8 @@ import resource
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from kaczsim import harness, problems
 from kaczsim.harness import RunOptions
@@ -35,7 +41,10 @@ def parse_args(argv):
     p.add_argument("--m", type=int, default=100_000)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--density", type=float, default=0.001)
-    p.add_argument("--k-max", type=int, default=1000, help="iterations per agent")
+    p.add_argument("--k-max", type=int, default=None,
+                   help="iterations per agent (default 1000; with --tol-rel, 80000)")
+    p.add_argument("--tol-rel", type=float, default=None,
+                   help="solve to this tolerance relative to |x*|, every agent within it")
     p.add_argument("--sampling", choices=["cycle", "iid"], default="cycle")
     p.add_argument("--lam", type=float, default=None)
     return p.parse_args(argv)
@@ -60,15 +69,21 @@ def main(argv=None):
         inst = problems.load(directory)
         timings["load_s"] = time.perf_counter() - t
     timings["setup_s"] = time.perf_counter() - start
+    k_max = args.k_max if args.k_max is not None else (1000 if args.tol_rel is None else 80_000)
+    tol = 1e-12 if args.tol_rel is None else args.tol_rel * float(np.linalg.norm(inst.x_star))
+    # An agent step logs one Iterate and, every INTERVAL-th, one Broadcast
+    # and at most AGENTS - 1 Deliver events, so this budget never ends a run.
+    budget = AGENTS * k_max * (2 + AGENTS // INTERVAL)
     opts = RunOptions(block_size=BLOCK_SIZE, lam=args.lam, sampling=args.sampling,
-                      interval=INTERVAL, tol=1e-12, k_max=args.k_max, stop_mode="all", seed=SEED)
+                      interval=INTERVAL, tol=tol, k_max=k_max, event_budget=budget,
+                      stop_mode="all", seed=SEED)
     t = time.perf_counter()
     result = harness.run_single(inst, opts)
     timings["run_s"] = time.perf_counter() - t
     timings["wall_s"] = time.perf_counter() - start
 
     print(f"instance {args.m}x{args.n}, {nnz} entries, {AGENTS} agents, "
-          f"{args.sampling} blocks of {BLOCK_SIZE}, lam {args.lam}")
+          f"{args.sampling} blocks of {BLOCK_SIZE}, lam {args.lam}, tol {tol:.6g}")
     print(f"stop_reason {result.stop_reason}")
     print(f"iterations_per_agent {min(s.k for s in result.states)}")
     print(f"e_stop {result.metrics.e_stop:.6g}")

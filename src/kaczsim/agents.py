@@ -166,13 +166,26 @@ def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.nda
 
 def aggregate(entries: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
     """Arithmetic mean of the estimates in snapshot entries (sender,
-    estimate, sender iteration).
+    estimate, sender iteration), as a new array.
 
-    np.add.reduce over axis 0 and one division is the reduction np.mean
-    performs, so the result is bit-identical to it.  A sequential sum is
-    not: for n = 1 the reduction runs along the contiguous axis, pairwise.
+    The result is bit for bit np.add.reduce over the stacked estimates
+    (axis 0) and one division, the reduction np.mean performs.  For n >= 2
+    that reduction starts from +0.0 and adds the rows one after another in
+    entry order, so the sum is built in place: first + 0.0 (a new array;
+    the + 0.0 turns -0.0 into +0.0, so that a column of -0.0 sums to +0.0
+    as in the reduce), the other estimates added to it with +=, then one
+    division by d, with no d x n stack.  For n = 1 the d x 1 stack reduces
+    along its contiguous axis, pairwise, which a sequential sum does not
+    reproduce, so n = 1 keeps np.add.reduce.
     """
-    return np.add.reduce([vec for _, vec, _ in entries], axis=0) / len(entries)
+    first = entries[0][1]
+    if len(first) == 1:
+        return np.add.reduce([vec for _, vec, _ in entries], axis=0) / len(entries)
+    total = first + 0.0
+    for i in range(1, len(entries)):
+        total += entries[i][1]
+    total /= len(entries)
+    return total
 
 
 def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
@@ -318,9 +331,19 @@ def step(state: AgentState, cfg: AgentConfig,
     cfg.blocks or the next prepared iid block from state.ready, which
     prepare_blocks refills when it runs out; a prepared block whose
     factoring failed raises its error here, at the step that uses it.  A_J
-    is densified from the plan.  The state is updated in place (k, block,
-    chunk, the sampler, x rebound to the new array aggregate returns, y's
-    block entries) and the same object is returned.
+    is densified from the plan.  w[cols] is gathered once into w_c, which
+    serves the residual and takes the update before it is written back:
+    cols are distinct, so that is w[cols] += A_J^T alpha, value for value.
+    The state is updated in place (k, block, chunk, the sampler, x rebound
+    to the new array aggregate returns, y's block entries) and the same
+    object is returned.
+
+    The matrix-vector products go through ndarray.dot, which calls the BLAS
+    routine the @ operator calls, with the same operands, but skips its
+    ufunc dispatch (about 0.5 us a product at |J| = 10).  A 1 x 1 matrix is
+    the exception: dot multiplies it as a scalar, where @ adds the product
+    to +0.0 and so turns a -0.0 into +0.0.  A block of one row (|J| = 1,
+    whose factor is 1 x 1) therefore keeps @.
     """
     w = aggregate(entries)
     if cfg.sampling == IID:
@@ -334,13 +357,16 @@ def step(state: AgentState, cfg: AgentConfig,
         sample_block(state, cfg)
         rows, cols, plan, b_J, factor = cfg.blocks[state.chunk]
     A_J = densify(cfg.A, plan)
-    r = b_J - A_J @ w[cols]
+    dot = np.ndarray.dot if len(b_J) > 1 else np.matmul
+    w_c = w[cols]
+    r = b_J - dot(A_J, w_c)
     if cfg.augmented:
-        alpha = factor @ (r - cfg.lam * state.y[rows])
+        alpha = dot(factor, r - cfg.lam * state.y[rows])
         state.y[rows] += cfg.lam * alpha
     else:
-        alpha = factor @ (factor.T @ r)
-    w[cols] += A_J.T @ alpha
+        alpha = dot(factor, dot(factor.T, r))
+    w_c += dot(A_J.T, alpha)
+    w[cols] = w_c
     state.x = w
     state.k += 1
     return state

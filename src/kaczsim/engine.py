@@ -329,6 +329,10 @@ def run(cfg: SimConfig) -> RunResult:
     c0, c1 = CMP_COST
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
     emit = log.append
+    # Events are built as tuples of all eight fields in Event's order (time,
+    # kind, agent, peer, k, count, value, kept), the unused ones at their
+    # defaults: the same records as Event(...), without its argument parsing.
+    new = tuple.__new__
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -352,13 +356,13 @@ def run(cfg: SimConfig) -> RunResult:
                 mailbox[sender] = entry
                 if held is None:   # a new sender: restore sender order
                     rt.mailbox = dict(sorted(mailbox.items()))
-            emit(Event(now, "Deliver", agent, sender, sender_iter, kept=kept))
+            emit(new(Event, (now, "Deliver", agent, sender, sender_iter, -1, 0.0, kept)))
             continue
 
         if prio == _RESUME:
             fs = failure[agent]
             fs.runs_left = fs.draw_run_length(xi)
-            emit(Event(now, "Resume", agent))
+            emit(new(Event, (now, "Resume", agent, -1, -1, -1, 0.0, False)))
             push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
             seq += 1
             continue
@@ -378,12 +382,12 @@ def run(cfg: SimConfig) -> RunResult:
             rt.within_tol = not rt.within_tol
             within += 1 if rt.within_tol else -1
 
-        emit(Event(now, "Iterate", agent, k=k, count=len(entries), value=err))
+        emit(new(Event, (now, "Iterate", agent, -1, k, len(entries), err, False)))
 
         # stop checks come before the broadcast: a converged run ends here
         if rt.within_tol:
             if not stop_all or within == n:
-                emit(Event(now, "Converge", agent, value=err))
+                emit(new(Event, (now, "Converge", agent, -1, -1, -1, err, False)))
                 converged = True
                 stop_reason = "tol"
                 break
@@ -393,7 +397,7 @@ def run(cfg: SimConfig) -> RunResult:
 
         if fire_trigger(k, prev_time, now, trigger):
             neighbors = neighbors_of[agent]
-            emit(Event(now, "Broadcast", agent, k=k, count=len(neighbors)))
+            emit(new(Event, (now, "Broadcast", agent, -1, k, len(neighbors), 0.0, False)))
             entry = (agent, agents_mod.snapshot_payload(state), k)
             for nbr in neighbors:
                 delay = delay_bound * (1.0 - next(rt.delays))  # (0, delay_bound]
@@ -412,7 +416,7 @@ def run(cfg: SimConfig) -> RunResult:
                 duration = fs.draw_downtime(xi)
                 rt.halts += 1
                 rt.downtime += duration
-                emit(Event(now, "Halt", agent, value=now + duration))
+                emit(new(Event, (now, "Halt", agent, -1, -1, -1, now + duration, False)))
                 push(heap, (now + duration, _RESUME, agent, seq, None))
                 seq += 1
                 continue

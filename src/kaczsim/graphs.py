@@ -336,8 +336,9 @@ def max_observed_stage(ticks: list[TickRecord]) -> int:
 
 def certification_report(ticks: list[TickRecord], A, n_agents: int,
                          window: int, l_window: int | None = None) -> dict:
-    """Contraction certificate over the last `window` ticks of a trace."""
-    if window < 0 or window > len(ticks):
+    """Contraction certificate over the last `window` ticks of a trace; a
+    window outside [1, len(ticks)] raises InvalidParameter."""
+    if window < 1 or window > len(ticks):
         raise InvalidParameter(f"window {window} outside trace of {len(ticks)} ticks")
     A = linalg.as_matrix(A)
     tail = ticks[len(ticks) - window:]

@@ -331,11 +331,19 @@ def write_aggregated_csv(aggregated, path, reps: int = 1) -> None:
 
 
 def write_events_csv(log: list[engine.Event], path) -> None:
+    """The log as events.csv: a `time,kind,agent,detail` header, then one
+    line per event, each ended by CRLF.
+
+    The lines are formatted directly, and the file is byte for byte what
+    csv.writer writes for the rows (repr(time), kind, agent, detail): its
+    lines end by CRLF too, and it quotes no field, since none can hold a
+    comma, a quote or a line break (time is the repr of the Python float
+    the engine logs, kind a name, agent an int, detail `name=value` pairs
+    joined by ';', empty for Resume).
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "kind", "agent", "detail"])
-        for ev in log:
-            w.writerow([_fmt(ev.time), ev.kind, ev.agent, ev.detail])
+        fh.write("time,kind,agent,detail\r\n")
+        fh.writelines(f"{ev.time!r},{ev.kind},{ev.agent},{ev.detail}\r\n" for ev in log)
 
 
 def write_report_csv(metrics_csv, path) -> None:

@@ -1,11 +1,14 @@
 """Reference implementations the tests check the package against.
 
 Each one computes its result the textbook way (a projection directly from
-the SVD or the pseudoinverse, a dense matrix by np.add.at), with none of
-the caching, factoring or compression the package does.  The exception is
+the SVD or the pseudoinverse, a dense matrix by np.add.at, a mean by
+np.add.reduce, a CSV file by csv.writer), with none of the caching,
+factoring, compression or preformatting the package does.  The exception is
 sequential_iid_step, the iid block step one block at a time: it keeps the
 package's arithmetic, so that the batched step must match it bit for bit.
 """
+import csv
+
 import numpy as np
 
 from kaczsim import agents, linalg
@@ -57,6 +60,22 @@ def sequential_iid_step(state, cfg, entries):
     state.x = w
     state.k += 1
     return state
+
+
+def mean_estimate(entries) -> np.ndarray:
+    """The mean of the snapshot entries' estimates the way np.mean takes it:
+    np.add.reduce over the stacked estimates (axis 0), then one division."""
+    return np.add.reduce([vec for _, vec, _ in entries], axis=0) / len(entries)
+
+
+def write_events_csv(log, path) -> None:
+    """events.csv through csv.writer: a header row, then one row
+    (repr(time), kind, agent, detail) per event."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "kind", "agent", "detail"])
+        for ev in log:
+            w.writerow([repr(float(ev.time)), ev.kind, ev.agent, ev.detail])
 
 
 def coo_dense(shape, row, col, data) -> np.ndarray:

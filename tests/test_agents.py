@@ -6,7 +6,7 @@ import pytest
 from kaczsim import agents, linalg, problems
 from kaczsim.agents import AgentConfig
 from kaczsim.errors import CorruptMessage, DimensionError, InvalidParameter
-from oracles import project_null, sequential_iid_step
+from oracles import mean_estimate, project_null, sequential_iid_step
 
 
 def make_cfg(A, b, block=None, lam=None, sampling=agents.CYCLE):
@@ -37,6 +37,38 @@ def test_aggregate_of_equal_vectors():
 def test_aggregate_mean():
     out = agents.aggregate(snap([1.0, 0.0], [0.0, 1.0], [2.0, 2.0]))
     assert np.allclose(out, [1.0, 1.0])
+
+
+ZERO_HEAVY = np.array([-0.0, -0.0, -0.0, 0.0, 5e-324])
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.7e308, -1.7e308])
+
+
+def _awkward_values(g, shape, special, share):
+    """Values of mixed scale and sign, a share of them replaced by draws
+    from `special`."""
+    x = g.standard_normal(shape) * 10.0 ** g.integers(-20, 20, shape)
+    mask = g.random(shape) < share
+    x[mask] = g.choice(special, size=int(mask.sum()))
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 400])
+def test_aggregate_bit_equal_to_stacked_reduce(n):
+    """The in-place sum is np.add.reduce over the stacked estimates bit for
+    bit: with +-0.0 (a column of -0.0 included), subnormals, magnitudes near
+    1e300 and overflow to inf and nan.  It returns a new array and leaves
+    the entries as they were."""
+    g = np.random.default_rng(n)
+    for d in range(1, 21):
+        for special, share in ((SPECIAL, 0.3), (ZERO_HEAVY, 0.9)):
+            for _ in range(2 if n == 400 else 10):
+                entries = [(i, v, 0) for i, v in enumerate(_awkward_values(g, (d, n), special, share))]
+                before = [v.copy() for _, v, _ in entries]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out, ref = agents.aggregate(entries), mean_estimate(entries)
+                assert out.tobytes() == ref.tobytes()
+                assert all(v.tobytes() == w.tobytes() for (_, v, _), w in zip(entries, before))
+                assert not any(np.shares_memory(out, v) for _, v, _ in entries)
 
 
 # --------------------------------------------------------------- sample_block
@@ -493,6 +525,25 @@ def test_batched_iid_step_matches_sequential_reference(lam):
         for _ in state.ready:
             agents.sample_block(ref, cfg)
         assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("lam", [None, 0.7], ids=["consistent", "regularized"])
+def test_one_row_block_step_keeps_matmul_zero_signs(lam):
+    """Row 0 makes a 1 x 1 A_J = [[-1]] whose step adds a zero correction
+    to w = -0.0 (the mean of -5e-324 and 0.0 underflows).  @ computes that
+    correction as +0.0, and so does the step; ndarray.dot would give -0.0
+    and leave x[0] at -0.0."""
+    cfg = make_cfg([[-1.0, 0.0], [0.0, 2.0]], [0.0, 1.0], block=1, lam=lam,
+                   sampling=agents.IID)
+    rows = set()
+    for seed in range(8):
+        state = fresh(cfg, seed, init=[-5e-324, 0.0])
+        ref = fresh(cfg, seed, init=[-5e-324, 0.0])
+        agents.step(state, cfg, [(0, state.x, 0), (1, np.zeros(2), 0)])
+        sequential_iid_step(ref, cfg, [(0, ref.x, 0), (1, np.zeros(2), 0)])
+        assert state.x.tobytes() == ref.x.tobytes()
+        rows.add(int(state.block[0]))
+    assert rows == {0, 1}
 
 
 def test_iid_block_failure_raises_at_its_step():

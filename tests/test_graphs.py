@@ -518,3 +518,10 @@ def test_certification_report_fields():
     assert report["window"] == 4
     assert 0.0 < report["hybrid_norm"] <= 1.0 + 1e-12
     assert len(report["complete_rows"]) == (report["d"] + 1) * 3
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_certification_report_rejects_empty_window(window):
+    result, inst = _small_run(budget=400)
+    with pytest.raises(InvalidParameter):
+        graphs.certification_report(graphs.tick_trace(result), inst.dense(), 3, window=window)

@@ -14,6 +14,7 @@ from kaczsim import cli, harness, problems
 from kaczsim.engine import MetricsRecord
 from kaczsim.errors import InvalidParameter, IoError
 from kaczsim.harness import RunOptions
+from oracles import write_events_csv as csv_writer_events
 
 
 def metrics(**kw):
@@ -177,6 +178,21 @@ def test_cli_run_deterministic(tmp_path, instance_dir):
     assert (out_a / "events.csv").read_text() == (out_b / "events.csv").read_text()
 
 
+def test_events_csv_bytes_match_csv_writer(tmp_path):
+    """events.csv is byte for byte what csv.writer writes, on a run that
+    logs all six kinds (Resume with an empty detail)."""
+    inst = problems.generate(problems.ProblemSpec(m=60, n=12, density=0.5, seed=3, agents=4))
+    result = harness.run_single(inst, RunOptions(block_size=4, interval=2, failure_rho=0.5,
+                                                 failure_xi=2.0, stop_mode="all", seed=3))
+    assert {ev.kind for ev in result.log} == {"Deliver", "Iterate", "Broadcast", "Halt",
+                                              "Resume", "Converge"}
+    harness.write_events_csv(result.log, tmp_path / "events.csv")
+    csv_writer_events(result.log, tmp_path / "reference.csv")
+    data = (tmp_path / "events.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert data.count(b"\r\n") == len(result.log) + 1
+
+
 def test_cli_sweep_and_report(tmp_path, instance_dir):
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--instance", str(instance_dir), "--axis", "lambda",
@@ -215,6 +231,17 @@ def test_cli_certify_long_window(tmp_path):
     report = json.loads((out / "certify.json").read_text())
     assert report["window"] == 64
     assert report["complete_rows"] and all(report["complete_rows"])
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_cli_certify_empty_window_exit_1(tmp_path, capsys, window):
+    """A certificate over no ticks is refused, not reported."""
+    out = tmp_path / "cert"
+    assert run_cli("certify", "--m", "4", "--n", "3", "--agents", "2",
+                   "--window", window, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "hybrid_norm" not in captured.out and not (out / "certify.json").exists()
 
 
 def test_cli_env_var_output(tmp_path, instance_dir, monkeypatch):

@@ -35,3 +35,15 @@ def test_sparse_target_prints_timings_and_peak_rss(capsys):
     for name in ("generate_s", "save_s", "load_s", "setup_s", "run_s", "wall_s", "peak_rss_mb"):
         assert float(values[name]) > 0
     assert float(values["wall_s"]) >= float(values["setup_s"])
+
+
+def test_sparse_target_tol_rel_solves(capsys):
+    load_script("sparse_target").main(["--m", "2000", "--n", "200", "--density", "0.01",
+                                       "--tol-rel", "1e-3"])
+    out = capsys.readouterr().out.splitlines()
+    tol = float(out[0].rsplit("tol ", 1)[1])
+    values = dict(line.split(" ", 1) for line in out[1:])
+    assert values["stop_reason"] == "tol"
+    assert 0 < int(values["iterations_per_agent"]) < 80_000
+    assert float(values["e_stop"]) <= tol
+    assert float(values["run_s"]) > 0 and float(values["peak_rss_mb"]) > 0
