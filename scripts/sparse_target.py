@@ -4,7 +4,8 @@ Generates the instance (10^6 entries), writes it as an instance directory,
 loads it back and runs on the loaded copy: a fixed number of iterations
 per agent, or with --tol-rel a solve, until every agent is within
 tol_rel * |x*| of the solution (stop_mode all; --k-max then caps the
-iterations, 80 000 by default).  Held as dense shards, A would take 8 GB;
+iterations, 80 000 by default; not with --lam, whose runs settle away
+from the regularized oracle).  Held as dense shards, A would take 8 GB;
 the agents hold it as sparse rows.  Prints the stop reason, the
 iterations per agent, the phase timings, setup_s (generate, save and
 load), run_s, wall_s (setup and run) and peak_rss_mb, the process's peak
@@ -47,7 +48,13 @@ def parse_args(argv):
                    help="solve to this tolerance relative to |x*|, every agent within it")
     p.add_argument("--sampling", choices=["cycle", "iid"], default="cycle")
     p.add_argument("--lam", type=float, default=None)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.tol_rel is not None and args.lam is not None:
+        # the multi-agent regularized consensus settles off the regularized
+        # oracle, so a tolerance relative to it is never met
+        p.error("--tol-rel cannot be combined with --lam: a regularized run does not "
+                "reach the regularized oracle, so it would only spend its --k-max")
+    return args
 
 
 def main(argv=None):

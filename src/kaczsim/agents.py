@@ -13,7 +13,10 @@ applied as W (W^T r) with the |J| x rank factor W = U_r Sigma_r^-1 of
 linalg.gram_pinv_root: the materialized F would square the block's
 condition number in the step's rounding error.  The regularized mode
 projects onto the widened system (A, lam I) with the |J| x |J| factor
-F = (A_J A_J^T + lam^2 I)^{-1} and also sets y_J <- y_J + lam alpha.
+F = (A_J A_J^T + lam^2 I)^{-1} and also sets y_J <- y_J + lam alpha.  F is
+built from the Cholesky factor L of the shifted Gram matrix, which also
+checks it is positive definite, as L^{-T} L^{-1}, with L inverted by forward
+substitution (linalg.shifted_gram_inverse): no LU factorization.
 Only x is ever broadcast; y stays local to its owner.
 
 The shard A_i is sparse (problems.CsrRows); no m_i x n dense array is
@@ -191,7 +194,8 @@ def aggregate(entries: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
 def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     """Draw the next row block, updating the sampler bookkeeping on state."""
     if cfg.sampling == IID:
-        state.block = np.sort(state.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False))
+        state.block = state.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False)
+        state.block.sort()
         state.chunk = None
         return state.block
     chunks = cfg.chunks
@@ -217,23 +221,20 @@ def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
 def block_factors(A_Js: list[np.ndarray], lam: float | None) -> list:
     """block_factor of each block, bit for bit, or the exception it raised.
 
-    Regularized blocks of one height are factored as a stack: their Gram
-    matrices A_J A_J^T + lam^2 I go through one linalg.shifted_gram_inverse
-    call, whose LAPACK routines run on each matrix of the stack as on a
-    single one.  If any matrix of a stack fails, its blocks are factored one
-    by one, so that each failure stays with its own block.  Consistent
-    blocks are factored one by one: their SVDs have different widths.
+    Regularized blocks of one height are factored as one stack by
+    linalg.gram_inverses, which block_factor runs on a stack of one.  If any
+    matrix of a stack fails, its blocks are factored one by one, so that
+    each failure stays with its own block.  Consistent blocks are factored
+    one by one: their SVDs have different widths.
     """
     factors: list = [None] * len(A_Js)
     if lam is not None:
         heights: dict[int, list[int]] = {}
         for i, A_J in enumerate(A_Js):
             heights.setdefault(len(A_J), []).append(i)
-        for height, idx in heights.items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                G = np.stack([A_Js[i] @ A_Js[i].T for i in idx]) + (lam * lam) * np.eye(height)
+        for idx in heights.values():
             try:
-                F = linalg.shifted_gram_inverse(G, lam)
+                F = linalg.gram_inverses([A_Js[i] for i in idx], lam)
             except (InvalidParameter, np.linalg.LinAlgError):
                 continue   # factored one by one below
             for i, F_i in zip(idx, F):

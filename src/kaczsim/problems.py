@@ -172,17 +172,25 @@ def partition(A: CsrRows, b: np.ndarray, agents: int) -> list[Shard]:
 
 
 def _sample_positions(g: np.random.Generator, m: int, n: int, nnz: int) -> np.ndarray:
-    """Draw nnz distinct flat positions, re-drawing collisions."""
-    taken: set[int] = set()
-    order: list[int] = []
-    while len(order) < nnz:
-        batch = g.integers(0, m * n, size=nnz - len(order))
-        for p in batch:
-            p = int(p)
-            if p not in taken:
-                taken.add(p)
-                order.append(p)
-    return np.array(order, dtype=np.int64)
+    """Draw nnz distinct flat positions, re-drawing collisions: each batch
+    draws as many positions as are still missing, and keeps, in draw order,
+    the first occurrence of each position not taken before."""
+    taken = np.empty(0, dtype=np.int64)        # sorted
+    parts, count = [], 0
+    while count < nnz:
+        batch = g.integers(0, m * n, size=nnz - count)
+        values, first = np.unique(batch, return_index=True)
+        if len(taken):
+            at = taken.searchsorted(values)
+            fresh = taken[np.minimum(at, len(taken) - 1)] != values
+            values, first = values[fresh], first[fresh]
+            taken = np.insert(taken, at[fresh], values)
+        else:
+            taken = values
+        first.sort()
+        parts.append(batch[first])
+        count += len(first)
+    return np.concatenate(parts)
 
 
 def generate(spec: ProblemSpec) -> ProblemInstance:

@@ -2,10 +2,11 @@
 
 Each one computes its result the textbook way (a projection directly from
 the SVD or the pseudoinverse, a dense matrix by np.add.at, a mean by
-np.add.reduce, a CSV file by csv.writer), with none of the caching,
-factoring, compression or preformatting the package does.  The exception is
-sequential_iid_step, the iid block step one block at a time: it keeps the
-package's arithmetic, so that the batched step must match it bit for bit.
+np.add.reduce, a CSV file by csv.writer, distinct positions one draw at a
+time), with none of the caching, factoring, compression, preformatting or
+vectorizing the package does.  The exception is sequential_iid_step, the
+iid block step one block at a time: it keeps the package's arithmetic, so
+that the batched step must match it bit for bit.
 """
 import csv
 
@@ -92,3 +93,19 @@ def adjacency(topo) -> np.ndarray:
     for i, nbrs in enumerate(topo.neighbors):
         g[i, nbrs] = 1
     return g
+
+
+def sample_positions(g, m: int, n: int, nnz: int) -> np.ndarray:
+    """problems._sample_positions one drawn position at a time: each batch
+    draws the positions still missing, and a position joins in draw order
+    unless it was taken before."""
+    taken: set[int] = set()
+    order: list[int] = []
+    while len(order) < nnz:
+        batch = g.integers(0, m * n, size=nnz - len(order))
+        for p in batch:
+            p = int(p)
+            if p not in taken:
+                taken.add(p)
+                order.append(p)
+    return np.array(order, dtype=np.int64)

@@ -233,6 +233,22 @@ def test_cli_certify_long_window(tmp_path):
     assert report["complete_rows"] and all(report["complete_rows"])
 
 
+CERTIFY_CASES = Path(__file__).resolve().parent.parent / "perfbench" / "certify_cases.json"
+
+
+@pytest.mark.parametrize("case", json.loads(CERTIFY_CASES.read_text())["full"],
+                         ids=lambda c: f"m{c['m']}-agents{c['agents']}-seed{c['seed']}-w{c['window']}")
+def test_certify_matches_recorded_benchmark_case(case):
+    # the benchmark's certify_window workload checks these recorded reports
+    # (perfbench/workloads.check_certificate); a change to the run that moves
+    # a certificate shows here, not only as a failed benchmark operation
+    report = harness.certify(m=case["m"], n=case["n"], agents=case["agents"],
+                             seed=case["seed"], window=case["window"])
+    assert abs(report["hybrid_norm"] - case["hybrid_norm"]) <= 1e-9
+    for key in ("complete_rows", "d", "C_l_verdict"):
+        assert report[key] == case[key], key
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 def test_cli_certify_empty_window_exit_1(tmp_path, capsys, window):
     """A certificate over no ticks is refused, not reported."""

@@ -207,6 +207,51 @@ def test_gram_inverse_overflowing_gram_raises():
         linalg.augmented_min_norm_solve(A, np.ones(6), 1.0)
 
 
+@pytest.mark.parametrize("bad, lam, match", [
+    (np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150, "positive definite"),
+    (1e160 * rng(8).normal(size=(2, 4)), 1.0, "overflows")])
+def test_stacked_gram_inverse_failure_raises(bad, lam, match):
+    # in a stack, one failing block fails the call; block_factors then
+    # factors the blocks one by one, so the failure stays with its block
+    good = rng(3).normal(size=(2, 4))
+    with pytest.raises(InvalidParameter, match=match):
+        linalg.gram_inverses([good, bad, good], lam)
+    factors = agents.block_factors([good, bad, good], lam)
+    assert isinstance(factors[1], InvalidParameter) and match in str(factors[1])
+    single = linalg.gram_inverse(good, lam)
+    assert np.array_equal(factors[0], single) and np.array_equal(factors[2], single)
+
+
+def random_gram_blocks(g, height, count):
+    """count random blocks of one height for gram_inverse: some rank-deficient
+    (rank 0 to |J|), rows scaled by 1e-3 to 1e3."""
+    blocks = []
+    for _ in range(count):
+        width = int(g.integers(1, 40))
+        rank = int(g.integers(0, min(height, width) + 1))
+        A = g.normal(size=(height, rank)) @ g.normal(size=(rank, width))
+        blocks.append(A * 10.0 ** g.uniform(-3, 3, size=(height, 1)))
+    return blocks
+
+
+def test_gram_inverse_residual_within_condition_number():
+    # F comes from the Cholesky factor: |F G - I| stays within a small
+    # multiple of eps * cond(G), for one block and for a stack, whose
+    # factors are the single ones bit for bit
+    g = rng(21)
+    eps = np.finfo(float).eps
+    for _ in range(60):
+        height, lam = int(g.integers(1, 25)), 10.0 ** g.uniform(-3, 1)
+        blocks = random_gram_blocks(g, height, int(g.integers(1, 6)))
+        stacked = linalg.gram_inverses(blocks, lam)
+        assert stacked.shape == (len(blocks), height, height)
+        for A, F_stacked in zip(blocks, stacked):
+            F = linalg.gram_inverse(A, lam)
+            assert np.array_equal(F, F_stacked) and np.array_equal(F, F.T)
+            G = A @ A.T + lam**2 * np.eye(height)
+            assert np.linalg.norm(F @ G - np.eye(height), 2) <= 8 * height * eps * np.linalg.cond(G)
+
+
 def test_gram_solve_accepts_cached_factorization():
     g = rng(6)
     A = g.normal(size=(4, 7))

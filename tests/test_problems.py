@@ -1,13 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from kaczsim import cli, linalg, problems
+from kaczsim import cli, linalg, problems, rng
 from kaczsim.errors import DegenerateInstance, IoError, TooManyAgents
 from kaczsim.linalg import min_norm_solve
-from oracles import coo_dense
+from oracles import coo_dense, sample_positions
 
 
 def small_spec(**kw):
@@ -46,6 +47,19 @@ def test_exact_nonzero_count():
     inst = problems.generate(spec)
     import math
     assert inst.A.nnz == math.ceil(0.13 * spec.m * spec.n)
+
+
+@pytest.mark.parametrize("m, n, density, seed", [
+    (6, 4, 1.0, 0), (6, 4, 1.0, 5), (50, 40, 0.9, 1), (50, 40, 0.9, 2),   # collision-heavy
+    (400, 200, 0.02, 12), (400, 200, 0.02, 13)])                          # the golden shape
+def test_sample_positions_match_one_draw_at_a_time(m, n, density, seed):
+    nnz = math.ceil(density * m * n)
+    g, ref = rng.stream(seed, rng.MATRIX), rng.stream(seed, rng.MATRIX)
+    got = problems._sample_positions(g, m, n, nnz)
+    assert got.dtype == np.int64 and got.tobytes() == sample_positions(ref, m, n, nnz).tobytes()
+    assert len(np.unique(got)) == nnz
+    # the same draws were made: the stream stands at the same place
+    assert g.bit_generator.state == ref.bit_generator.state
 
 
 def test_degenerate_density_rejected():

@@ -5,6 +5,8 @@ import math
 import re
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -47,3 +49,15 @@ def test_sparse_target_tol_rel_solves(capsys):
     assert 0 < int(values["iterations_per_agent"]) < 80_000
     assert float(values["e_stop"]) <= tol
     assert float(values["run_s"]) > 0 and float(values["peak_rss_mb"]) > 0
+
+
+def test_sparse_target_rejects_tol_rel_with_lam(capsys, monkeypatch):
+    module = load_script("sparse_target")
+    # refused while parsing, before any instance is generated
+    monkeypatch.setattr(module.problems, "generate", lambda spec: pytest.fail("generated"))
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--tol-rel", "1e-6", "--lam", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert "--tol-rel" in err[-1] and "--lam" in err[-1]
