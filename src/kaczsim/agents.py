@@ -33,7 +33,7 @@ cols, plan, b_J, factor) on one path, block_entries: the block's rows, its
 columns cols, the plan that places its entries in A_J (plan_blocks, which
 plans many blocks in one gather), b_J and the factor W or F
 (block_factors, which inverts the regularized Gram matrices of equal-height
-blocks as one stack, bit for bit what block_factor gives one block).  The
+blocks as one stack, bit for bit what a stack of one gives each block).  The
 agent config owns the chunk table (AgentConfig.chunks) and, built on first
 use, one entry per chunk (AgentConfig.blocks), whose rows are a slice and
 b_J a view into the shard.  An iid agent draws its next BATCH blocks from
@@ -210,22 +210,17 @@ def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     return state.block
 
 
-def block_factor(A_J: np.ndarray, lam: float | None) -> np.ndarray:
-    """The block's factor, |J| rows: W with W W^T = (A_J A_J^T)^+ in
-    consistent mode, F = (A_J A_J^T + lam^2 I)^{-1} in regularized mode."""
-    if lam is None:
-        return linalg.gram_pinv_root(A_J)
-    return linalg.gram_inverse(A_J, lam)
-
-
 def block_factors(A_Js: list[np.ndarray], lam: float | None) -> list:
-    """block_factor of each block, bit for bit, or the exception it raised.
+    """The factor of each block, |J| rows, or the exception its factoring
+    raised: W with W W^T = (A_J A_J^T)^+ in consistent mode
+    (linalg.gram_pinv_root), F = (A_J A_J^T + lam^2 I)^{-1} in regularized
+    mode (linalg.gram_inverses).
 
-    Regularized blocks of one height are factored as one stack by
-    linalg.gram_inverses, which block_factor runs on a stack of one.  If any
-    matrix of a stack fails, its blocks are factored one by one, so that
-    each failure stays with its own block.  Consistent blocks are factored
-    one by one: their SVDs have different widths.
+    Regularized blocks of one height are factored as one stack, which gives
+    each block the factor it gets alone (a stack of one) bit for bit.  If
+    any matrix of a stack fails, its blocks are factored one by one, so
+    that each failure stays with its own block.  Consistent blocks are
+    factored one by one: their SVDs have different widths.
     """
     factors: list = [None] * len(A_Js)
     if lam is not None:
@@ -242,7 +237,8 @@ def block_factors(A_Js: list[np.ndarray], lam: float | None) -> list:
     for i, A_J in enumerate(A_Js):
         if factors[i] is None:
             try:
-                factors[i] = block_factor(A_J, lam)
+                factors[i] = (linalg.gram_pinv_root(A_J) if lam is None
+                              else linalg.gram_inverses([A_J], lam)[0])
             except (InvalidParameter, np.linalg.LinAlgError) as exc:
                 factors[i] = exc
     return factors

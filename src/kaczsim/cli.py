@@ -77,7 +77,8 @@ def cmd_gen(args) -> int:
     inst = problems.generate(spec)
     out = _out_dir(args, default="instance")
     problems.save(inst, out)
-    print(f"wrote instance ({args.m}x{args.n}, {inst.A.nnz} nonzeros, {args.agents} shards) to {out}")
+    print(f"wrote instance ({args.m}x{args.n}, {inst.A.nnz} nonzeros, "
+          f"default agent count {inst.agents}) to {out}")
     return 0
 
 

@@ -176,18 +176,9 @@ def comm_graph_sequence(ticks: list[TickRecord], n_agents: int) -> list[np.ndarr
 
 # -------------------------------------------------------------- delayed graph
 
-@dataclass
-class DelayedGraph:
-    """One tick of the expanded (agent, stage) graph and its weight matrix."""
-
-    n_agents: int
-    depth: int
-    agent: int                       # who iterated at this tick
-    W: np.ndarray                    # ((depth+1)N) x ((depth+1)N), row-stochastic
-
-
-def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> DelayedGraph:
-    """Weight matrix for one global tick.
+def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> np.ndarray:
+    """Weight matrix W of one global tick on the expanded (agent, stage)
+    graph: ((depth+1)N) x ((depth+1)N), row-stochastic.
 
     Row (stage 0, iterating agent) spreads 1/d over the used (sender, stage)
     nodes; every other stage-0 row keeps its state; stage s >= 1 rows shift
@@ -206,7 +197,7 @@ def build_delayed_graph(record: TickRecord, n_agents: int, depth: int) -> Delaye
     for s in range(1, depth + 1):
         for p in range(n_agents):
             W[s * n_agents + p, (s - 1) * n_agents + p] = 1.0
-    return DelayedGraph(n_agents, depth, record.agent, W)
+    return W
 
 
 # ---------------------------------------------------------- transition matrix
@@ -287,15 +278,16 @@ def build_transition_matrix(window: list[TickRecord], A, n_agents: int,
 
     def projector(rows: tuple[int, ...]) -> tuple[np.ndarray, int]:
         if rows not in proj_cache:
-            A_J = A[list(rows)]
-            proj_cache[rows] = (np.eye(n) - linalg.pinv(A_J) @ A_J,
-                                sum(1 << r for r in set(rows)))
+            # I - pinv(A_J) A_J; numpy takes V @ V.T as a symmetric rank-k
+            # update, so the projector is exactly symmetric
+            V = linalg.row_space_basis(A[list(rows)])
+            proj_cache[rows] = (np.eye(n) - V @ V.T, sum(1 << r for r in set(rows)))
         return proj_cache[rows]
 
     dense = np.eye(size_b * n)
     row_sets = [[0] for _ in range(size_b)]
     for pos, rec in enumerate(window):
-        W = build_delayed_graph(rec, n_agents, depth).W
+        W = build_delayed_graph(rec, n_agents, depth)
         dense = (W @ dense.reshape(size_b, -1)).reshape(dense.shape)
         row_sets = [_maximal(mask for k in np.flatnonzero(W[i]) for mask in row_sets[k])
                     for i in range(size_b)]

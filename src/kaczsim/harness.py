@@ -314,8 +314,7 @@ def write_metrics_csv(rows: list[dict], path) -> None:
         for row in rows:
             m = row["metrics"]
             w.writerow([row["cell"], row["rep"], row["seed"],
-                        _fmt(m.k_iter), _fmt(m.t_cmp), _fmt(m.c), _fmt(m.t_comm),
-                        _fmt(m.T), _fmt(m.e_stop), _fmt(m.k_stop), _fmt(m.t_stop),
+                        *(_fmt(getattr(m, name)) for name in RAW_HEADER[3:-1]),
                         row["config_hash"]])
 
 
@@ -325,9 +324,8 @@ def write_aggregated_csv(aggregated, path, reps: int = 1) -> None:
         w.writerow(AGG_HEADER)
         for cell, m in aggregated:
             value = cell.value[0] if len(cell.value) == 1 else ";".join(map(str, cell.value))
-            w.writerow([cell.cell, value, reps, _fmt(m.k_iter), _fmt(m.t_cmp), _fmt(m.c),
-                        _fmt(m.t_comm), _fmt(m.T), _fmt(m.e_stop), _fmt(m.k_stop),
-                        _fmt(m.t_stop), _fmt(m.converged)])
+            w.writerow([cell.cell, value, reps,
+                        *(_fmt(getattr(m, name)) for name in AGG_HEADER[3:])])
 
 
 def write_events_csv(log: list[engine.Event], path) -> None:

@@ -2,7 +2,8 @@
 
 All pseudoinverse-based operations go through an SVD with a relative rank
 threshold of RANK_RTOL * sigma_max, so rank-deficient blocks behave
-predictably across the whole package.
+predictably across the whole package.  A null-space projector is
+I - V V^T with V = row_space_basis(A_J), from that SVD and rule.
 
 The two oracles, min_norm_solve and augmented_min_norm_solve, take A dense
 or sparse and pick their solver by size.  Up to SVD_MAX_ENTRIES entries
@@ -20,10 +21,12 @@ F = (A_J A_J^T + lam^2 I)^{-1}, applied as w + A_J^T (F r).  F comes
 from the Cholesky factor G = L L^T of the shifted Gram matrix, the same
 factorization that checks G is positive definite: L is inverted by forward
 substitution, X = L^{-1}, and F = X^T X, with no LU factorization
-(shifted_gram_inverse).  One block and a stack of blocks take the same
-steps, so their factors agree bit for bit.  Importing
-this module loads numpy only.  scipy, whose import takes about 0.2 s, is
-imported only by the LSQR branch of the oracles.
+(shifted_gram_inverse).  gram_inverses factors a stack of blocks of one
+height; one block is a stack of one, and a stack does per block what it
+does for one, so their factors agree bit for bit.
+
+Importing this module loads numpy only.  scipy, whose import takes about
+0.2 s, is imported only by the LSQR branch of the oracles.
 "Sparse" here means any matrix with tocsr and toarray methods: a
 scipy.sparse matrix or a problems.CsrRows, which densifies with numpy alone.
 """
@@ -96,14 +99,6 @@ def svd(A) -> SvdFactors:
     return SvdFactors(U[:, :r], s[:r], Vt[:r].T, r, float(s[r - 1]) if r else 0.0)
 
 
-def pinv(A) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the package-wide rank rule."""
-    f = svd(A)
-    if f.rank == 0:
-        return np.zeros((f.V.shape[0], f.U.shape[0]))
-    return f.V @ (f.U / f.sigma).T
-
-
 def row_space_basis(A) -> np.ndarray:
     """Orthonormal basis (n x r) of the row space of A."""
     return svd(A).V
@@ -119,23 +114,16 @@ def gram_pinv_root(A_J) -> np.ndarray:
     return f.U / f.sigma
 
 
-def gram_inverse(A_J, lam: float) -> np.ndarray:
-    """Inverse of the block Gram matrix G = A_J A_J^T + lam^2 I: gram_inverses
-    of a stack of one, so that a block's factor is the same bit for bit
-    whether it is factored alone or with others of its height."""
-    return gram_inverses([as_matrix(A_J)], lam)[0]
-
-
 def gram_inverses(A_Js, lam: float) -> np.ndarray:
-    """gram_inverse of each of a list of blocks of one height |J|, as one
-    stack (len(A_Js), |J|, |J|).  Each Gram matrix A_J A_J^T is written
-    into one preallocated stack by ndarray.dot (the BLAS routine of @,
-    without its ufunc dispatch), and the diagonals then take lam^2 in place;
-    shifted_gram_inverse inverts the stack.  The right factor is a copy of
-    A_J, so that numpy calls the general product (gemm) rather than the
-    symmetric rank-k update (syrk) it picks for an array times its own
-    transpose: at 20 x 150, 5.3 us with the copy against 7.1 us (OpenBLAS
-    0.3.31, one thread, a 2-core Xeon VM)."""
+    """F = (A_J A_J^T + lam^2 I)^{-1} of each of a list of blocks of one
+    height |J|, as one stack (len(A_Js), |J|, |J|).  Each Gram matrix
+    A_J A_J^T is written into one preallocated stack by ndarray.dot (the
+    BLAS routine of @, without its ufunc dispatch), and the diagonals then
+    take lam^2 in place; shifted_gram_inverse inverts the stack.  The right
+    factor is a copy of A_J, so that numpy calls the general product (gemm)
+    rather than the symmetric rank-k update (syrk) it picks for an array
+    times its own transpose: at 20 x 150, 5.3 us with the copy against
+    7.1 us (OpenBLAS 0.3.31, one thread, a 2-core Xeon VM)."""
     h = A_Js[0].shape[0]
     G = np.empty((len(A_Js), h, h))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,8 @@ one-value-per-line text with 17 significant digits, and a JSON manifest
 with the default agent count, the file names and the generating spec.
 
 Each datum is held once.  A is numpy arrays in compressed sparse row form
-(CsrRows), from generate or load through to the agents.  An instance
+(CsrRows), from generate, load or from_arrays (which takes a CsrRows or a
+dense array) through to the agents.  An instance
 stores no shards, only its default agent count: partition cuts (A, b)
 into contiguous row runs whose A and b are views of the instance's, so
 partitioning copies no entry, and no m x n or m_i x n dense array is
@@ -217,12 +218,8 @@ def from_arrays(A, b, agents: int, x_planted=None, spec=None) -> ProblemInstance
     """Wrap explicit (A, b) into an instance: the oracle solution plus a
     default agent count, checked against m here.
 
-    A is a CsrRows, a scipy.sparse matrix (its stored entries, duplicates
-    added) or a dense array (CsrRows.from_dense)."""
-    if hasattr(A, "tocoo"):
-        A = A.tocoo()
-        A = CsrRows.from_coo(A.shape, A.row, A.col, A.data)
-    elif not isinstance(A, CsrRows):
+    A is a CsrRows or a dense array (CsrRows.from_dense)."""
+    if not isinstance(A, CsrRows):
         A = CsrRows.from_dense(A)
     partition_sizes(A.shape[0], agents)
     b = np.asarray(b, dtype=float)

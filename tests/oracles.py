@@ -16,6 +16,15 @@ from kaczsim import agents, linalg
 from kaczsim.errors import DimensionError
 
 
+def pinv(A) -> np.ndarray:
+    """Moore-Penrose pseudoinverse V_r Sigma_r^-1 U_r^T from linalg.svd and
+    its rank rule."""
+    f = linalg.svd(A)
+    if f.rank == 0:
+        return np.zeros((f.V.shape[0], f.U.shape[0]))
+    return f.V @ (f.U / f.sigma).T
+
+
 def project_null(A_J, v) -> np.ndarray:
     """Project v onto the null space of A_J: (I - pinv(A_J) A_J) v."""
     A_J = linalg.as_matrix(A_J)
@@ -35,22 +44,25 @@ def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> flo
     P = np.eye(n)
     for rows in families:
         A_J = A[list(rows)]
-        P = (np.eye(n) - linalg.pinv(A_J) @ A_J) @ P
+        P = (np.eye(n) - pinv(A_J) @ A_J) @ P
     return float(np.linalg.norm(basis.T @ P @ basis, 2))
 
 
 def sequential_iid_step(state, cfg, entries):
     """agents.step for an iid agent, one block at a time: sample_block, then
     the block's columns and dense rows read off the shard, its factor from
-    agents.block_factor and the step's row-space update, with no block drawn
-    ahead, no planning pass and no stacked factor."""
+    agents.block_factors on the block alone and the step's row-space update,
+    with no block drawn ahead and no planning pass.  A block whose factoring
+    failed raises its error at its own step."""
     w = agents.aggregate(entries)
     J = agents.sample_block(state, cfg)
     A = cfg.A
     cols = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in J]))
     # C order, as the package's blocks: a BLAS product rounds by memory layout
     A_J = np.ascontiguousarray(A.toarray()[J][:, cols])
-    factor = agents.block_factor(A_J, cfg.lam)
+    factor = agents.block_factors([A_J], cfg.lam)[0]
+    if isinstance(factor, Exception):
+        raise factor
     r = cfg.b[J] - A_J @ w[cols]
     if cfg.lam is None:
         alpha = factor @ (factor.T @ r)

@@ -312,8 +312,8 @@ def test_criterion_09_structural_invariants(consistent_instance):
         ticks = graphs.tick_trace(res)
         depth = graphs.max_observed_stage(ticks)
         for rec in ticks:
-            dg = graphs.build_delayed_graph(rec, 4, depth)
-            assert np.allclose(dg.W.sum(axis=1), 1.0, atol=1e-12)
+            W = graphs.build_delayed_graph(rec, 4, depth)
+            assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
         # bit-identical replay
         replay = run_tolerant(cfg)
         assert replay.log == res.log

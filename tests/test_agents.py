@@ -6,7 +6,7 @@ import pytest
 from kaczsim import agents, linalg, problems
 from kaczsim.agents import AgentConfig
 from kaczsim.errors import CorruptMessage, DimensionError, InvalidParameter
-from oracles import mean_estimate, project_null, sequential_iid_step
+from oracles import mean_estimate, pinv, project_null, sequential_iid_step
 
 
 def make_cfg(A, b, block=None, lam=None, sampling=agents.CYCLE):
@@ -377,7 +377,7 @@ def reference_step(state, cfg, entries):
     J = state.block
     A_J = cfg.A.toarray()[J]
     if cfg.lam is None:
-        return replace(state, x=w + linalg.pinv(A_J) @ (cfg.b[J] - A_J @ w), k=state.k + 1)
+        return replace(state, x=w + pinv(A_J) @ (cfg.b[J] - A_J @ w), k=state.k + 1)
     r = cfg.b[J] - A_J @ w - cfg.lam * state.y[J]
     alpha = np.linalg.solve(A_J @ A_J.T + cfg.lam**2 * np.eye(len(J)), r)
     y = state.y.copy()
@@ -480,8 +480,8 @@ def test_block_factors_are_block_by_block(monkeypatch):
             for _ in range(2 * len(cfg.chunks)):
                 agents.step(state, cfg, snap(state.x))
             assert built and all(F.shape == shape(A_J) for A_J, F in built)
-            # stacked or not, each factor is the one block_factor gives its block
-            assert all(np.array_equal(F, agents.block_factor(A_J, lam)) for A_J, F in built)
+            # stacked or not, each factor is the one its block gets alone
+            assert all(np.array_equal(F, block_factors([A_J], lam)[0]) for A_J, F in built)
             if sampling == agents.CYCLE:
                 assert [F.shape for *_, F in cfg.blocks] == \
                     [shape(agents.densify(cfg.A, plan)) for _, _, plan, _, _ in cfg.blocks]
@@ -591,7 +591,7 @@ def sparse_cfg(lam, sampling, seed=31, m=60, n=200, density=0.02, block=5):
 def dense_step(cfg, J, w, y=None):
     """The step on the whole |J| x n block, as dense shards computed it."""
     A_J = cfg.A.toarray()[J]
-    factor = agents.block_factor(A_J, cfg.lam)
+    factor = agents.block_factors([A_J], cfg.lam)[0]
     r = cfg.b[J] - A_J @ w
     if cfg.lam is None:
         return w + A_J.T @ (factor @ (factor.T @ r)), None

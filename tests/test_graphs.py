@@ -9,7 +9,7 @@ from kaczsim.agents import AgentConfig
 from kaczsim.errors import (DelayBoundViolation, InvalidBasis, InvalidParameter,
                             NoConvergence)
 from kaczsim.graphs import TickRecord
-from oracles import project_null, restricted_product_norm
+from oracles import pinv, project_null, restricted_product_norm
 
 
 def make_tick(tick, agent, rows, used):
@@ -163,20 +163,20 @@ def test_detect_C_l_rejects_bad_window():
 
 def test_delayed_graph_single_agent_chain():
     rec = make_tick(0, 0, [0], [(0, 0)])
-    dg = graphs.build_delayed_graph(rec, 1, 2)
+    W = graphs.build_delayed_graph(rec, 1, 2)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0   # self average
     expected[1, 0] = 1.0   # stage shifts
     expected[2, 1] = 1.0
-    assert np.array_equal(dg.W, expected)
+    assert np.array_equal(W, expected)
 
 
 def test_delayed_graph_fresh_neighbor_halves():
     rec = make_tick(0, 0, [0], [(0, 0), (1, 0)])
-    dg = graphs.build_delayed_graph(rec, 2, 1)
-    assert dg.W[0, 0] == 0.5 and dg.W[0, 1] == 0.5
-    assert dg.W[1, 1] == 1.0            # non-iterating agent keeps state
-    assert np.allclose(dg.W.sum(axis=1), 1.0, atol=1e-12)
+    W = graphs.build_delayed_graph(rec, 2, 1)
+    assert W[0, 0] == 0.5 and W[0, 1] == 0.5
+    assert W[1, 1] == 1.0            # non-iterating agent keeps state
+    assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_delayed_graph_stage_overflow():
@@ -206,8 +206,8 @@ def test_run_trace_weight_matrices_row_stochastic():
     ticks = graphs.tick_trace(result)
     depth = graphs.max_observed_stage(ticks)
     for rec in ticks:
-        dg = graphs.build_delayed_graph(rec, 3, depth)
-        assert np.allclose(dg.W.sum(axis=1), 1.0, atol=1e-12)
+        W = graphs.build_delayed_graph(rec, 3, depth)
+        assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
 
 # SHA-256 of (tick, agent, k, chunk, rows, used, d_used) per tick, recorded
@@ -257,6 +257,30 @@ def test_empty_window_is_identity():
     assert tm.row_sets == [[0]] * 4
 
 
+@pytest.mark.parametrize("case", ["random", "rank-deficient", "duplicated-rows"])
+def test_one_tick_window_is_the_null_space_projector(case):
+    # one agent, one tick, depth 0: the operator is I - pinv(A_J) A_J, and
+    # exactly symmetric; the two agree to rounding that grows with cond(A_J)
+    g = np.random.default_rng(32)
+    eps = np.finfo(float).eps
+    for _ in range(25):
+        m, n = int(g.integers(2, 8)), int(g.integers(2, 10))
+        if case == "rank-deficient":
+            rank = int(g.integers(1, min(m, n)))
+            A = g.normal(size=(m, rank)) @ g.normal(size=(rank, n))
+        else:
+            A = g.normal(size=(m, n))
+        rows = sorted(g.choice(m, size=int(g.integers(2, m + 1)), replace=False).tolist())
+        if case == "duplicated-rows":
+            A[rows[-1]] = A[rows[0]]
+        A_J = A[rows]
+        tm = graphs.build_transition_matrix([make_tick(0, 0, rows, [(0, 0)])], A, 1, 0)
+        f = linalg.svd(A_J)
+        cond = f.sigma[0] / f.sigma_min if f.rank else 1.0
+        assert np.array_equal(tm.dense, tm.dense.T)
+        assert np.abs(tm.dense - (np.eye(n) - pinv(A_J) @ A_J)).max() <= 8 * n * eps * cond
+
+
 def test_weights_row_stochastic_for_any_window():
     g = np.random.default_rng(4)
     A = g.normal(size=(4, 3))
@@ -264,7 +288,7 @@ def test_weights_row_stochastic_for_any_window():
     pattern = [0, 2, 1, 3, 2]
     weights = np.eye(4)
     for rec in two_agent_window(A, schedule, pattern):
-        weights = graphs.build_delayed_graph(rec, 2, 1).W @ weights
+        weights = graphs.build_delayed_graph(rec, 2, 1) @ weights
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -363,7 +387,7 @@ def _path_unions(window, n_agents, depth, slot, pos):
         past = window[pos - s]
         if s * n_agents + past.agent == slot:
             here = frozenset(int(r) for r in past.rows)
-    W = graphs.build_delayed_graph(window[pos], n_agents, depth).W
+    W = graphs.build_delayed_graph(window[pos], n_agents, depth)
     return [u | here
             for k in range(W.shape[1]) if W[slot, k] != 0.0
             for u in _path_unions(window, n_agents, depth, k, pos - 1)]

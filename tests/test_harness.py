@@ -107,9 +107,18 @@ def test_sweep_cell_counts_and_hash_echo(tmp_path, instance_dir):
     assert len(outcome.aggregated) == 3
     assert len(outcome.rows) == 6
     harness.write_metrics_csv(outcome.rows, tmp_path / "metrics.csv")
+    harness.write_aggregated_csv(outcome.aggregated, tmp_path / "aggregated.csv", reps=2)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
+    with open(tmp_path / "aggregated.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
     assert len(rows) == 6
+    # each metric column holds the repr of the field it names
+    for row, ref in zip(rows, outcome.rows):
+        assert all(row[name] == repr(float(getattr(ref["metrics"], name)))
+                   for name in harness.RAW_HEADER[3:-1])
+    for cell, (_, ref) in zip(cells, outcome.aggregated):
+        assert all(cell[name] == repr(float(getattr(ref, name))) for name in harness.AGG_HEADER[3:])
     for row in rows:
         assert row["config_hash"] in outcome.configs
     # rows of one cell share a config except for the seed
@@ -157,10 +166,11 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def test_cli_gen_creates_instance(tmp_path):
+def test_cli_gen_creates_instance(tmp_path, capsys):
     out = tmp_path / "inst"
     assert run_cli("gen", "--m", "30", "--n", "8", "--density", "0.3",
                    "--sigma", "0", "--seed", "7", "--agents", "3", "--out", str(out)) == 0
+    assert ", default agent count 3) to " in capsys.readouterr().out
     header = (out / "A.mtx").read_text().splitlines()[0]
     assert header.startswith("%%MatrixMarket matrix coordinate real general")
     inst = problems.load(out)
@@ -233,15 +243,18 @@ def test_cli_certify_long_window(tmp_path):
     assert report["complete_rows"] and all(report["complete_rows"])
 
 
-CERTIFY_CASES = Path(__file__).resolve().parent.parent / "perfbench" / "certify_cases.json"
+CERTIFY_CASES = json.loads((Path(__file__).resolve().parent.parent
+                            / "perfbench" / "certify_cases.json").read_text())
 
 
-@pytest.mark.parametrize("case", json.loads(CERTIFY_CASES.read_text())["full"],
+@pytest.mark.parametrize("case", CERTIFY_CASES["full"] + CERTIFY_CASES["smoke"],
                          ids=lambda c: f"m{c['m']}-agents{c['agents']}-seed{c['seed']}-w{c['window']}")
 def test_certify_matches_recorded_benchmark_case(case):
     # the benchmark's certify_window workload checks these recorded reports
     # (perfbench/workloads.check_certificate); a change to the run that moves
-    # a certificate shows here, not only as a failed benchmark operation
+    # a certificate shows here, not only as a failed benchmark operation.
+    # The second smoke case is the one recorded window with incomplete rows,
+    # whose norm is 1.0
     report = harness.certify(m=case["m"], n=case["n"], agents=case["agents"],
                              seed=case["seed"], window=case["window"])
     assert abs(report["hybrid_norm"] - case["hybrid_norm"]) <= 1e-9

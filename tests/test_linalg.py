@@ -62,7 +62,7 @@ def test_project_null_idempotent_nonexpansive_orthogonal(seed, m, n):
 def kaczmarz_correction(A, b, w):
     """The consistent block correction w + A^T W (W^T (b - A w)), W W^T =
     (A A^T)^+, that agents.step applies."""
-    W = agents.block_factor(A, None)
+    W = linalg.gram_pinv_root(A)
     return w + A.T @ (W @ (W.T @ (b - A @ w)))
 
 
@@ -115,7 +115,7 @@ def test_kaczmarz_correction_rank_deficient_block(case):
     A = RANK_DEFICIENT_BLOCKS[case]
     g = rng(7)
     w = g.normal(size=4)
-    assert agents.block_factor(A, None).shape == (A.shape[0], np.linalg.matrix_rank(A))
+    assert linalg.gram_pinv_root(A).shape == (A.shape[0], np.linalg.matrix_rank(A))
     # any right-hand side: the pinv correction within 1e-12 relative
     b = g.normal(size=A.shape[0])
     ref = w + np.linalg.pinv(A) @ (b - A @ w)
@@ -134,7 +134,7 @@ def test_kaczmarz_correction_nearly_dependent_rows():
     # (A A^T)^+ would square it and no longer contract
     A = np.array([[1.0, 2.0, 0.0, -1.0], [1.0, 2.0, 0.0, -1.0 + 1e-8], [0.5, 0.0, 1.0, 2.0]])
     s = np.linalg.svd(A, compute_uv=False)
-    assert agents.block_factor(A, None).shape == (3, 3)
+    assert linalg.gram_pinv_root(A).shape == (3, 3)
     bound = 10 * np.finfo(float).eps * s[0] / s[-1]
     for seed in range(5):
         g = rng(seed)
@@ -156,11 +156,11 @@ def test_kaczmarz_correction_scaled_block(scale):
     assert np.linalg.norm(kaczmarz_correction(A, A @ x, w) - x) <= 1e-12 * np.linalg.norm(x)
 
 
-# --------------------------------------------------------------- gram_inverse
+# -------------------------------------------------------------- gram_inverses
 
 def gram_solve(A, lam, r):
-    """alpha = F r, as agents.step applies the factor F = gram_inverse(A, lam)."""
-    return linalg.gram_inverse(A, lam) @ r
+    """alpha = F r, as agents.step applies the factor F of one block."""
+    return linalg.gram_inverses([A], lam)[0] @ r
 
 
 def independent_gram_solve(A, lam, r):
@@ -194,7 +194,7 @@ def test_gram_solve_residual_oracle():
 def test_gram_inverse_not_positive_definite_raises():
     # lam^2 = 1e-300 is lost against the singular Gram matrix of two equal rows
     with pytest.raises(InvalidParameter, match="positive definite"):
-        linalg.gram_inverse(np.array([[1.0, 2.0], [1.0, 2.0]]), 1e-150)
+        linalg.gram_inverses([np.array([[1.0, 2.0], [1.0, 2.0]])], 1e-150)
 
 
 def test_gram_inverse_overflowing_gram_raises():
@@ -202,7 +202,7 @@ def test_gram_inverse_overflowing_gram_raises():
     # widened-system oracle, which squares sigma, refuses the same matrix
     A = 1e160 * rng(8).normal(size=(6, 4))
     with pytest.raises(InvalidParameter, match="overflows"):
-        linalg.gram_inverse(A, 1.0)
+        linalg.gram_inverses([A], 1.0)
     with pytest.raises(InvalidParameter, match="overflows"):
         linalg.augmented_min_norm_solve(A, np.ones(6), 1.0)
 
@@ -218,12 +218,12 @@ def test_stacked_gram_inverse_failure_raises(bad, lam, match):
         linalg.gram_inverses([good, bad, good], lam)
     factors = agents.block_factors([good, bad, good], lam)
     assert isinstance(factors[1], InvalidParameter) and match in str(factors[1])
-    single = linalg.gram_inverse(good, lam)
+    single = linalg.gram_inverses([good], lam)[0]
     assert np.array_equal(factors[0], single) and np.array_equal(factors[2], single)
 
 
 def random_gram_blocks(g, height, count):
-    """count random blocks of one height for gram_inverse: some rank-deficient
+    """count random blocks of one height for gram_inverses: some rank-deficient
     (rank 0 to |J|), rows scaled by 1e-3 to 1e3."""
     blocks = []
     for _ in range(count):
@@ -246,7 +246,7 @@ def test_gram_inverse_residual_within_condition_number():
         stacked = linalg.gram_inverses(blocks, lam)
         assert stacked.shape == (len(blocks), height, height)
         for A, F_stacked in zip(blocks, stacked):
-            F = linalg.gram_inverse(A, lam)
+            F = linalg.gram_inverses([A], lam)[0]
             assert np.array_equal(F, F_stacked) and np.array_equal(F, F.T)
             G = A @ A.T + lam**2 * np.eye(height)
             assert np.linalg.norm(F @ G - np.eye(height), 2) <= 8 * height * eps * np.linalg.cond(G)
@@ -256,7 +256,7 @@ def test_gram_solve_accepts_cached_factorization():
     g = rng(6)
     A = g.normal(size=(4, 7))
     r = g.normal(size=4)
-    F = agents.block_factor(A, 2.0)
+    F = linalg.gram_inverses([A], 2.0)[0]
     direct = gram_solve(A, 2.0, r)
     assert np.allclose(direct, independent_gram_solve(A, 2.0, r), rtol=1e-12, atol=1e-15)
     # a factor reused across solves gives the fresh result bit for bit
