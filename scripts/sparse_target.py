@@ -8,8 +8,9 @@ iterations, 80 000 by default; not with --lam, whose runs settle away
 from the regularized oracle).  Held as dense shards, A would take 8 GB;
 the agents hold it as sparse rows.  Prints the stop reason, the
 iterations per agent, the phase timings, setup_s (generate, save and
-load), run_s, wall_s (setup and run) and peak_rss_mb, the process's peak
-resident set size.
+load), build_s (partition, agent configs and, with --lam, the regularized
+oracle), run_s (the engine alone), wall_s (all of them) and peak_rss_mb,
+the process's peak resident set size.
 
     PYTHONPATH=src python scripts/sparse_target.py [--sampling iid] [--lam 1] [--m 20000 --n 2000]
     PYTHONPATH=src python scripts/sparse_target.py --tol-rel 1e-6
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kaczsim import harness, problems
+from kaczsim import engine, harness, problems
+from kaczsim.errors import NoConvergence
 from kaczsim.harness import RunOptions
 
 AGENTS = 8
@@ -85,7 +87,13 @@ def main(argv=None):
                       interval=INTERVAL, tol=tol, k_max=k_max, event_budget=budget,
                       stop_mode="all", seed=SEED)
     t = time.perf_counter()
-    result = harness.run_single(inst, opts)
+    cfg = harness.build_sim_config(inst, opts)
+    timings["build_s"] = time.perf_counter() - t
+    t = time.perf_counter()
+    try:
+        result = engine.run(cfg)
+    except NoConvergence as exc:
+        result = exc.result
     timings["run_s"] = time.perf_counter() - t
     timings["wall_s"] = time.perf_counter() - start
 

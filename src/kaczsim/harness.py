@@ -220,10 +220,22 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
 
 def run_single(inst: ProblemInstance, opts: RunOptions) -> engine.RunResult:
     """One simulation; budget or k_max exhaustion still yields a result."""
+    return _run(build_sim_config(inst, opts))
+
+
+def _run(cfg: SimConfig) -> engine.RunResult:
     try:
-        return engine.run(build_sim_config(inst, opts))
+        return engine.run(cfg)
     except NoConvergence as exc:
         return exc.result
+
+
+def _reseeded(cfg: SimConfig, seed: int) -> SimConfig:
+    """cfg run with another seed.  build_sim_config reads opts.seed only for
+    the config's seed and its failure plan's, so the rest (agent configs,
+    topology, oracle) is shared."""
+    failure = cfg.failure and replace(cfg.failure, seed=seed)
+    return replace(cfg, seed=seed, failure=failure)
 
 
 @dataclass
@@ -285,6 +297,7 @@ def sweep(inst: ProblemInstance, axis: str, values, base: RunOptions,
     rows, aggregated, configs = [], [], {}
     for cell in cells:
         records = []
+        cfg = None   # built once per cell, so the oracle is solved once per cell
         for rep in range(reps):
             seed = base.seed + 1000 * cell.cell + rep
             opts = replace(cell.options, seed=seed)
@@ -293,7 +306,8 @@ def sweep(inst: ProblemInstance, axis: str, values, base: RunOptions,
             doc["value"] = list(cell.value)
             h = config_hash(doc)
             configs[h] = doc
-            result = run_single(inst, opts)
+            cfg = build_sim_config(inst, opts) if cfg is None else _reseeded(cfg, seed)
+            result = _run(cfg)
             records.append(result.metrics)
             rows.append({"cell": cell.cell, "rep": rep, "seed": seed,
                          "metrics": result.metrics, "config_hash": h})

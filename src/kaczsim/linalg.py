@@ -14,6 +14,10 @@ gives the x of the widened system (A, lam*I).  With atol = btol = 1e-14
 it agreed with the dense SVD to 4e-14 relative in x and 4e-13 in y on
 generated 2000x400, 4000x800 and 8000x2000 instances, lam in {0.3, 1, 3}.
 If LSQR stops without converging, the oracle falls back to the dense SVD.
+The LSQR here (_lsqr) is a numpy port of scipy.sparse.linalg.lsqr whose
+products come from problems.CsrRows; it returns scipy's x, istop and
+itn bit for bit.  Per product it is about 3x slower than scipy's compiled
+CSR kernels at 10^6 entries, and saves the import of scipy.sparse.linalg.
 
 The block factors have |J| rows and at most |J| columns: W with
 W W^T = (A_J A_J^T)^+, applied as w + A_J^T W (W^T r), and
@@ -25,13 +29,13 @@ substitution, X = L^{-1}, and F = X^T X, with no LU factorization
 height; one block is a stack of one, and a stack does per block what it
 does for one, so their factors agree bit for bit.
 
-Importing this module loads numpy only.  scipy, whose import takes about
-0.2 s, is imported only by the LSQR branch of the oracles.
+This module imports numpy only, and so does every function in it.
 "Sparse" here means any matrix with tocsr and toarray methods: a
 scipy.sparse matrix or a problems.CsrRows, which densifies with numpy alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +47,18 @@ RANK_RTOL = 1e-10
 
 # Largest system (m*n entries) the oracles solve by dense SVD; above it
 # LSQR is faster.  Measured crossover on generated instances, lam = 1, a
-# 2-core Xeon with one BLAS thread: SVD 3.2 ms against LSQR 3.5 ms at
-# 300x80, 5.7 ms against 3.0 ms at 500x100.
+# 2-core Xeon with one BLAS thread, with scipy's LSQR: SVD 3.2 ms against
+# LSQR 3.5 ms at 300x80, 5.7 ms against 3.0 ms at 500x100.  The numpy
+# port's products are slower, but the constant stays: it decides which
+# solver writes x_star, so moving it would change saved instances.
 SVD_MAX_ENTRIES = 2**15
 
-# LSQR stopping tolerances (atol and btol) for the oracles.
+# LSQR stopping tolerances (atol and btol) for the oracles, and its bound
+# on the condition estimate (conlim).
 LSQR_TOL = 1e-14
+LSQR_CONLIM = 1e8
+
+EPS = np.finfo(np.float64).eps
 
 
 def as_matrix(A) -> np.ndarray:
@@ -187,27 +197,190 @@ def _system(A, b):
     return A, b
 
 
-def _lsqr(A, b, damp: float) -> np.ndarray | None:
-    """LSQR's minimizer of |A x - b|^2 + damp^2 |x|^2 for a system above
-    SVD_MAX_ENTRIES.  None, so that the caller uses the dense SVD, for a
-    smaller system or when LSQR stops without converging (istop other
-    than 0, 1, 2)."""
+def _csr_rows(A):
+    """A sparse or dense A as a problems.CsrRows that shares its arrays where
+    it can: a CsrRows as it is, a scipy matrix through its CSR arrays in
+    stored order, a dense array by CsrRows.from_dense."""
+    from .problems import CsrRows   # problems imports this module
+
+    if isinstance(A, CsrRows):
+        return A
+    if hasattr(A, "tocsr"):
+        A = A.tocsr()
+        return CsrRows(A.shape, A.indptr, A.indices, np.asarray(A.data, dtype=float))
+    return CsrRows.from_dense(A)
+
+
+def _sym_ortho(a, b):
+    """Stable Givens rotation (c, s, r) with [c s; -s c] [a; b] = [r; 0]
+    (S.-C. Choi's SymOrtho, as LSQR uses it)."""
+    if b == 0:
+        return np.sign(a), 0, abs(a)
+    if a == 0:
+        return 0, np.sign(b), abs(b)
+    if abs(b) > abs(a):
+        tau = a / b
+        s = np.sign(b) / math.sqrt(1 + tau * tau)
+        c = s * tau
+        r = b / s
+    else:
+        tau = b / a
+        c = np.sign(a) / math.sqrt(1 + tau * tau)
+        s = c * tau
+        r = a / c
+    return c, s, r
+
+
+def _lsqr(A, b: np.ndarray, damp: float) -> tuple[np.ndarray, int, int]:
+    """LSQR (Paige & Saunders, ACM TOMS 8(1), 1982) for the minimizer of
+    |A x - b|^2 + damp^2 |x|^2 from x0 = 0, on a problems.CsrRows A.
+    Returns (x, istop, itn): istop 1 or 2 means converged at
+    atol = btol = LSQR_TOL, 0 that x = 0 is exact, 3 that the condition
+    estimate passed conlim = 1e8, 4-6 the machine-precision forms of 1-3,
+    7 the iteration limit 2n.
+
+    A port of scipy.sparse.linalg.lsqr without its options: the same
+    recurrence, rotations, stopping tests and float operations in the
+    same order, with A x and A^T u from A.products(), which match scipy's
+    CSR and CSC products bit for bit, so x, istop and itn equal scipy's.
+    (scipy's lsqr.py: BSD license, Copyright (c) 2006, Systems
+    Optimization Laboratory.)  A damp whose square overflows raises
+    InvalidParameter before the first product.
+    """
+    damp = float(damp)
+    try:
+        dampsq = damp**2
+    except OverflowError:
+        dampsq = math.inf
+    if not math.isfinite(dampsq):
+        raise InvalidParameter(f"lambda^2 overflows at lambda = {damp!r}")
+    matvec, rmatvec = A.products()
+    n = A.shape[1]
+    iter_lim = 2 * n
+    ctol = 1 / LSQR_CONLIM
+    itn = istop = 0
+    anorm = acond = ddnorm = res2 = xxnorm = z = sn2 = 0
+    cs2 = -1
+
+    # First vectors of the bidiagonalization: beta u = b, alfa v = A^T u.
+    x = np.zeros(n)
+    u = b
+    bnorm = np.linalg.norm(b)
+    beta = bnorm
+    if beta > 0:
+        u = (1 / beta) * u
+        v = rmatvec(u)
+        alfa = np.linalg.norm(v)
+    else:
+        v = x.copy()
+        alfa = 0
+    if alfa > 0:
+        v = (1 / alfa) * v
+    w = v.copy()
+    rhobar = alfa
+    phibar = beta
+    if alfa * beta == 0:
+        return x, istop, itn
+
+    while itn < iter_lim:
+        itn = itn + 1
+        # Next bidiagonalization step: beta u = A v - alfa u, alfa v = A^T u - beta v.
+        u = matvec(v) - alfa * u
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u = (1 / beta) * u
+            anorm = math.sqrt(anorm**2 + alfa**2 + beta**2 + dampsq)
+            v = rmatvec(u) - beta * v
+            alfa = np.linalg.norm(v)
+            if alfa > 0:
+                v = (1 / alfa) * v
+
+        # A rotation that eliminates the damping term from the diagonal.
+        if damp > 0:
+            rhobar1 = math.sqrt(rhobar**2 + dampsq)
+            cs1 = rhobar / rhobar1
+            sn1 = damp / rhobar1
+            psi = sn1 * phibar
+            phibar = cs1 * phibar
+        else:
+            rhobar1 = rhobar
+            psi = 0.
+
+        # A rotation that eliminates the subdiagonal beta.
+        cs, sn, rho = _sym_ortho(rhobar1, beta)
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi = cs * phibar
+        phibar = sn * phibar
+        tau = sn * phi
+
+        t1 = phi / rho
+        t2 = -theta / rho
+        dk = (1 / rho) * w
+        x = x + t1 * w
+        w = v + t2 * w
+        ddnorm = ddnorm + np.linalg.norm(dk)**2
+
+        # A rotation on the right that eliminates the superdiagonal theta,
+        # for the estimate of |x|.
+        delta = sn2 * rho
+        gambar = -cs2 * rho
+        rhs = phi - delta * z
+        zbar = rhs / gambar
+        xnorm = math.sqrt(xxnorm + zbar**2)
+        gamma = math.sqrt(gambar**2 + theta**2)
+        cs2 = gambar / gamma
+        sn2 = theta / gamma
+        z = rhs / gamma
+        xxnorm = xxnorm + z**2
+
+        # Stopping tests, from the estimates of cond(A), |r| and |A^T r|.
+        acond = anorm * math.sqrt(ddnorm)
+        res1 = phibar**2
+        res2 = res2 + psi**2
+        rnorm = math.sqrt(res1 + res2)
+        arnorm = alfa * abs(tau)
+        test1 = rnorm / bnorm
+        test2 = arnorm / (anorm * rnorm + EPS)
+        test3 = 1 / (acond + EPS)
+        t1 = test1 / (1 + anorm * xnorm / bnorm)
+        rtol = LSQR_TOL + LSQR_TOL * anorm * xnorm / bnorm
+        if itn >= iter_lim:
+            istop = 7
+        if 1 + test3 <= 1:
+            istop = 6
+        if 1 + test2 <= 1:
+            istop = 5
+        if 1 + t1 <= 1:
+            istop = 4
+        if test3 <= ctol:
+            istop = 3
+        if test2 <= LSQR_TOL:
+            istop = 2
+        if test1 <= rtol:
+            istop = 1
+        if istop != 0:
+            break
+    return x, istop, itn
+
+
+def _lsqr_solution(A, b, damp: float) -> np.ndarray | None:
+    """_lsqr's x for a system above SVD_MAX_ENTRIES.  None, so that the
+    caller uses the dense SVD, for a smaller system or when LSQR stops
+    without converging (istop other than 0, 1, 2)."""
     if A.shape[0] * A.shape[1] <= SVD_MAX_ENTRIES:
         return None
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    A = scipy.sparse.csr_matrix(A.tocsr() if hasattr(A, "tocsr") else A, dtype=float)
+    A = _csr_rows(A)
     if not np.all(np.isfinite(A.data)):
         raise InvalidParameter("matrix has non-finite entries")
-    x, istop = scipy.sparse.linalg.lsqr(A, b, damp=damp, atol=LSQR_TOL, btol=LSQR_TOL)[:2]
+    x, istop, _ = _lsqr(A, b, damp)
     return x if istop in (0, 1, 2) else None
 
 
 def min_norm_solve(A, b) -> np.ndarray:
     """Minimum-norm least-squares solution pinv(A) b; A dense or sparse."""
     A, b = _system(A, b)
-    x = _lsqr(A, b, 0.0)
+    x = _lsqr_solution(A, b, 0.0)
     if x is not None:
         return x
     f = svd(A)
@@ -236,7 +409,7 @@ def augmented_min_norm_solve(A, b, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if lam <= 0:
         raise InvalidParameter(f"lambda must be positive, got {lam}")
     A, b = _system(A, b)
-    x = _lsqr(A, b, lam)
+    x = _lsqr_solution(A, b, lam)
     if x is None:
         A = as_matrix(A)
         f = svd(A)

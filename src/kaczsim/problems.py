@@ -18,9 +18,9 @@ into contiguous row runs whose A and b are views of the instance's, so
 partitioning copies no entry, and no m x n or m_i x n dense array is
 built on the way to a run (inst.dense() builds one).  Generating, loading
 and partitioning an instance do not import scipy, whose import takes
-about 0.2 s; it is imported only to write A.mtx (save) and to solve a
-system above linalg.SVD_MAX_ENTRIES by LSQR, both of which take A from
-CsrRows.tocsr.
+about 0.2 s, on either side of linalg.SVD_MAX_ENTRIES: the oracle's LSQR
+runs on the numpy products of CsrRows.  scipy is imported only to write
+A.mtx (save), which takes A from CsrRows.tocsr.
 """
 from __future__ import annotations
 
@@ -107,11 +107,30 @@ class CsrRows:
         out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
 
+    # u @ A with u an ndarray: numpy defers to __rmatmul__
+    __array_ufunc__ = None
+
+    def products(self):
+        """The functions x -> A x and u -> u A (that is, A^T u), sharing one
+        expansion of the row of every stored entry.  Each sums its products
+        in stored order, as scipy's CSR product (A x) and CSC product of the
+        transpose (A^T u) do, bit for bit."""
+        m, n = self.shape
+        row = np.repeat(np.arange(m), np.diff(self.indptr))
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            return np.bincount(row, weights=self.data * x[self.indices], minlength=m)
+
+        def rmatvec(u: np.ndarray) -> np.ndarray:
+            return np.bincount(self.indices, weights=self.data * u[row], minlength=n)
+
+        return matvec, rmatvec
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x, summing each row's products in stored order (as scipy's CSR
-        product does, bit for bit)."""
-        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(row, weights=self.data * x[self.indices], minlength=self.shape[0])
+        return self.products()[0](x)
+
+    def __rmatmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.products()[1](u)
 
     def tocsr(self):
         """This matrix as a scipy.sparse.csr_matrix (imports scipy)."""

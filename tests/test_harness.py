@@ -127,6 +127,31 @@ def test_sweep_cell_counts_and_hash_echo(tmp_path, instance_dir):
     assert stripped[0] == stripped[1]
 
 
+@pytest.mark.parametrize("axis, values", [("lambda", [0.0, 0.5, 1.0]), ("failure", [0.25, 0.5])])
+def test_sweep_builds_each_cell_once(tmp_path, instance_dir, monkeypatch, axis, values):
+    inst = problems.load(instance_dir)
+    base = fast_options(seed=5)
+    cells = harness._cells_for_axis(inst, axis, values, None, base)
+    # each replicate built and run on its own, with its own oracle solve
+    fresh = [[harness.run_single(inst, dataclasses.replace(cell.options, seed=5 + 1000 * cell.cell + rep))
+              .metrics for rep in range(3)] for cell in cells]
+    solves = []
+    solve = harness.linalg.augmented_min_norm_solve
+    monkeypatch.setattr(harness.linalg, "augmented_min_norm_solve",
+                        lambda A, b, lam: solves.append(lam) or solve(A, b, lam))
+    outcome = harness.sweep(inst, axis, values, base, reps=3)
+    assert solves == ([0.5, 1.0] if axis == "lambda" else [])
+    harness.write_metrics_csv(outcome.rows, tmp_path / "metrics.csv")
+    harness.write_aggregated_csv(outcome.aggregated, tmp_path / "aggregated.csv", reps=3)
+    harness.write_metrics_csv([{**row, "metrics": fresh[row["cell"]][row["rep"]]}
+                               for row in outcome.rows], tmp_path / "fresh_metrics.csv")
+    harness.write_aggregated_csv([(cell, harness.aggregate_replicates(records))
+                                  for cell, records in zip(cells, fresh)],
+                                 tmp_path / "fresh_aggregated.csv", reps=3)
+    for name in ("metrics.csv", "aggregated.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
+
+
 def test_sweep_failure_axis_is_cartesian(instance_dir):
     inst = problems.load(instance_dir)
     outcome = harness.sweep(inst, "failure", [0.25, 0.5], fast_options(),

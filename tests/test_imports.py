@@ -1,12 +1,12 @@
-"""Import contract: the CLI import, loading and partitioning an instance
-and reading its matrix, a consistent or regularized `kaczsim run`, a lambda
-sweep and `kaczsim certify` load numpy only.
+"""Import contract: the CLI import, generating, loading and partitioning
+an instance and reading its matrix, a consistent or regularized `kaczsim
+run`, a lambda sweep and `kaczsim certify` load numpy only, on both sides
+of linalg.SVD_MAX_ENTRIES: the oracles' LSQR branch is numpy too.
 
 scipy's import takes about 0.2 s, more than a small run's whole set-up, so
-only the functions that call it import it: the LSQR branch of the oracles
-and Matrix Market writing (problems.save), which both take A from
-problems.CsrRows.tocsr.  Each check runs in a fresh interpreter and fails
-if any scipy module was loaded.
+only the functions that call it import it: Matrix Market writing
+(problems.save) and problems.CsrRows.tocsr.  Each check runs in a fresh
+interpreter and fails if any scipy module was loaded.
 """
 import os
 import subprocess
@@ -37,6 +37,17 @@ def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
 def saved_instance(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "inst"
     problems.save(problems.generate(problems.ProblemSpec(m=60, n=12, density=0.3, seed=2, agents=3)), path)
+    return path
+
+
+# 300 x 120 at 5 %: 36 000 entries, above linalg.SVD_MAX_ENTRIES
+LARGE = dict(m=300, n=120, density=0.05, noise=0.1, seed=3, agents=4)
+
+
+@pytest.fixture(scope="module")
+def saved_large_instance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "large"
+    problems.save(problems.generate(problems.ProblemSpec(**LARGE)), path)
     return path
 
 
@@ -80,6 +91,28 @@ def test_regularized_run_and_lambda_sweep_load_no_scipy(tmp_path, saved_instance
     common = ["--instance", str(saved_instance), "--block-size", "5", "--k-max", "50"]
     code = (cli_code("run", *common, "--lam", "1.0", "--out", str(tmp_path / "run"))
             + cli_code("sweep", *common, "--axis", "lambda", "--values", "0.5,2", "--reps", "1",
+                       "--out", str(tmp_path / "sweep")))
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "run" / "events.csv").exists()
+    assert (tmp_path / "sweep" / "metrics.csv").exists()
+
+
+def test_generate_above_svd_cutoff_loads_no_scipy(tmp_path):
+    code = ("from kaczsim import linalg, problems\n"
+            f"spec = problems.ProblemSpec(**{LARGE!r})\n"
+            "assert spec.m * spec.n > linalg.SVD_MAX_ENTRIES\n"
+            "inst = problems.generate(spec)\n"
+            "assert inst.x_star.shape == (spec.n,)\n")
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_regularized_run_and_lambda_sweep_above_svd_cutoff_load_no_scipy(tmp_path,
+                                                                        saved_large_instance):
+    common = ["--instance", str(saved_large_instance), "--block-size", "10", "--k-max", "20"]
+    code = (cli_code("run", *common, "--lam", "1", "--out", str(tmp_path / "run"))
+            + cli_code("sweep", *common, "--axis", "lambda", "--values", "0,1", "--reps", "2",
                        "--out", str(tmp_path / "sweep")))
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -457,11 +457,11 @@ def test_lsqr_without_convergence_falls_back_to_svd(monkeypatch, solve):
     expected = dense_svd(monkeypatch, solve, A, b)
     calls = []
 
-    def stalled_lsqr(A, b, **kwargs):
-        calls.append(kwargs)
-        return np.zeros(A.shape[1]), 7   # istop 7: iteration limit reached
+    def stalled_lsqr(A, b, damp):
+        calls.append(damp)
+        return np.zeros(A.shape[1]), 7, 2 * A.shape[1]   # istop 7: iteration limit reached
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lsqr", stalled_lsqr)
+    monkeypatch.setattr(linalg, "_lsqr", stalled_lsqr)
     assert np.array_equal(solve(A, b), expected)
     assert len(calls) == 1
 
@@ -482,3 +482,45 @@ def test_generate_above_cutoff_skips_dense_svd(monkeypatch):
     inst = lsqr_only(monkeypatch, problems.generate, spec)
     x_svd = dense_svd(monkeypatch, linalg.min_norm_solve, inst.dense(), inst.b)
     assert rel(inst.x_star, x_svd) <= 1e-10
+
+
+@pytest.mark.parametrize("branch", ["lsqr", "svd"])
+def test_augmented_lambda_square_overflow_raises_on_both_branches(monkeypatch, branch):
+    inst = problems.generate(problems.ProblemSpec(m=400, n=200, density=0.02, seed=12, agents=4))
+    assert inst.m * inst.n > linalg.SVD_MAX_ENTRIES
+    if branch == "svd":
+        monkeypatch.setattr(linalg, "SVD_MAX_ENTRIES", math.inf)
+    else:   # the LSQR branch refuses lambda before its first product
+        monkeypatch.setattr(problems.CsrRows, "products", lambda A: pytest.fail("iterated"))
+    with pytest.raises(InvalidParameter, match="overflows"):
+        linalg.augmented_min_norm_solve(inst.A, inst.b, 1e200)
+
+
+def random_csr(g: np.random.Generator, kind: str) -> problems.CsrRows:
+    """A random sparse matrix of one of four kinds, with an empty row and an
+    empty column, and some stored -0.0 entries."""
+    small, large = int(g.integers(2, 12)), int(g.integers(12, 40))
+    m, n = {"tall": (large, small), "wide": (small, large), "square": (large, large),
+            "rank-deficient": (large, small)}[kind]
+    A = g.normal(size=(m, n)) * (g.random((m, n)) < g.uniform(0.2, 0.9))
+    if kind == "rank-deficient":
+        k = n // 2
+        A[:, n - k:] = A[:, :k]   # duplicated columns
+    A[g.integers(m)] = 0.0
+    A[:, g.integers(n)] = 0.0
+    A[(A == 0) & (g.random((m, n)) < 0.1)] = -0.0
+    return problems.CsrRows.from_dense(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tall", "wide", "square", "rank-deficient"]),
+       st.sampled_from([0.0, 1e-3, 0.7, 1.0, 3.0]))
+def test_lsqr_port_matches_scipy_bit_for_bit(seed, kind, damp):
+    g = rng(seed)
+    A = random_csr(g, kind)
+    b = g.normal(size=A.shape[0])
+    x, istop, itn = linalg._lsqr(A, b, damp)
+    want = scipy.sparse.linalg.lsqr(A.tocsr(), b, damp=damp, atol=linalg.LSQR_TOL,
+                                    btol=linalg.LSQR_TOL)
+    assert x.tobytes() == want[0].tobytes()
+    assert (istop, itn) == want[1:3]

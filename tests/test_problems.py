@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from kaczsim import cli, linalg, problems, rng
 from kaczsim.errors import DegenerateInstance, IoError, TooManyAgents
@@ -291,12 +290,12 @@ def test_load_adds_duplicate_entries_once_for_every_reader(tmp_path, monkeypatch
     assert same_bits(np.vstack([s.A.toarray() for s in shards]), want)
     received = []
 
-    def recording(A, b, **kw):
+    def recording(A, b, damp):
         received.append(A.toarray())
-        return lsqr(A, b, **kw)
+        return lsqr(A, b, damp)
 
-    lsqr = scipy.sparse.linalg.lsqr
-    monkeypatch.setattr(scipy.sparse.linalg, "lsqr", recording)
+    lsqr = linalg._lsqr
+    monkeypatch.setattr(linalg, "_lsqr", recording)
     monkeypatch.setattr(linalg, "SVD_MAX_ENTRIES", 0)
     linalg.min_norm_solve(back.A, back.b)
     assert len(received) == 1 and same_bits(received[0], want)
@@ -375,3 +374,17 @@ def test_matvec_matches_scipy_bit_for_bit():
         x = g.normal(size=n) * 10.0 ** g.integers(-8, 8, size=n)
         assert same_bits(inst.A @ x, inst.A.tocsr() @ x)
         assert same_bits(inst.dense(), inst.A.tocsr().toarray())
+
+
+def test_transpose_product_matches_scipy_bit_for_bit():
+    g = np.random.default_rng(4)
+    for case in range(80):
+        m, n = int(g.integers(1, 60)), int(g.integers(1, 60))
+        A = g.normal(size=(m, n)) * (g.random((m, n)) < g.uniform(0.05, 1.0))
+        A[(A == 0) & (g.random((m, n)) < 0.1)] = -0.0     # stored -0.0 entries
+        A = problems.CsrRows.from_dense(A)
+        u = g.normal(size=m) * 10.0 ** g.integers(-8, 8, size=m)
+        assert same_bits(u @ A, A.tocsr().T @ u)
+        x = g.normal(size=n)
+        matvec, rmatvec = A.products()
+        assert same_bits(matvec(x), A @ x) and same_bits(rmatvec(u), u @ A)
