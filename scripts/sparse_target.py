@@ -7,10 +7,10 @@ tol_rel * |x*| of the solution (stop_mode all; --k-max then caps the
 iterations, 80 000 by default; not with --lam, whose runs settle away
 from the regularized oracle).  Held as dense shards, A would take 8 GB;
 the agents hold it as sparse rows.  Prints the stop reason, the
-iterations per agent, the phase timings, setup_s (generate, save and
-load), build_s (partition, agent configs and, with --lam, the regularized
-oracle), run_s (the engine alone), wall_s (all of them) and peak_rss_mb,
-the process's peak resident set size.
+iterations per agent, the events logged, the phase timings, setup_s
+(generate, save and load), build_s (partition, agent configs and, with
+--lam, the regularized oracle), run_s (the engine alone), wall_s (all of
+them) and peak_rss_mb, the process's peak resident set size.
 
     PYTHONPATH=src python scripts/sparse_target.py [--sampling iid] [--lam 1] [--m 20000 --n 2000]
     PYTHONPATH=src python scripts/sparse_target.py --tol-rel 1e-6
@@ -101,6 +101,7 @@ def main(argv=None):
           f"{args.sampling} blocks of {BLOCK_SIZE}, lam {args.lam}, tol {tol:.6g}")
     print(f"stop_reason {result.stop_reason}")
     print(f"iterations_per_agent {min(s.k for s in result.states)}")
+    print(f"events {len(result.log)}")
     print(f"e_stop {result.metrics.e_stop:.6g}")
     for name, value in timings.items():
         print(f"{name} {value:.3f}")

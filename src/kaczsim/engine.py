@@ -17,13 +17,14 @@ Per-agent iteration intervals and message delays are drawn from the
 agent's scheduling and delay streams 64 at a time (uniform_draws); a batch
 hands out the doubles the one-at-a-time calls would, in the same order.
 
-The log is a list of typed Event records (kind, agent and the kind's int
-and float fields); Event.detail formats them as the events.csv text.  It
-is the run's only record of what happened: iterate times and errors are
-its Iterate events, RunResult.messages is derived from it, and so is
-every analysis of the run (graphs reads the averaged entries and their
-staleness off it); a broadcast payload lives only until its receivers'
-mailboxes drop it.
+The log is an EventLog: each event packed as one fixed-size record (time,
+kind code, agent, the kind's int fields, its float and kept) in one
+bytearray, read back as typed Event records; Event.detail formats them as
+the events.csv text.  It is the run's only record of what happened:
+iterate times and errors are its Iterate events, RunResult.messages is
+derived from it, and so is every analysis of the run (graphs reads the
+averaged entries and their staleness off it); a broadcast payload lives
+only until its receivers' mailboxes drop it.
 
 The run stops with stop_reason "tol" at the first agent within tolerance
 of the oracle (or all agents, in "all" mode: a count of agents within
@@ -39,6 +40,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,18 +146,75 @@ class Event(NamedTuple):
     @property
     def detail(self) -> str:
         """The fields as text, the events.csv `detail` column."""
-        kind = self.kind
-        if kind == "Deliver":
-            return f"from={self.peer};iter={self.k};{'kept' if self.kept else 'stale'}"
-        if kind == "Iterate":
-            return f"k={self.k};d={self.count};err={self.value:.6e}"
-        if kind == "Broadcast":
-            return f"k={self.k};n={self.count}"
-        if kind == "Halt":
-            return f"until={self.value:.6f}"
-        if kind == "Converge":
-            return f"err={self.value:.6e}"
-        return ""
+        return DETAIL[self.kind](self.peer, self.k, self.count, self.value, self.kept)
+
+
+# The events.csv `detail` of each kind, formatted from (peer, k, count,
+# value, kept).  A kind's code in the packed log is its position here.
+DETAIL = {
+    "Iterate": lambda peer, k, count, value, kept: f"k={k};d={count};err={value:.6e}",
+    "Broadcast": lambda peer, k, count, value, kept: f"k={k};n={count}",
+    "Deliver": lambda peer, k, count, value, kept:
+        f"from={peer};iter={k};{'kept' if kept else 'stale'}",
+    "Halt": lambda peer, k, count, value, kept: f"until={value:.6f}",
+    "Resume": lambda peer, k, count, value, kept: "",
+    "Converge": lambda peer, k, count, value, kept: f"err={value:.6e}",
+}
+KINDS = tuple(DETAIL)
+_ITERATE_EV, _BROADCAST_EV, _DELIVER_EV, _HALT_EV, _RESUME_EV, _CONVERGE_EV = range(len(KINDS))
+
+# One log record: time, kind code, agent, peer, k, count, value, kept
+RECORD = struct.Struct("<dBqqqqd?")
+
+
+class EventLog(Sequence):
+    """A run's events, packed one RECORD per event in a bytearray.
+
+    Reads return new Event records equal to the ones packed: every field
+    round-trips exactly.  Two logs are equal when their bytes are, so a nan
+    value equals itself and +0.0 differs from -0.0.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, events=()):
+        self._data = bytearray()
+        pack = RECORD.pack
+        for ev in events:
+            self._data += pack(ev.time, KINDS.index(ev.kind), ev.agent, ev.peer, ev.k,
+                               ev.count, ev.value, ev.kept)
+
+    def __len__(self) -> int:
+        return len(self._data) // RECORD.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("event index out of range")
+        return _event(RECORD.unpack_from(self._data, i * RECORD.size))
+
+    def __iter__(self):
+        return map(_event, self.records())
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            return self._data == other._data
+        return NotImplemented
+
+    def records(self):
+        """The records as unpacked tuples (time, kind code, agent, peer, k,
+        count, value, kept), without building Events; KINDS names the codes."""
+        return RECORD.iter_unpack(self._data)
+
+
+def _event(record) -> Event:
+    time, code, agent, peer, k, count, value, kept = record
+    return tuple.__new__(Event, (time, KINDS[code], agent, peer, k, count, value, kept))
 
 
 @dataclass
@@ -213,7 +274,7 @@ class SimConfig:
 class RunResult:
     states: list[AgentState]
     metrics: MetricsRecord
-    log: list[Event]
+    log: EventLog
     converged: bool
     stop_reason: str                          # tol | k_max | budget | diverged
     config: SimConfig
@@ -223,9 +284,13 @@ class RunResult:
         """One Message per Deliver event, in log order; send_time is that of
         the sender's Broadcast with the same k (each k is broadcast at most
         once).  Messages in flight at a budget or tol stop are not listed."""
-        sent = {(ev.agent, ev.k): ev.time for ev in self.log if ev.kind == "Broadcast"}
-        return [Message(ev.peer, ev.agent, sent[ev.peer, ev.k], ev.time, ev.k)
-                for ev in self.log if ev.kind == "Deliver"]
+        sent, messages = {}, []
+        for time, code, agent, peer, k, _, _, _ in self.log.records():
+            if code == _BROADCAST_EV:
+                sent[agent, k] = time
+            elif code == _DELIVER_EV:
+                messages.append(Message(peer, agent, sent[peer, k], time, k))
+        return messages
 
 
 @dataclass
@@ -315,7 +380,7 @@ def run(cfg: SimConfig) -> RunResult:
     within = sum(rt.within_tol for rt in runtimes)   # agents within tol, kept up to date
     stop_all = cfg.stop_mode == "all"
 
-    log: list[Event] = []
+    log = EventLog()
 
     # heap entries (time, priority, agent, insertion seq, Deliver snapshot entry)
     heap: list[tuple[float, int, int, int, tuple | None]] = []
@@ -328,11 +393,11 @@ def run(cfg: SimConfig) -> RunResult:
     trigger = cfg.trigger
     c0, c1 = CMP_COST
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
-    emit = log.append
-    # Events are built as tuples of all eight fields in Event's order (time,
-    # kind, agent, peer, k, count, value, kept), the unused ones at their
-    # defaults: the same records as Event(...), without its argument parsing.
-    new = tuple.__new__
+    # each event is packed as all eight RECORD fields, the unused ones at
+    # Event's defaults
+    emit = log._data.extend
+    pack = RECORD.pack
+    budget_bytes = budget * RECORD.size
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -341,7 +406,7 @@ def run(cfg: SimConfig) -> RunResult:
     now = 0.0
 
     while heap:
-        if len(log) >= budget:
+        if len(log._data) >= budget_bytes:
             stop_reason = "budget"
             break
         now, prio, agent, _, entry = pop(heap)
@@ -356,13 +421,13 @@ def run(cfg: SimConfig) -> RunResult:
                 mailbox[sender] = entry
                 if held is None:   # a new sender: restore sender order
                     rt.mailbox = dict(sorted(mailbox.items()))
-            emit(new(Event, (now, "Deliver", agent, sender, sender_iter, -1, 0.0, kept)))
+            emit(pack(now, _DELIVER_EV, agent, sender, sender_iter, -1, 0.0, kept))
             continue
 
         if prio == _RESUME:
             fs = failure[agent]
             fs.runs_left = fs.draw_run_length(xi)
-            emit(new(Event, (now, "Resume", agent, -1, -1, -1, 0.0, False)))
+            emit(pack(now, _RESUME_EV, agent, -1, -1, -1, 0.0, False))
             push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
             seq += 1
             continue
@@ -382,12 +447,12 @@ def run(cfg: SimConfig) -> RunResult:
             rt.within_tol = not rt.within_tol
             within += 1 if rt.within_tol else -1
 
-        emit(new(Event, (now, "Iterate", agent, -1, k, len(entries), err, False)))
+        emit(pack(now, _ITERATE_EV, agent, -1, k, len(entries), err, False))
 
         # stop checks come before the broadcast: a converged run ends here
         if rt.within_tol:
             if not stop_all or within == n:
-                emit(new(Event, (now, "Converge", agent, -1, -1, -1, err, False)))
+                emit(pack(now, _CONVERGE_EV, agent, -1, -1, -1, err, False))
                 converged = True
                 stop_reason = "tol"
                 break
@@ -397,7 +462,7 @@ def run(cfg: SimConfig) -> RunResult:
 
         if fire_trigger(k, prev_time, now, trigger):
             neighbors = neighbors_of[agent]
-            emit(new(Event, (now, "Broadcast", agent, -1, k, len(neighbors), 0.0, False)))
+            emit(pack(now, _BROADCAST_EV, agent, -1, k, len(neighbors), 0.0, False))
             entry = (agent, agents_mod.snapshot_payload(state), k)
             for nbr in neighbors:
                 delay = delay_bound * (1.0 - next(rt.delays))  # (0, delay_bound]
@@ -416,7 +481,7 @@ def run(cfg: SimConfig) -> RunResult:
                 duration = fs.draw_downtime(xi)
                 rt.halts += 1
                 rt.downtime += duration
-                emit(new(Event, (now, "Halt", agent, -1, -1, -1, now + duration, False)))
+                emit(pack(now, _HALT_EV, agent, -1, -1, -1, now + duration, False))
                 push(heap, (now + duration, _RESUME, agent, seq, None))
                 seq += 1
                 continue
@@ -478,16 +543,16 @@ def audit_broadcast_spacing(result: RunResult) -> list[AuditViolation]:
     sent: dict[tuple[int, int], float] = {}
     unused: dict[int, list[tuple[int, float, float]]] = {}   # receiver -> (sender, sent, arrived)
     violations = []
-    for ev in result.log:
-        if ev.kind == "Broadcast":
-            sent[ev.agent, ev.k] = ev.time
-        elif ev.kind == "Deliver":
-            unused.setdefault(ev.agent, []).append((ev.peer, sent[ev.peer, ev.k], ev.time))
-        elif ev.kind == "Iterate":
-            for sender, send_time, arrival_time in unused.pop(ev.agent, ()):
+    for time, code, agent, peer, k, _, _, _ in result.log.records():
+        if code == _BROADCAST_EV:
+            sent[agent, k] = time
+        elif code == _DELIVER_EV:
+            unused.setdefault(agent, []).append((peer, sent[peer, k], time))
+        elif code == _ITERATE_EV:
+            for sender, send_time, arrival_time in unused.pop(agent, ()):
                 t_s = math.floor(send_time / spacing) * spacing
                 t_next = t_s + spacing
-                if ev.time > t_next + 1e-12:
-                    violations.append(AuditViolation(t_s, t_next, sender, ev.agent,
-                                                     send_time, arrival_time, ev.time))
+                if time > t_next + 1e-12:
+                    violations.append(AuditViolation(t_s, t_next, sender, agent,
+                                                     send_time, arrival_time, time))
     return violations

@@ -342,20 +342,24 @@ def write_aggregated_csv(aggregated, path, reps: int = 1) -> None:
                         *(_fmt(getattr(m, name)) for name in AGG_HEADER[3:])])
 
 
-def write_events_csv(log: list[engine.Event], path) -> None:
+def write_events_csv(log: engine.EventLog, path) -> None:
     """The log as events.csv: a `time,kind,agent,detail` header, then one
     line per event, each ended by CRLF.
 
-    The lines are formatted directly, and the file is byte for byte what
-    csv.writer writes for the rows (repr(time), kind, agent, detail): its
-    lines end by CRLF too, and it quotes no field, since none can hold a
-    comma, a quote or a line break (time is the repr of the Python float
-    the engine logs, kind a name, agent an int, detail `name=value` pairs
-    joined by ';', empty for Resume).
+    The lines are formatted straight from the packed records, with no Event
+    built, and the file is byte for byte what csv.writer writes for the
+    rows (repr(time), kind, agent, Event.detail): its lines end by CRLF
+    too, and it quotes no field, since none can hold a comma, a quote or a
+    line break (time is the repr of the Python float the engine logs, kind
+    a name, agent an int, detail `name=value` pairs joined by ';', empty
+    for Resume).
     """
+    kinds, details = engine.KINDS, tuple(engine.DETAIL.values())
     with open(path, "w", newline="") as fh:
         fh.write("time,kind,agent,detail\r\n")
-        fh.writelines(f"{ev.time!r},{ev.kind},{ev.agent},{ev.detail}\r\n" for ev in log)
+        fh.writelines(f"{time!r},{kinds[code]},{agent},"
+                      f"{details[code](peer, k, count, value, kept)}\r\n"
+                      for time, code, agent, peer, k, count, value, kept in log.records())
 
 
 def write_report_csv(metrics_csv, path) -> None:

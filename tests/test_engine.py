@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kaczsim import agents, engine, graphs, harness, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
-from kaczsim.engine import Event, EveryK, FailurePlan, GlobalSchedule, SimConfig
+from kaczsim.engine import Event, EventLog, EveryK, FailurePlan, GlobalSchedule, SimConfig
 from kaczsim.errors import InvalidParameter, NoConvergence
+from oracles import write_events_csv as csv_writer_events
 
 
 def build_cfg(inst, *, block=10, lam=None, trigger=EveryK(5), tol=None, seed=0,
@@ -210,10 +214,17 @@ def test_non_finite_run_stops_as_diverged(lam):
     assert not res.converged
     # the first Iterate's error is non-finite and ends the run before it broadcasts
     iterates = [ev for ev in res.log if ev.kind == "Iterate"]
-    assert len(iterates) == 1 and res.log[-1] is iterates[0]
-    assert not math.isfinite(iterates[0].value)
+    # reads build new Event records, and nan != nan, so the last event is
+    # compared field by field
+    last = res.log[-1]
+    assert len(iterates) == 1
+    assert (last.kind, last.agent, last.k) == (iterates[0].kind, iterates[0].agent, iterates[0].k)
+    assert math.isnan(last.value)
     assert sum(st.k for st in res.states) == 1
     assert res.messages == []
+    # log equality is bitwise, so the nan error does not keep a replay apart
+    assert last != run_tolerant(cfg).log[-1]
+    assert run_tolerant(cfg).log == res.log
 
 
 # ------------------------------------------------------------------ typed events
@@ -246,6 +257,78 @@ def test_batched_draws_equal_scalar_calls(low, high):
         scalar = [stream.uniform(low, high) for _ in range(150)]
     assert all(type(x) is float for x in batched)
     assert batched == scalar
+
+
+# ---------------------------------------------------------- packed event log
+
+def float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def fields(ev: Event) -> tuple:
+    """An event's fields with its floats as their bits, so nan == nan and
+    -0.0 != 0.0."""
+    return (float_bits(ev.time), ev.kind, ev.agent, ev.peer, ev.k, ev.count,
+            float_bits(ev.value), ev.kept)
+
+
+def packed(events) -> bytes:
+    return b"".join(struct.pack("<dBqqqqd?", ev.time, engine.KINDS.index(ev.kind), ev.agent,
+                                ev.peer, ev.k, ev.count, ev.value, ev.kept) for ev in events)
+
+
+EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.225073858507201e-308, 1.7976931348623157e308)
+any_float = st.floats() | st.sampled_from(EDGE_FLOATS)
+int64 = st.integers(-(2**63 - 1), 2**63 - 1)
+small_int = st.integers(-1, 64)
+events = st.builds(Event, time=any_float, kind=st.sampled_from(engine.KINDS),
+                   agent=small_int | int64, peer=small_int | int64, k=small_int | int64,
+                   count=small_int | int64, value=any_float, kept=st.booleans())
+index_bound = st.none() | st.integers(-12, 12)
+
+
+def test_event_record_fits_64_bytes():
+    assert engine.RECORD.size == 50 <= 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(events, max_size=10), index_bound, index_bound,
+       st.none() | st.integers(-3, 3).filter(bool))
+def test_event_log_reads_like_a_list(evs, start, stop, step):
+    log = EventLog(evs)
+    assert len(log) == len(evs)
+    assert [fields(ev) for ev in log] == [fields(ev) for ev in evs]
+    assert all(type(ev) is Event for ev in log)
+    for i in range(-len(evs), len(evs)):
+        assert fields(log[i]) == fields(evs[i])
+    for i in (len(evs), -len(evs) - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    window = slice(start, stop, step)
+    assert [fields(ev) for ev in log[window]] == [fields(ev) for ev in evs[window]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(events, max_size=8), st.data())
+def test_event_logs_are_equal_exactly_when_their_bytes_are(evs, data):
+    other = list(evs)
+    if other and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(other) - 1))
+        other[i] = data.draw(events)
+    assert EventLog(evs) == EventLog(list(evs))   # nan values included
+    assert (EventLog(evs) == EventLog(other)) == (packed(evs) == packed(other))
+    assert (EventLog(evs) != EventLog(other)) == (packed(evs) != packed(other))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(events, max_size=12))
+def test_event_log_csv_bytes_match_csv_writer(tmp_path, evs):
+    log = EventLog(evs)
+    harness.write_events_csv(log, tmp_path / "events.csv")
+    csv_writer_events(log, tmp_path / "reference.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- fire_trigger

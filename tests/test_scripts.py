@@ -22,6 +22,7 @@ def test_sparse_target_prints_timings_and_peak_rss(capsys):
                                        "--k-max", "20", "--lam", "1"])
     values = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
     assert values["stop_reason"] == "k_max" and values["iterations_per_agent"] == "20"
+    assert int(values["events"]) >= 8 * 20   # one Iterate per agent step at least
     for name in ("generate_s", "save_s", "load_s", "setup_s", "build_s", "run_s", "wall_s",
                  "peak_rss_mb"):
         assert float(values[name]) > 0
