@@ -39,11 +39,15 @@ use, one entry per chunk (AgentConfig.blocks), whose rows are a slice and
 b_J a view into the shard.  An iid agent draws its next BATCH blocks from
 its stream in order (prepare_blocks; fewer when the run's k_max is nearer,
 so a k_max run draws exactly k_max blocks), builds their entries in one
-pass and uses one per step; a block whose factoring failed raises at the
-step that uses it, as if it had been factored there.  A step densifies A_J
-from the plan, one zero array and one scatter, so that entries hold one
-index per entry of the shard rather than a dense copy of every block.  The
-step updates the agent state in place.  Every operation here is numpy.
+pass and uses one per step.  The batch is drawn with one bounded-integer
+call (draw_blocks): the same blocks, at the same stream position, as
+BATCH sorted Generator.choice draws without replacement, whose
+Python-level set-up costs more than their draws.  A block whose
+factoring failed raises at the step that uses it, as if it had been
+factored there.  A step densifies A_J from the plan, one zero array and
+one scatter, so that entries hold one index per entry of the shard rather
+than a dense copy of every block.  The step updates the agent state in
+place.  Every operation here is numpy.
 """
 from __future__ import annotations
 
@@ -191,11 +195,51 @@ def aggregate(entries: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
     return total
 
 
+def draw_blocks(rng: np.random.Generator, pool: int, size: int, count: int) -> np.ndarray:
+    """count sorted blocks of size distinct rows of range(pool), one per row
+    of the result: bit for bit, and at the same stream position, what count
+    calls of rng.choice(pool, size, replace=False), each sorted, give.
+
+    For such a draw numpy runs Floyd's algorithm: for t = 0 .. size - 1 it
+    draws v_t uniform on [0, base + t], base = pool - size, and picks v_t
+    unless it was picked already, base + t otherwise; then it shuffles the
+    picks with draws on [0, i], i = size - 1 .. 1, which the sort undoes.
+    Each draw on [0, h] is the bounded draw rng.integers(0, h + 1) makes,
+    so one integers call makes the draws of all count blocks.  v_t was
+    picked already when it equals an earlier draw, or when it is base + s
+    for an earlier s whose v_s was picked already (base + s was picked at
+    step s then), so those flags pass along the links t -> s until nothing
+    changes.  numpy's other branch, a shuffled tail of range(pool) when
+    pool > 10000 and size > pool // 50, keeps a choice call per block, and
+    so does a single block (count 1), for which choice costs less.
+    """
+    if count == 1 or (pool > 10_000 and size > pool // 50):
+        return np.sort([rng.choice(pool, size, replace=False) for _ in range(count)], axis=1)
+    base = pool - size
+    t = np.arange(size)
+    highs = np.concatenate((base + t, t[:0:-1])) + 1
+    v = rng.integers(0, highs, size=(count, len(highs)))[:, :size]
+    key = v * size + t   # sorts by value, then by step
+    key.sort(axis=1)
+    ranked = key // size
+    row = np.arange(count)[:, None]
+    hit = np.zeros(v.shape, dtype=bool)
+    hit[row, key[:, 1:] % size] = ranked[:, 1:] == ranked[:, :-1]   # v_t equals an earlier draw
+    link = np.where((v >= base) & (v < base + t), v - base, t)
+    while True:
+        spread = hit | hit[row, link]
+        if np.array_equal(spread, hit):
+            break
+        hit = spread
+    picks = np.where(hit, base + t, v)
+    picks.sort(axis=1)
+    return picks
+
+
 def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
     """Draw the next row block, updating the sampler bookkeeping on state."""
     if cfg.sampling == IID:
-        state.block = state.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False)
-        state.block.sort()
+        state.block = draw_blocks(state.rng, cfg.local_rows, cfg.block_size, 1)[0]
         state.chunk = None
         return state.block
     chunks = cfg.chunks
@@ -311,11 +355,12 @@ def block_entries(cfg: AgentConfig, blocks: list[np.ndarray], rows: list) -> lis
 
 
 def prepare_blocks(state: AgentState, cfg: AgentConfig) -> None:
-    """Draw an iid agent's next row blocks from its stream, in order (BATCH
-    of them, or the steps left before state.k_max), and put their
-    block_entries on state.ready, the next block last."""
+    """Draw an iid agent's next row blocks from its stream, in order and in
+    one draw_blocks call (BATCH of them, or the steps left before
+    state.k_max), and put their block_entries on state.ready, the next
+    block last."""
     count = BATCH if state.k_max is None else max(1, min(BATCH, state.k_max - state.k))
-    blocks = [sample_block(state, cfg) for _ in range(count)]
+    blocks = list(draw_blocks(state.rng, cfg.local_rows, cfg.block_size, count))
     state.ready = block_entries(cfg, blocks, blocks)[::-1]
 
 

@@ -5,8 +5,9 @@ the SVD or the pseudoinverse, a dense matrix by np.add.at, a mean by
 np.add.reduce, a CSV file by csv.writer, distinct positions one draw at a
 time), with none of the caching, factoring, compression, preformatting or
 vectorizing the package does.  The exception is sequential_iid_step, the
-iid block step one block at a time: it keeps the package's arithmetic, so
-that the batched step must match it bit for bit.
+iid block step one block at a time: it draws each block with
+Generator.choice but keeps the package's arithmetic, so that the batched
+step must match it bit for bit.
 """
 import csv
 
@@ -49,13 +50,15 @@ def restricted_product_norm(A, families, basis: np.ndarray | None = None) -> flo
 
 
 def sequential_iid_step(state, cfg, entries):
-    """agents.step for an iid agent, one block at a time: sample_block, then
-    the block's columns and dense rows read off the shard, its factor from
-    agents.block_factors on the block alone and the step's row-space update,
-    with no block drawn ahead and no planning pass.  A block whose factoring
-    failed raises its error at its own step."""
+    """agents.step for an iid agent, one block at a time: the block drawn by
+    Generator.choice without replacement and sorted, then the block's columns
+    and dense rows read off the shard, its factor from agents.block_factors
+    on the block alone and the step's row-space update, with no block drawn
+    ahead and no planning pass.  A block whose factoring failed raises its
+    error at its own step."""
     w = agents.aggregate(entries)
-    J = agents.sample_block(state, cfg)
+    J = np.sort(state.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False))
+    state.block = J
     A = cfg.A
     cols = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in J]))
     # C order, as the package's blocks: a BLAS product rounds by memory layout

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaczsim import agents, linalg, problems
 from kaczsim.agents import AgentConfig
@@ -113,6 +115,37 @@ def test_iid_row_frequencies():
         counts[J] += 1
     expected = draws * 5 / 20
     assert np.all(np.abs(counts - expected) <= 0.05 * expected)
+
+
+@st.composite
+def block_draws(draw):
+    """(pool, |J|, count, seed): pools on both sides of 10 000 and |J| on
+    both sides of pool // 50, where numpy's choice shuffles a tail of
+    range(pool) instead of running Floyd's algorithm; |J| = 1 and
+    |J| = pool among them."""
+    pool = draw(st.one_of(st.integers(1, 60), st.integers(9_900, 10_100), st.integers(10_001, 30_000)))
+    size = draw(st.one_of(st.just(1), st.just(pool), st.integers(1, max(1, pool // 50)),
+                          st.integers(1, pool)))
+    return pool, size, draw(st.integers(1, agents.BATCH)), draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_draws())
+@example((10_000, 201, 5, 1))   # Floyd: pool not above 10 000
+@example((10_001, 200, 5, 2))   # Floyd: |J| not above pool // 50
+@example((10_001, 201, 5, 3))   # tail shuffle
+@example((40, 40, agents.BATCH, 4))
+def test_draw_blocks_is_sorted_generator_choice(case):
+    """A batch of count blocks is count calls of Generator.choice(pool, |J|,
+    replace=False), each sorted, block for block, and leaves the stream where
+    they leave it."""
+    pool, size, count, seed = case
+    g, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = agents.draw_blocks(g, pool, size, count)
+    expected = [np.sort(ref.choice(pool, size=size, replace=False)) for _ in range(count)]
+    assert blocks.shape == (count, size) and blocks.dtype == expected[0].dtype
+    assert all(np.array_equal(J, K) for J, K in zip(blocks, expected))
+    assert g.bit_generator.state == ref.bit_generator.state
 
 
 # ------------------------------------------------------------- AgentConfig
@@ -523,7 +556,7 @@ def test_batched_iid_step_matches_sequential_reference(lam):
         # the run's k_max was known
         assert len(state.ready) == (0 if k_max else -steps % agents.BATCH)
         for _ in state.ready:
-            agents.sample_block(ref, cfg)
+            ref.rng.choice(cfg.local_rows, size=cfg.block_size, replace=False)
         assert state.rng.bit_generator.state == ref.rng.bit_generator.state
 
 

@@ -122,21 +122,25 @@ def test_k_max_holds_under_failure_injection():
 def test_iid_k_max_run_draws_exactly_k_max_blocks(consistent_instance, monkeypatch, lam):
     # iid agents prepare their blocks in batches; a run to k_max = 40 (a batch
     # of agents.BATCH, then a short one) draws 40 blocks per agent and leaves
-    # each block stream where 40 one-at-a-time draws leave it
-    drawn = []
-    sample_block = agents.sample_block
-    monkeypatch.setattr(agents, "sample_block",
-                        lambda state, acfg: drawn.append(acfg.agent_id) or sample_block(state, acfg))
+    # each block stream where 40 one-at-a-time Generator.choice draws leave it
     cfg = build_cfg(consistent_instance, block=4, lam=lam, tol=1e-300, k_max=40)
     cfg.agents = [dataclasses.replace(acfg, sampling=agents.IID) for acfg in cfg.agents]
+    drawn = [0] * len(cfg.agents)
+    prepare_blocks = agents.prepare_blocks
+
+    def counting(state, acfg):
+        prepare_blocks(state, acfg)
+        drawn[acfg.agent_id] += len(state.ready)
+
+    monkeypatch.setattr(agents, "prepare_blocks", counting)
     res = run_tolerant(cfg)
     assert res.stop_reason == "k_max" and all(st.k == 40 for st in res.states)
-    assert sorted(drawn) == sorted(list(range(len(cfg.agents))) * 40)
+    assert drawn == [40] * len(cfg.agents)
     for i, (acfg, st) in enumerate(zip(cfg.agents, res.states)):
-        replay = agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i))
+        g = rng.stream(cfg.seed, rng.BLOCKS, i)
         for _ in range(40):
-            sample_block(replay, acfg)
-        assert st.rng.bit_generator.state == replay.rng.bit_generator.state and not st.ready
+            g.choice(acfg.local_rows, size=acfg.block_size, replace=False)
+        assert st.rng.bit_generator.state == g.bit_generator.state and not st.ready
 
 
 def test_iid_block_failure_raises_only_when_used():
@@ -148,8 +152,8 @@ def test_iid_block_failure_raises_only_when_used():
     A[7] *= 1e160
     acfg = AgentConfig(0, problems.CsrRows.from_dense(A), g.normal(size=12), np.arange(12), 3,
                        lam=1.0, sampling=agents.IID)
-    replay = agents.initial_state(acfg, rng.stream(3, rng.BLOCKS, 0))
-    k_fail = next(k for k in range(1000) if 7 in agents.sample_block(replay, acfg))
+    blocks = rng.stream(3, rng.BLOCKS, 0)
+    k_fail = next(k for k in range(1000) if 7 in blocks.choice(12, size=3, replace=False))
     assert k_fail % agents.BATCH != 0   # the block is not the first of its batch
 
     def run(budget):
