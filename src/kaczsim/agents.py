@@ -210,10 +210,9 @@ def draw_blocks(rng: np.random.Generator, pool: int, size: int, count: int) -> n
     for an earlier s whose v_s was picked already (base + s was picked at
     step s then), so those flags pass along the links t -> s until nothing
     changes.  numpy's other branch, a shuffled tail of range(pool) when
-    pool > 10000 and size > pool // 50, keeps a choice call per block, and
-    so does a single block (count 1), for which choice costs less.
+    pool > 10000 and size > pool // 50, keeps a choice call per block.
     """
-    if count == 1 or (pool > 10_000 and size > pool // 50):
+    if pool > 10_000 and size > pool // 50:
         return np.sort([rng.choice(pool, size, replace=False) for _ in range(count)], axis=1)
     base = pool - size
     t = np.arange(size)
