@@ -28,26 +28,29 @@ for bit; a narrower one rounds its products over fewer terms.
 
 Block sampling is either coverage-cyclic (a permuted pass over a fixed
 disjoint chunking, so every row is used once per pass) or iid uniform
-without replacement.  Both samplings build their block entries (rows,
-cols, plan, b_J, factor) on one path, block_entries: the block's rows, its
-columns cols, the plan that places its entries in A_J (plan_blocks, which
-plans many blocks in one gather), b_J and the factor W or F
-(block_factors, which inverts the regularized Gram matrices of equal-height
-blocks as one stack, bit for bit what a stack of one gives each block).  The
-agent config owns the chunk table (AgentConfig.chunks) and, built on first
-use, one entry per chunk (AgentConfig.blocks), whose rows are a slice and
-b_J a view into the shard.  An iid agent draws its next BATCH blocks from
-its stream in order (prepare_blocks; fewer when the run's k_max is nearer,
-so a k_max run draws exactly k_max blocks), builds their entries in one
-pass and uses one per step.  The batch is drawn with one bounded-integer
-call (draw_blocks): the same blocks, at the same stream position, as
-BATCH sorted Generator.choice draws without replacement, whose
-Python-level set-up costs more than their draws.  A block whose
-factoring failed raises at the step that uses it, as if it had been
-factored there.  A step densifies A_J from the plan, one zero array and
-one scatter, so that entries hold one index per entry of the shard rather
-than a dense copy of every block.  The step updates the agent state in
-place.  Every operation here is numpy.
+without replacement.  One routine draws both (next_blocks): an agent's next
+blocks in order, as (chunk, rows) pairs, a cyclic pass or a batch of BATCH
+iid blocks (fewer when the run's k_max is nearer, so a k_max run draws
+exactly k_max blocks).  The iid batch is drawn with one bounded-integer
+call (draw_blocks): the same blocks, at the same stream position, as BATCH
+sorted Generator.choice draws without replacement, whose Python-level
+set-up costs more than their draws.  Both samplings build their block
+entries (rows, cols, plan, b_J, factor) on one path, block_entries: the
+block's rows, its columns cols, the plan that places its entries in A_J
+(plan_blocks, which plans many blocks in one gather), b_J and the factor W
+or F (block_factors, which inverts the regularized Gram matrices of
+equal-height blocks as one stack, bit for bit what a stack of one gives
+each block).  The agent config owns the chunk table (AgentConfig.chunks)
+and, built on first use, one entry per chunk (AgentConfig.blocks), whose
+rows are a slice and b_J a view into the shard; an iid batch gets its
+entries in one pass when it is drawn.  The step keeps one queue of (draw,
+entry) pairs (AgentState.ready), refilled from next_blocks when empty, and
+uses one pair per step.  A block whose factoring failed raises at the step
+that uses it, in both samplings, as if it had been factored there.  A step
+densifies A_J from the plan, one zero array and one scatter, so that
+entries hold one index per entry of the shard rather than a dense copy of
+every block.  The step updates the agent state in place.  Every operation
+here is numpy.
 """
 from __future__ import annotations
 
@@ -124,14 +127,12 @@ class AgentConfig:
         entries a cyclic step reads, so each chunk is factored once per
         config.  An entry keeps the plan of A_J, not A_J, so the entries of
         all chunks hold no copy of the shard's data.  A chunk whose
-        factoring fails raises its error here, at the first cyclic step."""
+        factoring failed holds the exception, which the step that uses the
+        chunk raises."""
         entries = []
         for lo in range(0, len(self.chunks), BATCH):
             part = self.chunks[lo:lo + BATCH]
             entries += block_entries(self, part, [slice(int(J[0]), int(J[-1]) + 1) for J in part])
-        for *_, factor in entries:
-            if isinstance(factor, Exception):
-                raise factor
         return entries
 
 
@@ -155,9 +156,8 @@ class AgentState:
     block: np.ndarray             # local indices of the last used block
     chunk: int | None             # chunk id of the last block (cyclic mode)
     rng: np.random.Generator      # block-sampling stream (advances in place)
-    order: list[int] = field(default_factory=list)  # remaining chunks this pass
-    k_max: int | None = None      # iid: no block is prepared for a step past it
-    ready: list[tuple] = field(default_factory=list)  # iid: prepared block entries, next last
+    k_max: int | None = None      # iid: no block is drawn for a step past it
+    ready: list[tuple] = field(default_factory=list)  # (draw, entry) pairs, next last
 
 
 def initial_state(cfg: AgentConfig, block_rng: np.random.Generator, init: np.ndarray | None = None,
@@ -233,24 +233,6 @@ def draw_blocks(rng: np.random.Generator, pool: int, size: int, count: int) -> n
     picks = np.where(hit, base + t, v)
     picks.sort(axis=1)
     return picks
-
-
-def sample_block(state: AgentState, cfg: AgentConfig) -> np.ndarray:
-    """Draw the next row block, updating the sampler bookkeeping on state."""
-    if cfg.sampling == IID:
-        state.block = draw_blocks(state.rng, cfg.local_rows, cfg.block_size, 1)[0]
-        state.chunk = None
-        return state.block
-    chunks = cfg.chunks
-    if not state.order:
-        order = list(state.rng.permutation(len(chunks)))
-        # avoid repeating the previous chunk across a pass boundary
-        while len(chunks) > 1 and state.chunk is not None and order[0] == state.chunk:
-            order = list(state.rng.permutation(len(chunks)))
-        state.order = order
-    state.chunk = state.order.pop(0)
-    state.block = chunks[state.chunk]
-    return state.block
 
 
 def block_factors(A_Js: list[np.ndarray], lam: float | None) -> list:
@@ -353,14 +335,20 @@ def block_entries(cfg: AgentConfig, blocks: list[np.ndarray], rows: list) -> lis
     return [(r, cols, plan, cfg.b[r], F) for r, (cols, plan), F in zip(rows, planned, factors)]
 
 
-def prepare_blocks(state: AgentState, cfg: AgentConfig) -> None:
-    """Draw an iid agent's next row blocks from its stream, in order and in
-    one draw_blocks call (BATCH of them, or the steps left before
-    state.k_max), and put their block_entries on state.ready, the next
-    block last."""
-    count = BATCH if state.k_max is None else max(1, min(BATCH, state.k_max - state.k))
-    blocks = list(draw_blocks(state.rng, cfg.local_rows, cfg.block_size, count))
-    state.ready = block_entries(cfg, blocks, blocks)[::-1]
+def next_blocks(state: AgentState, cfg: AgentConfig) -> list[tuple]:
+    """An agent's next row blocks from its stream, in order, as (chunk, rows)
+    pairs: a permuted pass over the chunks that does not start with
+    state.chunk, or one draw_blocks batch of BATCH iid blocks (the steps
+    left before state.k_max, if fewer), whose chunk is None."""
+    if cfg.sampling == IID:
+        count = BATCH if state.k_max is None else max(1, min(BATCH, state.k_max - state.k))
+        return [(None, J) for J in draw_blocks(state.rng, cfg.local_rows, cfg.block_size, count)]
+    chunks = cfg.chunks
+    order = list(state.rng.permutation(len(chunks)))
+    # avoid repeating the previous chunk across a pass boundary
+    while len(chunks) > 1 and state.chunk is not None and order[0] == state.chunk:
+        order = list(state.rng.permutation(len(chunks)))
+    return [(c, chunks[c]) for c in order]
 
 
 def step(state: AgentState, cfg: AgentConfig,
@@ -368,11 +356,12 @@ def step(state: AgentState, cfg: AgentConfig,
     """Average the snapshot entries (self and the latest estimate from each
     neighbor heard from), then project onto the sampled block equations.
 
-    The block entry (rows, cols, plan, b_J, factor) is a chunk's from
-    cfg.blocks or the next prepared iid block from state.ready, which
-    prepare_blocks refills when it runs out; a prepared block whose
-    factoring failed raises its error here, at the step that uses it.  A_J
-    is densified from the plan.  w[cols] is gathered once into w_c, which
+    The step pops the next (draw, entry) pair off state.ready, which it
+    refills from next_blocks when it runs out: the entries (rows, cols,
+    plan, b_J, factor) of a cyclic pass's chunks from cfg.blocks, those of
+    an iid batch from block_entries.  A block whose factoring failed raises
+    its error here, at the step that uses it, in both samplings.  A_J is
+    densified from the plan.  w[cols] is gathered once into w_c, which
     serves the residual and takes the update before it is written back:
     cols are distinct, so that is w[cols] += A_J^T alpha, value for value.
     The state is updated in place (k, block, chunk, the sampler, x rebound
@@ -387,16 +376,15 @@ def step(state: AgentState, cfg: AgentConfig,
     whose factor is 1 x 1) therefore keeps @.
     """
     w = aggregate(entries)
-    if cfg.sampling == IID:
-        if not state.ready:
-            prepare_blocks(state, cfg)
-        rows, cols, plan, b_J, factor = state.ready.pop()
-        state.block = rows
-        if isinstance(factor, Exception):
-            raise factor
-    else:
-        sample_block(state, cfg)
-        rows, cols, plan, b_J, factor = cfg.blocks[state.chunk]
+    if not state.ready:
+        drawn = next_blocks(state, cfg)
+        blocks = [J for _, J in drawn]
+        found = (block_entries(cfg, blocks, blocks) if cfg.sampling == IID
+                 else [cfg.blocks[c] for c, _ in drawn])
+        state.ready = list(zip(drawn, found))[::-1]
+    (state.chunk, state.block), (rows, cols, plan, b_J, factor) = state.ready.pop()
+    if isinstance(factor, Exception):
+        raise factor
     A_J = densify(cfg.A, plan)
     dot = np.ndarray.dot if len(b_J) > 1 else np.matmul
     w_c = w[cols]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import agents, linalg, rng
+from . import agents, engine, linalg, rng
 from .errors import DelayBoundViolation, DimensionError, InvalidBasis, InvalidParameter
 
 # ----------------------------------------------------------------- tick trace
@@ -61,32 +61,40 @@ def _value_tick(landed: list[int], h: int, now_tick: int) -> int:
 def tick_trace(result) -> list[TickRecord]:
     """The tick trace of a run, read off result.log with result.config.
 
-    Tick t is the t-th Iterate event.  Its used entries are the agent's own
+    Tick t is the t-th Iterate record.  Its used entries are the agent's own
     previous iterate, then the keep-latest mailbox (replayed from kept
-    Deliver events) in sender order; each entry's stage is counted in ticks
-    by _value_tick.  The sampled rows replay agents.sample_block on the
-    agent's block-sampling stream, which nothing else draws from.
+    Deliver records) in sender order; each entry's stage is counted in ticks
+    by _value_tick.  The sampled rows replay agents.next_blocks on the
+    agent's block-sampling stream, which nothing else draws from, in the
+    calls the run's steps made: each sampler has the run's k_max, its k is
+    set before each refill and its chunk and block after each draw, so the
+    routine sees the state the step gave it.
     """
     cfg = result.config
     n = len(cfg.agents)
-    samplers = [agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i))
+    samplers = [agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), k_max=cfg.k_max)
                 for i, acfg in enumerate(cfg.agents)]
     mailboxes: list[dict[int, int]] = [{} for _ in range(n)]   # sender -> kept iteration
     landed = [[-1] for _ in range(n)]   # per agent: the tick of each iteration, -1 for k = 0
+    queues = [[] for _ in range(n)]     # per agent: the draws not used yet, next last
+    iterate, deliver = engine.KINDS.index("Iterate"), engine.KINDS.index("Deliver")
     trace = []
-    for ev in result.log:
-        if ev.kind == "Deliver" and ev.kept:
-            mailboxes[ev.agent][ev.peer] = ev.k
-        elif ev.kind == "Iterate":
-            tick, agent = len(trace), ev.agent
-            acfg, state = cfg.agents[agent], samplers[agent]
-            agents.sample_block(state, acfg)
+    for time, code, agent, peer, k, count, value, kept in result.log.records():
+        if code == deliver and kept:
+            mailboxes[agent][peer] = k
+        elif code == iterate:
+            tick = len(trace)
+            acfg, state, queue = cfg.agents[agent], samplers[agent], queues[agent]
+            if not queue:
+                state.k = k - 1
+                queue[:] = agents.next_blocks(state, acfg)[::-1]
+            state.chunk, state.block = queue.pop()
             landed[agent].append(tick)
-            entries = [(agent, ev.k - 1), *sorted(mailboxes[agent].items())]
+            entries = [(agent, k - 1), *sorted(mailboxes[agent].items())]
             used = tuple((sender, tick - _value_tick(landed[sender], h, tick))
                          for sender, h in entries)
-            trace.append(TickRecord(tick, ev.time, agent, ev.k, state.chunk,
-                                    acfg.rows[state.block], used, ev.count, ev.value))
+            trace.append(TickRecord(tick, time, agent, k, state.chunk,
+                                    acfg.rows[state.block], used, count, value))
     return trace
 
 

@@ -73,22 +73,33 @@ def test_aggregate_bit_equal_to_stacked_reduce(n):
                 assert not any(np.shares_memory(out, v) for _, v, _ in entries)
 
 
-# --------------------------------------------------------------- sample_block
+# ---------------------------------------------------------------- next_blocks
+
+def drawn_blocks(state, cfg, count):
+    """The first count blocks next_blocks draws, calls made as the step
+    makes them: k and chunk advanced as the blocks are used."""
+    blocks = []
+    while len(blocks) < count:
+        for state.chunk, state.block in agents.next_blocks(state, cfg):
+            blocks.append(state.block)
+            state.k += 1
+    return blocks[:count]
+
 
 def test_single_chunk_uses_all_rows():
     g = np.random.default_rng(0)
     cfg = make_cfg(g.normal(size=(4, 3)), g.normal(size=4), block=4)
     state = fresh(cfg)
     for _ in range(3):
-        J = agents.sample_block(state, cfg)
-        assert np.array_equal(J, np.arange(4))
+        ((chunk, J),) = agents.next_blocks(state, cfg)
+        assert chunk == 0 and np.array_equal(J, np.arange(4))
+        state.chunk = chunk
 
 
 def test_cyclic_two_chunks_cover_in_any_two_consecutive_steps():
     g = np.random.default_rng(1)
     cfg = make_cfg(g.normal(size=(100, 5)), g.normal(size=100), block=50)
-    state = fresh(cfg)
-    blocks = [agents.sample_block(state, cfg).copy() for _ in range(20)]
+    blocks = drawn_blocks(fresh(cfg), cfg, 20)
     for a, b in zip(blocks, blocks[1:]):
         assert np.array_equal(np.sort(np.concatenate([a, b])), np.arange(100))
 
@@ -96,9 +107,11 @@ def test_cyclic_two_chunks_cover_in_any_two_consecutive_steps():
 def test_cyclic_pass_covers_all_rows():
     g = np.random.default_rng(2)
     cfg = make_cfg(g.normal(size=(17, 4)), g.normal(size=17), block=5)
-    state = fresh(cfg)
     n_chunks = len(agents.make_chunks(17, 5))
-    seen = np.concatenate([agents.sample_block(state, cfg) for _ in range(n_chunks)])
+    drawn = agents.next_blocks(fresh(cfg), cfg)
+    assert len(drawn) == n_chunks
+    assert all(np.array_equal(J, cfg.chunks[chunk]) for chunk, J in drawn)
+    seen = np.concatenate([J for _, J in drawn])
     assert np.array_equal(np.sort(seen), np.arange(17))
     assert all(len(c) <= 5 for c in agents.make_chunks(17, 5))
 
@@ -106,11 +119,9 @@ def test_cyclic_pass_covers_all_rows():
 def test_iid_row_frequencies():
     g = np.random.default_rng(3)
     cfg = make_cfg(g.normal(size=(20, 4)), g.normal(size=20), block=5, sampling=agents.IID)
-    state = fresh(cfg, seed=11)
     counts = np.zeros(20)
     draws = 10_000
-    for _ in range(draws):
-        J = agents.sample_block(state, cfg)
+    for J in drawn_blocks(fresh(cfg, seed=11), cfg, draws):
         assert len(np.unique(J)) == 5
         counts[J] += 1
     expected = draws * 5 / 20
@@ -388,8 +399,9 @@ def test_augmented_cache_matches_direct():
 
 # ----------------------------------------------------- reference equivalence
 
-def reference_step(state, cfg, entries):
-    """The step as first written: np.mean, make_chunks on every step, a
+def reference_step(state, cfg, entries, order):
+    """The step as first written: np.mean, make_chunks on every step, the
+    chunks left in this pass kept in order (a list the caller owns), a
     fancy-indexed block factored afresh, the regularized alpha from
     np.linalg.solve on the Gram matrix, and a new state from replace with a
     copied y."""
@@ -400,12 +412,11 @@ def reference_step(state, cfg, entries):
         state.chunk = None
     else:
         chunks = agents.make_chunks(m, cfg.block_size)
-        if not state.order:
-            order = list(state.rng.permutation(len(chunks)))
+        if not order:
+            order[:] = state.rng.permutation(len(chunks))
             while len(chunks) > 1 and state.chunk is not None and order[0] == state.chunk:
-                order = list(state.rng.permutation(len(chunks)))
-            state.order = order
-        state.chunk = state.order.pop(0)
+                order[:] = state.rng.permutation(len(chunks))
+        state.chunk = order.pop(0)
         state.block = chunks[state.chunk]
     J = state.block
     A_J = cfg.A.toarray()[J]
@@ -429,12 +440,12 @@ def test_step_matches_reference_update():
         cfg = make_cfg(g.normal(size=(m, n)), g.normal(size=m), block=int(g.integers(1, m + 1)),
                        lam=lam, sampling=sampling)
         init = g.normal(size=n)
-        state, ref = fresh(cfg, seed, init), fresh(cfg, seed, init)
+        state, ref, order = fresh(cfg, seed, init), fresh(cfg, seed, init), []
         for _ in range(3 * len(cfg.chunks)):   # three passes in cyclic mode
             d = int(g.integers(1, 9))
             others = [(sender, g.normal(size=n), 0) for sender in range(1, d)]
             out = agents.step(state, cfg, [(0, state.x.copy(), 0)] + others)
-            ref = reference_step(ref, cfg, [(0, ref.x.copy(), 0)] + others)
+            ref = reference_step(ref, cfg, [(0, ref.x.copy(), 0)] + others, order)
             assert out is state
             # A_J^T F r against pinv(A_J) r or an independent solve; restart the
             # reference from the step's state so that rounding differences do
@@ -607,7 +618,27 @@ def test_iid_block_failure_raises_at_its_step():
     for _ in range(k_fail):
         agents.step(state, cfg, snap(state.x))
     assert state.k == k_fail and np.all(np.isfinite(state.x))
-    assert any(isinstance(entry[-1], InvalidParameter) for entry in state.ready)
+    assert any(isinstance(entry[-1], InvalidParameter) for _, entry in state.ready)
+
+
+def test_cyclic_chunk_failure_raises_at_its_step():
+    # row 7 near 1e160: the Gram matrix of its chunk, rows 6-8, overflows.
+    # The steps before that chunk's first use complete; the step that uses
+    # it raises, as in iid sampling, not the agent's first step
+    g = np.random.default_rng(42)
+    A = g.normal(size=(12, 5))
+    A[7] *= 1e160
+    cfg = make_cfg(A, g.normal(size=12), block=3, lam=1.0)
+    state = fresh(cfg, seed=1)
+    k_fail = next(k for k, J in enumerate(drawn_blocks(fresh(cfg, seed=1), cfg, 4)) if 7 in J)
+    assert k_fail > 0
+    for _ in range(k_fail):
+        agents.step(state, cfg, snap(state.x))
+        assert 7 not in state.block
+    assert state.k == k_fail and np.all(np.isfinite(state.x))
+    with pytest.raises(InvalidParameter, match="overflows"):
+        agents.step(state, cfg, snap(state.x))
+    assert 7 in state.block and state.k == k_fail
 
 
 # ---------------------------------------------------------------- sparse shards

@@ -120,19 +120,20 @@ def test_k_max_holds_under_failure_injection():
 
 @pytest.mark.parametrize("lam", [None, 0.5], ids=["consistent", "regularized"])
 def test_iid_k_max_run_draws_exactly_k_max_blocks(consistent_instance, monkeypatch, lam):
-    # iid agents prepare their blocks in batches; a run to k_max = 40 (a batch
+    # iid agents draw their blocks in batches; a run to k_max = 40 (a batch
     # of agents.BATCH, then a short one) draws 40 blocks per agent and leaves
     # each block stream where 40 one-at-a-time Generator.choice draws leave it
     cfg = build_cfg(consistent_instance, block=4, lam=lam, tol=1e-300, k_max=40)
     cfg.agents = [dataclasses.replace(acfg, sampling=agents.IID) for acfg in cfg.agents]
     drawn = [0] * len(cfg.agents)
-    prepare_blocks = agents.prepare_blocks
+    next_blocks = agents.next_blocks
 
     def counting(state, acfg):
-        prepare_blocks(state, acfg)
-        drawn[acfg.agent_id] += len(state.ready)
+        blocks = next_blocks(state, acfg)
+        drawn[acfg.agent_id] += len(blocks)
+        return blocks
 
-    monkeypatch.setattr(agents, "prepare_blocks", counting)
+    monkeypatch.setattr(agents, "next_blocks", counting)
     res = run_tolerant(cfg)
     assert res.stop_reason == "k_max" and all(st.k == 40 for st in res.states)
     assert drawn == [40] * len(cfg.agents)

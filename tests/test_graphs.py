@@ -232,6 +232,48 @@ def test_tick_trace_pinned(case):
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("sampling, k_max, sizes", [
+    ("iid", 40, [agents.BATCH, 40 - agents.BATCH]),   # a batch, then a short one
+    ("cycle", 12, [3] * 4),                           # four passes over 3 chunks
+])
+def test_tick_trace_replays_the_runs_draws(monkeypatch, sampling, k_max, sizes):
+    """The replay calls agents.next_blocks as the run's steps did, agent for
+    agent and batch for batch, and each tick's rows are the block its step
+    used."""
+    inst = problems.generate(problems.ProblemSpec(m=30, n=8, density=0.4, noise=0.0,
+                                                  seed=5, agents=3))
+    acfgs = [AgentConfig(i, s.A, s.b, s.rows, 4, sampling=sampling)
+             for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]
+    cfg = engine.SimConfig(topology.build_pascal(3, 3, seed=0), acfgs, inst.x_star, 1.0,
+                           engine.EveryK(3), tol=1e-300, k_max=k_max, seed=7)
+    calls, used = [], []
+    next_blocks, step = agents.next_blocks, agents.step
+
+    def recording_next_blocks(state, acfg):
+        drawn = next_blocks(state, acfg)
+        calls.append((acfg.agent_id, len(drawn)))
+        return drawn
+
+    def recording_step(state, acfg, entries):
+        state = step(state, acfg, entries)
+        used.append(acfg.rows[state.block])
+        return state
+
+    monkeypatch.setattr(agents, "next_blocks", recording_next_blocks)
+    monkeypatch.setattr(agents, "step", recording_step)
+    try:
+        result = engine.run(cfg)
+    except NoConvergence as exc:
+        result = exc.result
+    assert result.stop_reason == "k_max"
+    run_calls, calls[:] = calls[:], []
+    ticks = graphs.tick_trace(result)
+    assert calls == run_calls
+    assert all([size for agent, size in calls if agent == i] == sizes for i in range(3))
+    assert len(ticks) == len(used) == 3 * k_max
+    assert all(np.array_equal(t.rows, rows) for t, rows in zip(ticks, used))
+
+
 def test_run_trace_stage_bound():
     result, _ = _small_run()
     bound = graphs.staleness_stage_bound(result.config)
