@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from kaczsim import engine, harness, problems
-from kaczsim.errors import NoConvergence
 from kaczsim.harness import RunOptions
 
 AGENTS = 8
@@ -90,10 +89,7 @@ def main(argv=None):
     cfg = harness.build_sim_config(inst, opts)
     timings["build_s"] = time.perf_counter() - t
     t = time.perf_counter()
-    try:
-        result = engine.run(cfg)
-    except NoConvergence as exc:
-        result = exc.result
+    result = engine.run(cfg)
     timings["run_s"] = time.perf_counter() - t
     timings["wall_s"] = time.perf_counter() - start
 

@@ -43,7 +43,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--k-max", type=int)
-    p.add_argument("--budget", type=int, dest="event_budget", help="event budget")
+    p.add_argument("--budget", type=int, dest="event_budget",
+                   help="event budget, checked before each event: a log holds at most "
+                        "the budget + 2 events")
     p.add_argument("--stop-mode", choices=["first", "all"])
     p.add_argument("--rho", type=float, dest="failure_rho", help="failure ratio")
     p.add_argument("--xi", type=float, dest="failure_xi", help="failure intensity")

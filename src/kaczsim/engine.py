@@ -31,10 +31,13 @@ of the oracle (or all agents, in "all" mode: a count of agents within
 tolerance is kept as they enter and leave); "diverged" at the first
 Iterate whose error is non-finite, before it broadcasts (a non-finite
 block residual makes the produced estimate non-finite); "k_max" when
-every agent exhausts k_max; "budget" when the event budget is spent.  All
-but "tol" raise NoConvergence carrying the full result.  A run ignores
-NumPy's overflow and invalid-value warnings: a diverging estimate
-overflows on its way to the "diverged" stop, which reports it.
+every agent exhausts k_max; "budget" when the event budget is spent.  The
+budget is checked before each popped event, and one Iterate can log an
+Iterate, a Broadcast and a Halt, so a log holds at most event_budget + 2
+events.  run returns its RunResult for every stop reason; callers read
+stop_reason and converged.  A run ignores NumPy's overflow and
+invalid-value warnings: a diverging estimate overflows on its way to the
+"diverged" stop, which reports it.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ import numpy as np
 from . import agents as agents_mod
 from . import rng
 from .agents import AgentConfig, AgentState
-from .errors import InvalidParameter, NoConvergence
+from .errors import InvalidParameter
 from .topology import Topology
 
 # queue priorities at equal times
@@ -248,7 +251,7 @@ class SimConfig:
     trigger: EveryK | GlobalSchedule
     tol: float = 1e-3
     k_max: int = 5000
-    event_budget: int = 1_000_000
+    event_budget: int = 1_000_000                 # checked per popped event: a log ends <= budget + 2
     seed: int = 0
     failure: FailurePlan | None = None
     stop_mode: str = "first"                      # "first" | "all"
@@ -491,18 +494,14 @@ def run(cfg: SimConfig) -> RunResult:
     else:
         stop_reason = "k_max"
 
-    metrics = collect_metrics(runtimes, failure, now, oracle, ls_ref, converged, len(log))
-    result = RunResult(
+    return RunResult(
         states=[rt.state for rt in runtimes],
-        metrics=metrics,
+        metrics=collect_metrics(runtimes, failure, now, oracle, ls_ref, converged, len(log)),
         log=log,
         converged=converged,
         stop_reason=stop_reason,
         config=cfg,
     )
-    if not converged:
-        raise NoConvergence(metrics.e_stop_oracle, result)
-    return result
 
 
 def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> MetricsRecord:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A run that stops short of tolerance is not an error: engine.run returns
+its result, and RunResult.stop_reason says why it stopped.
+"""
 
 
 class KaczsimError(Exception):
@@ -31,19 +35,6 @@ class InfeasibleTopology(KaczsimError):
 
 class CorruptMessage(KaczsimError):
     """A state vector has the wrong dimension, or an initial estimate is not finite."""
-
-
-class NoConvergence(KaczsimError):
-    """Simulation exhausted its budget before reaching tolerance.
-
-    Carries the final error and the full run result so callers (sweeps,
-    metrics collection) can still inspect the terminal state.
-    """
-
-    def __init__(self, final_error, result=None):
-        super().__init__(f"no convergence, final error {final_error:.6g}")
-        self.final_error = final_error
-        self.result = result
 
 
 class DelayBoundViolation(KaczsimError):

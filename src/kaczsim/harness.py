@@ -31,7 +31,7 @@ import numpy as np
 from . import engine, graphs, linalg, problems, topology
 from .agents import AgentConfig
 from .engine import EveryK, FailurePlan, GlobalSchedule, MetricsRecord, SimConfig
-from .errors import InvalidParameter, IoError, NoConvergence
+from .errors import InvalidParameter, IoError
 from .problems import ProblemInstance
 
 RAW_HEADER = ["cell", "rep", "seed", "k_iter", "t_cmp", "c", "t_comm", "T",
@@ -219,15 +219,9 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
 
 
 def run_single(inst: ProblemInstance, opts: RunOptions) -> engine.RunResult:
-    """One simulation; budget or k_max exhaustion still yields a result."""
-    return _run(build_sim_config(inst, opts))
-
-
-def _run(cfg: SimConfig) -> engine.RunResult:
-    try:
-        return engine.run(cfg)
-    except NoConvergence as exc:
-        return exc.result
+    """One simulation; its result's stop_reason says whether it reached tol
+    or stopped at k_max, the event budget or a non-finite estimate."""
+    return engine.run(build_sim_config(inst, opts))
 
 
 def _reseeded(cfg: SimConfig, seed: int) -> SimConfig:
@@ -307,7 +301,7 @@ def sweep(inst: ProblemInstance, axis: str, values, base: RunOptions,
             h = config_hash(doc)
             configs[h] = doc
             cfg = build_sim_config(inst, opts) if cfg is None else _reseeded(cfg, seed)
-            result = _run(cfg)
+            result = engine.run(cfg)
             records.append(result.metrics)
             rows.append({"cell": cell.cell, "rep": rep, "seed": seed,
                          "metrics": result.metrics, "config_hash": h})

@@ -267,12 +267,14 @@ def _read_vector(path: Path) -> np.ndarray:
     return v
 
 
-def _read_matrix(path: Path) -> CsrRows:
+def _read_matrix(path: Path, check_size) -> CsrRows:
     """A Matrix Market "coordinate real general" file as CsrRows, entries
     at the same position added in file order.
 
     The header, the size line (m n nnz), the entry count and every entry's
-    1-based indices are checked; any mismatch raises IoError.
+    1-based indices are checked; any mismatch raises IoError.  check_size(m,
+    n) sees the size line first, so it can refuse a shape before any array
+    of that size is built.
     """
     if not path.exists():
         raise IoError(f"missing matrix file {path}")
@@ -289,6 +291,7 @@ def _read_matrix(path: Path) -> CsrRows:
             if len(size) != 3:
                 raise IoError(f"corrupt matrix file {path}: missing size line 'm n nnz'")
             m, n, nnz = (int(v) for v in size)
+            check_size(m, n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # an empty entry list warns
                 entries = np.loadtxt(fh, dtype=_MTX_ENTRY, ndmin=1)
@@ -343,13 +346,16 @@ def load(directory) -> ProblemInstance:
         raise IoError(f"corrupt manifest {manifest_path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, InvalidParameter) as exc:
         raise IoError(f"malformed manifest {manifest_path}: missing or bad entry {exc}") from exc
-    A = _read_matrix(paths["A"])
     b = _read_vector(paths["b"])
     x_planted = _read_vector(paths["x_planted"])
     x_star = _read_vector(paths["x_star"])
-    if b.shape[0] != A.shape[0] or not x_planted.shape[0] == x_star.shape[0] == A.shape[1]:
-        raise IoError(f"vector lengths b {b.shape[0]}, x_planted {x_planted.shape[0]}, "
-                      f"x_star {x_star.shape[0]} do not fit the {A.shape[0]} x {A.shape[1]} A")
+
+    def check_size(m, n):
+        if b.shape[0] != m or not x_planted.shape[0] == x_star.shape[0] == n:
+            raise IoError(f"vector lengths b {b.shape[0]}, x_planted {x_planted.shape[0]}, "
+                          f"x_star {x_star.shape[0]} do not fit the {m} x {n} A")
+
+    A = _read_matrix(paths["A"], check_size)
     if type(agents) is not int or not 1 <= agents <= A.shape[0]:
         raise IoError(f"malformed manifest {manifest_path}: agents {agents!r} is not an "
                       f"integer in [1, {A.shape[0]}]")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kaczsim import agents, engine, graphs, harness, linalg, problems, rng, topology
 from kaczsim.agents import AgentConfig
 from kaczsim.engine import Event, EventLog, EveryK, FailurePlan, GlobalSchedule, SimConfig
-from kaczsim.errors import InvalidParameter, NoConvergence
+from kaczsim.errors import InvalidParameter
 from oracles import write_events_csv as csv_writer_events
 
 
@@ -28,13 +28,6 @@ def build_cfg(inst, *, block=10, lam=None, trigger=EveryK(5), tol=None, seed=0,
                      k_max=k_max, event_budget=budget, seed=seed,
                      stop_mode=stop_mode, failure=failure,
                      ls_reference=inst.x_star, **kw)
-
-
-def run_tolerant(cfg):
-    try:
-        return engine.run(cfg)
-    except NoConvergence as exc:
-        return exc.result
 
 
 def err_trace(res):
@@ -91,19 +84,47 @@ def test_all_agents_reach_min_norm_solution(consistent_instance):
         assert np.linalg.norm(st.x - inst.x_star) <= 1e-4 * scale
 
 
-def test_budget_exhaustion_raises_with_result(consistent_instance):
+def test_budget_exhaustion_returns_result(consistent_instance):
     cfg = build_cfg(consistent_instance, budget=300, tol=1e-14)
-    with pytest.raises(NoConvergence) as info:
-        engine.run(cfg)
-    res = info.value.result
+    res = engine.run(cfg)
     assert res.stop_reason == "budget"
     assert len(res.log) == 300
-    assert info.value.final_error == res.metrics.e_stop_oracle
+
+
+@pytest.mark.parametrize("stop_reason, kwargs", [
+    ("tol", {}),
+    ("k_max", {"k_max": 7, "tol": 1e-14}),
+    ("budget", {"budget": 300, "tol": 1e-14}),
+    ("diverged", {"init": [np.full(20, 1e308)] * 4}),
+], ids=["tol", "k_max", "budget", "diverged"])
+def test_run_returns_result_for_every_stop_reason(consistent_instance, stop_reason, kwargs):
+    res = engine.run(build_cfg(consistent_instance, seed=2, **kwargs))
+    assert res.stop_reason == stop_reason
+    assert res.converged == (stop_reason == "tol")
+    assert res.metrics.converged == float(res.converged)
+    assert res.metrics.events == len(res.log)
+
+
+# budgets whose log ends at, one past and two past the budget
+@pytest.mark.parametrize("budget, past", [(2, 0), (92, 0), (1, 1), (97, 1), (15, 2), (150, 2)])
+def test_budget_stop_logs_at_most_two_events_past_the_budget(budget, past):
+    # every agent halts and resumes, and broadcasts after every iteration, so
+    # one Iterate can log an Iterate, a Broadcast and a Halt
+    inst = problems.generate(problems.ProblemSpec(m=40, n=10, density=0.5, seed=3, agents=4))
+    opts = harness.RunOptions(block_size=5, interval=1, failure_rho=1.0, failure_xi=0.5,
+                              event_budget=budget, tol=1e-12, k_max=10**6)
+    res = harness.run_single(inst, opts)
+    assert res.stop_reason == "budget"
+    assert len(res.log) == budget + past <= budget + 2
+    kinds = [ev.kind for ev in res.log]
+    last_iterate = len(kinds) - 1 - kinds[::-1].index("Iterate")
+    assert last_iterate < budget   # the budget was not spent when it was popped
+    assert set(kinds[budget:]) <= {"Iterate", "Broadcast", "Halt"}
 
 
 def test_k_max_stops_all_agents(consistent_instance):
     cfg = build_cfg(consistent_instance, k_max=7, tol=1e-14)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     assert res.stop_reason == "k_max"
     assert all(st.k == 7 for st in res.states)
 
@@ -134,7 +155,7 @@ def test_iid_k_max_run_draws_exactly_k_max_blocks(consistent_instance, monkeypat
         return blocks
 
     monkeypatch.setattr(agents, "next_blocks", counting)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     assert res.stop_reason == "k_max" and all(st.k == 40 for st in res.states)
     assert drawn == [40] * len(cfg.agents)
     for i, (acfg, st) in enumerate(zip(cfg.agents, res.states)):
@@ -161,7 +182,7 @@ def test_iid_block_failure_raises_only_when_used():
         # no neighbors and no broadcasts: the log is one Iterate per step
         cfg = SimConfig(topology.build_pascal(1, 1), [acfg], np.zeros(5), 1.0, EveryK(10**6),
                         tol=1e-300, k_max=1000, event_budget=budget, seed=3)
-        return run_tolerant(cfg)
+        return engine.run(cfg)
 
     res = run(k_fail)
     assert res.stop_reason == "budget" and res.states[0].k == k_fail
@@ -212,9 +233,7 @@ def test_non_finite_run_stops_as_diverged(lam):
     cfg = harness.build_sim_config(inst, harness.RunOptions(lam=lam, block_size=5))
     cfg = dataclasses.replace(cfg, init=[np.full(8, 1e308)] * 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NoConvergence) as info:
-            engine.run(cfg)
-    res = info.value.result
+        res = engine.run(cfg)
     assert res.stop_reason == "diverged"
     assert not res.converged
     # the first Iterate's error is non-finite and ends the run before it broadcasts
@@ -228,8 +247,8 @@ def test_non_finite_run_stops_as_diverged(lam):
     assert sum(st.k for st in res.states) == 1
     assert res.messages == []
     # log equality is bitwise, so the nan error does not keep a replay apart
-    assert last != run_tolerant(cfg).log[-1]
-    assert run_tolerant(cfg).log == res.log
+    assert last != engine.run(cfg).log[-1]
+    assert engine.run(cfg).log == res.log
 
 
 # ------------------------------------------------------------------ typed events
@@ -356,7 +375,7 @@ def test_global_schedule_at_most_one_broadcast_per_tick(consistent_instance):
     spacing = 3.0  # = 2 * delay_bound + t_max
     cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(spacing),
                     tol=1e-12, budget=4000)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     per_tick = {}
     for ev in res.log:
         if ev.kind == "Broadcast":
@@ -369,7 +388,7 @@ def test_global_schedule_at_most_one_broadcast_per_tick(consistent_instance):
 # -------------------------------------------------------------- message rules
 
 def test_message_delays_bounded(consistent_instance):
-    res = run_tolerant(build_cfg(consistent_instance, budget=5000, tol=1e-12))
+    res = engine.run(build_cfg(consistent_instance, budget=5000, tol=1e-12))
     assert res.messages
     for m in res.messages:
         assert 0.0 < m.arrival_time - m.send_time <= 1.0 + 1e-12
@@ -377,7 +396,7 @@ def test_message_delays_bounded(consistent_instance):
 
 def test_messages_derived_from_log_after_k_max_stop(consistent_instance):
     cfg = build_cfg(consistent_instance, k_max=40, tol=1e-14, delay_bound=2.5)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     assert res.stop_reason == "k_max"
     # every broadcast drains from the queue before a k_max stop
     sent = sum(ev.count for ev in res.log if ev.kind == "Broadcast")
@@ -390,7 +409,7 @@ def test_messages_derived_from_log_after_k_max_stop(consistent_instance):
 
 
 def test_iteration_gaps_within_bounds(consistent_instance):
-    res = run_tolerant(build_cfg(consistent_instance, budget=5000, tol=1e-12))
+    res = engine.run(build_cfg(consistent_instance, budget=5000, tol=1e-12))
     for times in iterate_times(res):
         gaps = np.diff(times)
         assert np.all(gaps >= 0.5 - 1e-12)
@@ -404,7 +423,7 @@ def test_mailbox_keeps_latest_and_drops_stale():
     # sends every iteration with tiny gaps and long delays: reorders guaranteed
     cfg = build_cfg(inst, block=4, trigger=EveryK(1), t_min=0.05, t_max=0.1,
                     delay_bound=1.0, tol=1e-13, budget=6000)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     stale_seen = 0
     kept: dict[tuple[int, int], int] = {}
     for ev in res.log:
@@ -422,7 +441,7 @@ def test_mailbox_keeps_latest_and_drops_stale():
 
 
 def test_snapshot_weights_row_stochastic(consistent_instance):
-    res = run_tolerant(build_cfg(consistent_instance, budget=4000, tol=1e-12))
+    res = engine.run(build_cfg(consistent_instance, budget=4000, tol=1e-12))
     n_agents = consistent_instance.agents
     for rec in graphs.tick_trace(res):
         assert 1 <= rec.d_used <= n_agents
@@ -459,7 +478,7 @@ def test_rho_zero_matches_failure_free_run(consistent_instance):
 def test_halted_agents_skip_iterates_and_broadcasts(consistent_instance):
     cfg = build_cfg(consistent_instance, seed=1, budget=20_000, tol=1e-12,
                     failure=FailurePlan(0.5, 1.5, seed=3))
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     halts = [(ev.agent, ev.time, ev.value) for ev in res.log if ev.kind == "Halt"]
     assert halts
     for agent, start, until in halts:
@@ -473,7 +492,7 @@ def test_halted_agents_skip_iterates_and_broadcasts(consistent_instance):
 def test_gaps_respect_bounds_outside_halts(consistent_instance):
     cfg = build_cfg(consistent_instance, seed=2, budget=20_000, tol=1e-12,
                     failure=FailurePlan(0.5, 1.5, seed=3))
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     halt_spans = {}
     for ev in res.log:
         if ev.kind == "Halt":
@@ -493,14 +512,14 @@ def test_gaps_respect_bounds_outside_halts(consistent_instance):
 def test_audit_clean_at_design_spacing(consistent_instance):
     cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(3.0),
                     tol=1e-12, budget=3000)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     assert engine.audit_broadcast_spacing(res) == []
 
 
 def test_audit_flags_tight_spacing(consistent_instance):
     cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(0.75),
                     tol=1e-12, budget=3000)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     violations = engine.audit_broadcast_spacing(res)
     assert violations
     v = violations[0]
@@ -514,7 +533,7 @@ def test_audit_violation_counts_pinned(consistent_instance, seed, count):
     by the engine; reading the log alone must flag the same cascades."""
     cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(0.75),
                     tol=1e-12, budget=3000, seed=seed)
-    violations = engine.audit_broadcast_spacing(run_tolerant(cfg))
+    violations = engine.audit_broadcast_spacing(engine.run(cfg))
     assert len(violations) == count
     for v in violations:
         assert v.send_time < v.arrival_time <= v.used_time
@@ -532,7 +551,7 @@ def test_audit_empty_without_broadcasts():
 
 
 def test_audit_ignores_every_k_runs(consistent_instance):
-    res = run_tolerant(build_cfg(consistent_instance, budget=2000, tol=1e-12))
+    res = engine.run(build_cfg(consistent_instance, budget=2000, tol=1e-12))
     assert engine.audit_broadcast_spacing(res) == []
 
 
@@ -586,7 +605,7 @@ def test_multi_agent_regularized_run_consensus_is_feasible_but_weighted():
     x_reg, _ = linalg.augmented_min_norm_solve(A, b, lam)
     cfg = build_cfg(inst, block=5, lam=lam, oracle=x_reg, tol=1e-10,
                     budget=120_000, k_max=4000)
-    res = run_tolerant(cfg)
+    res = engine.run(cfg)
     xs = [st.x for st in res.states]
     x_bar = np.mean(xs, axis=0)
     # consensus

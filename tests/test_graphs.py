@@ -6,8 +6,7 @@ import pytest
 
 from kaczsim import agents, engine, graphs, linalg, problems, topology
 from kaczsim.agents import AgentConfig
-from kaczsim.errors import (DelayBoundViolation, InvalidBasis, InvalidParameter,
-                            NoConvergence)
+from kaczsim.errors import DelayBoundViolation, InvalidBasis, InvalidParameter
 from kaczsim.graphs import TickRecord
 from oracles import pinv, project_null, restricted_product_norm
 
@@ -195,10 +194,7 @@ def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3,
     cfg = engine.SimConfig(topo, acfgs, inst.x_star, 1.0, trigger,
                            tol=1e-6, k_max=10**6, event_budget=budget,
                            seed=seed, stop_mode="all", failure=failure)
-    try:
-        return engine.run(cfg), inst
-    except NoConvergence as exc:
-        return exc.result, inst
+    return engine.run(cfg), inst
 
 
 def test_run_trace_weight_matrices_row_stochastic():
@@ -261,10 +257,7 @@ def test_tick_trace_replays_the_runs_draws(monkeypatch, sampling, k_max, sizes):
 
     monkeypatch.setattr(agents, "next_blocks", recording_next_blocks)
     monkeypatch.setattr(agents, "step", recording_step)
-    try:
-        result = engine.run(cfg)
-    except NoConvergence as exc:
-        result = exc.result
+    result = engine.run(cfg)
     assert result.stop_reason == "k_max"
     run_calls, calls[:] = calls[:], []
     ticks = graphs.tick_trace(result)
@@ -546,10 +539,7 @@ def test_transition_matrix_reproduces_live_run_errors(monkeypatch):
         return state
 
     monkeypatch.setattr(agents, "step", recording_step)
-    try:
-        res = engine.run(cfg)
-    except NoConvergence as exc:
-        res = exc.result
+    res = engine.run(cfg)
     ticks = graphs.tick_trace(res)
     assert len(estimates) == len(ticks)
 

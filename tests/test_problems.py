@@ -206,6 +206,7 @@ CORRUPT_MATRIX = {
     "not-matrix-market": lambda lines: ["hello"] + lines[1:],
     "missing-size-line": lambda lines: lines[:_entries(lines)],
     "short-size-line": _drop_nnz,
+    "size-line-m-huge": lambda lines: _set_size(lines, 0, 10**11 - 40),   # m = 10**11
     "empty-file": lambda lines: [],
 }
 

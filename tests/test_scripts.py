@@ -1,7 +1,5 @@
 """Smoke tests: each experiment script under scripts/ runs to completion."""
-import csv
 import importlib.util
-import math
 from pathlib import Path
 
 import pytest
@@ -53,18 +51,3 @@ def test_sparse_target_rejects_tol_rel_with_lam(capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
     assert "--tol-rel" in err[-1] and "--lam" in err[-1]
-
-
-def test_sweep_lambda_writes_metrics_and_aggregated(tmp_path, capsys):
-    module = load_script("sweep_lambda")
-    module.main(tmp_path)
-    with open(tmp_path / "metrics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    with open(tmp_path / "aggregated.csv", newline="") as fh:
-        cells = list(csv.DictReader(fh))
-    grid = len(module.LAMBDA_GRID)
-    assert len(rows) == 5 * grid and len(cells) == grid
-    assert [float(c["value"]) for c in cells] == module.LAMBDA_GRID
-    assert all(c["reps"] == "5" and math.isfinite(float(c["e_stop"])) for c in cells)
-    # a header line, one line per cell, the file names
-    assert len(capsys.readouterr().out.splitlines()) == grid + 2
