@@ -11,6 +11,10 @@ parameter) over a base configuration, runs R seeded replicates per cell
 * configs.json   -- hash -> resolved config document, so any CSV row can be
                     reproduced from the output directory alone.
 
+A config document (a `--config` file, a configs.json entry) is a flat JSON
+object keyed by RunOptions field names; a configs.json entry holds every
+field, and a sweep's entries also hold the cell's "axis" and "value".
+
 lam = 0 in a lambda sweep maps to the consistent-mode update applied to the
 (inconsistent) data: the regularized correction needs lam > 0, and the
 plain projection then measures the oscillating residual floor.
@@ -24,7 +28,7 @@ import math
 import numbers
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,7 +64,8 @@ def aggregate_replicates(records: list[MetricsRecord]) -> MetricsRecord:
 
 @dataclass
 class RunOptions:
-    """Resolved run configuration; field names mirror the simulator config."""
+    """Resolved run configuration.  The field names mirror the simulator
+    config and are the keys of a config document."""
 
     agents: int | None = None          # None: use the instance's shard count
     block_size: int = 50
@@ -83,45 +88,15 @@ class RunOptions:
     seed: int = 0
 
     def to_document(self) -> dict:
-        doc = {
-            "agents": self.agents,
-            "agent": {"block_size": self.block_size, "lam": self.lam,
-                      "sampling": self.sampling, "t_min": self.t_min, "t_max": self.t_max},
-            "topology": {"cap": self.topology_cap, "seed": self.topology_seed},
-            "trigger": ({"kind": "every_k", "interval": self.interval}
-                        if self.trigger == "every_k"
-                        else {"kind": "global", "spacing": self.spacing}),
-            "delay_bound": self.delay_bound,
-            "tol": self.tol,
-            "k_max": self.k_max,
-            "event_budget": self.event_budget,
-            "stop_mode": self.stop_mode,
-            "failure": ({"rho": self.failure_rho, "xi": self.failure_xi, "seed": self.seed}
-                        if self.failure_rho > 0 else None),
-            "seed": self.seed,
-        }
-        return doc
+        """Every field by name: the config document of this run."""
+        return asdict(self)
 
 
 RUN_OPTION_TYPES = typing.get_type_hints(RunOptions)
 
-# Keys of a config document (the to_document layout).  "axis" and "value"
-# label a sweep cell in configs.json; the rest of that document already
-# holds the cell's resolved options, so they are accepted and not read.
-DOCUMENT_KEYS = {"agents", "agent", "topology", "trigger", "delay_bound", "tol", "k_max",
-                 "event_budget", "stop_mode", "failure", "seed", "axis", "value"}
-SECTION_KEYS = {"agent": {"block_size", "lam", "sampling", "t_min", "t_max"},
-                "topology": {"cap", "seed"},
-                "trigger": {"kind", "interval", "spacing"},
-                "failure": {"rho", "xi", "seed"}}
-
-
-def _check_keys(section, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise InvalidParameter(f"config {where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise InvalidParameter(f"unknown config key(s) {unknown} in {where}")
+# "axis" and "value" label a sweep cell in configs.json; the rest of that
+# document already holds the cell's resolved options, so they are not read.
+SWEEP_LABELS = ("axis", "value")
 
 
 def _typed(name: str, value):
@@ -146,43 +121,19 @@ def _typed(name: str, value):
 
 
 def options_from_document(doc: dict, base: RunOptions | None = None) -> RunOptions:
-    """Parse a config JSON document (the to_document layout) over defaults.
+    """Parse a config document, a JSON object keyed by RunOptions field
+    names, over base (default: RunOptions()).
 
-    Unknown keys, an unknown trigger kind, a missing entry and a value not
-    of its field's type (see _typed) raise InvalidParameter.
+    A document that is not an object, an unknown key and a value not of its
+    field's type (see _typed) raise InvalidParameter.
     """
-    _check_keys(doc, DOCUMENT_KEYS, "document")
-    for name, keys in SECTION_KEYS.items():
-        if doc.get(name) is not None:
-            _check_keys(doc[name], keys, f"section {name!r}")
-    values = {}
-    try:
-        if doc.get("agents") is not None:
-            values["agents"] = doc["agents"]
-        agent = doc.get("agent") or {}
-        for key in ("block_size", "sampling", "t_min", "t_max", "lam"):
-            if key in agent:
-                values[key] = agent[key]
-        topo = doc.get("topology") or {}
-        if "cap" in topo:
-            values["topology_cap"] = topo["cap"]
-        if "seed" in topo:
-            values["topology_seed"] = topo["seed"]
-        trig = doc.get("trigger") or {}
-        if trig.get("kind") == "global":
-            values.update(trigger="global", spacing=trig["spacing"])
-        elif trig.get("kind") == "every_k":
-            values.update(trigger="every_k", interval=trig["interval"])
-        elif trig:
-            raise InvalidParameter(f"unknown trigger kind {trig.get('kind')!r}")
-        for key in ("delay_bound", "tol", "k_max", "event_budget", "stop_mode", "seed"):
-            if key in doc:
-                values[key] = doc[key]
-        failure = doc.get("failure")
-        if failure:
-            values.update(failure_rho=failure["rho"], failure_xi=failure["xi"])
-    except KeyError as exc:
-        raise InvalidParameter(f"malformed config document: missing entry {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidParameter("a config document must be a JSON object")
+    values = {name: value for name, value in doc.items() if name not in SWEEP_LABELS}
+    unknown = sorted(values.keys() - RUN_OPTION_TYPES.keys())
+    if unknown:
+        raise InvalidParameter(f"unknown config key(s) {unknown}; a config document's keys "
+                               f"are RunOptions field names")
     return replace(base or RunOptions(), **{name: _typed(name, value) for name, value in values.items()})
 
 
@@ -207,7 +158,12 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
         oracle, _ = linalg.augmented_min_norm_solve(inst.A, inst.b, lam)
     else:
         oracle = inst.x_star
-    trigger = EveryK(opts.interval) if opts.trigger == "every_k" else GlobalSchedule(opts.spacing)
+    if opts.trigger == "every_k":
+        trigger = EveryK(opts.interval)
+    elif opts.trigger == "global":
+        trigger = GlobalSchedule(opts.spacing)
+    else:
+        raise InvalidParameter(f"unknown trigger {opts.trigger!r}; pick every_k or global")
     failure = (FailurePlan(opts.failure_rho, opts.failure_xi, seed=opts.seed)
                if opts.failure_rho != 0 else None)   # a negative or nan rho is rejected
     return SimConfig(

@@ -1,7 +1,8 @@
 """Golden-trace corpus: bit-for-bit digests of small end-to-end runs.
 
 Each case in golden/corpus.json names a generated instance and a run
-configuration (RunOptions fields).  The test reruns it through
+configuration, a config document (RunOptions fields by name) read by
+harness.options_from_document.  The test reruns it through
 harness.run_single and compares SHA-256 digests of the event log, the run
 metrics and the final agent states with the recorded ones, so any change
 that moves a single float or event of a run fails here.  The digests hold
@@ -33,7 +34,6 @@ import pytest
 
 from kaczsim import agents, harness, problems
 from kaczsim.engine import MetricsRecord
-from kaczsim.harness import RunOptions
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
 
@@ -44,7 +44,7 @@ def load_corpus() -> dict:
 
 def run_case(case: dict):
     inst = problems.generate(problems.ProblemSpec(**case["instance"]))
-    return harness.run_single(inst, RunOptions(**case["options"]))
+    return harness.run_single(inst, harness.options_from_document(case["options"]))
 
 
 def digests(result) -> dict[str, str]:

@@ -123,7 +123,7 @@ def test_sweep_cell_counts_and_hash_echo(tmp_path, instance_dir):
         assert row["config_hash"] in outcome.configs
     # rows of one cell share a config except for the seed
     docs = [outcome.configs[r["config_hash"]] for r in rows if r["cell"] == "1"]
-    stripped = [{k: v for k, v in d.items() if k not in ("seed", "failure")} for d in docs]
+    stripped = [{k: v for k, v in d.items() if k != "seed"} for d in docs]
     assert stripped[0] == stripped[1]
 
 
@@ -172,17 +172,19 @@ def test_sweep_rejects_unknown_axis(instance_dir):
 
 
 def test_options_document_round_trip():
-    opts = fast_options(lam=0.7, trigger="global", spacing=2.5,
-                        failure_rho=0.25, failure_xi=1.5, topology_cap=3)
-    back = harness.options_from_document(opts.to_document())
-    assert back.lam == 0.7
-    assert back.trigger == "global" and back.spacing == 2.5
-    assert back.failure_rho == 0.25 and back.failure_xi == 1.5
-    assert back.topology_cap == 3
-    assert back.block_size == opts.block_size
+    opts = RunOptions(agents=3, block_size=7, lam=0.7, sampling="iid", t_min=0.25, t_max=2.0,
+                      topology_cap=2, topology_seed=4, trigger="global", interval=9,
+                      spacing=2.5, delay_bound=0.5, tol=1e-6, k_max=123, event_budget=4567,
+                      stop_mode="all", failure_rho=0.25, failure_xi=1.5, seed=11)
+    defaults = RunOptions()
+    assert all(getattr(opts, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(RunOptions))
+    doc = opts.to_document()
+    assert list(doc) == [f.name for f in dataclasses.fields(RunOptions)]
+    assert harness.options_from_document(doc) == opts
+    assert harness.options_from_document(json.loads(json.dumps(doc))) == opts
     # a sweep's configs.json entry also labels its cell; it parses the same
-    swept = harness.options_from_document({**opts.to_document(), "axis": "lambda", "value": [0.7]})
-    assert swept == back
+    assert harness.options_from_document({**doc, "axis": "lambda", "value": [0.7]}) == opts
 
 
 # ------------------------------------------------------------------------ CLI
@@ -314,7 +316,58 @@ def test_cli_config_file_with_flag_override(tmp_path, instance_dir):
     configs = json.loads((out / "configs.json").read_text())
     (doc,) = configs.values()
     assert doc["seed"] == 6               # flag overrides the file
-    assert doc["agent"]["block_size"] == 5
+    assert doc["block_size"] == 5
+
+
+def test_cli_run_reproduced_from_configs_json(tmp_path, instance_dir):
+    """A run's configs.json entry, given back as --config, reproduces its
+    events.csv and metrics.csv byte for byte."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli("run", "--instance", str(instance_dir), "--block-size", "4",
+                   "--trigger", "global", "--spacing", "2", "--rho", "0.5", "--xi", "2",
+                   "--sampling", "iid", "--stop-mode", "all", "--k-max", "300",
+                   "--seed", "9", "--out", str(first)) == 0
+    (doc,) = json.loads((first / "configs.json").read_text()).values()
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run_cli("run", "--instance", str(instance_dir), "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(again)) == 0
+    for name in ("events.csv", "metrics.csv", "configs.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_cli_sweep_rows_reproduced_from_configs_json(tmp_path, instance_dir):
+    """Each sweep row's configs.json entry, given as --config to run,
+    reproduces that row's seed and metrics."""
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--instance", str(instance_dir), "--axis", "failure",
+                   "--values", "0.5", "--xi-values", "1,2", "--reps", "2", "--block-size", "5",
+                   "--k-max", "150", "--stop-mode", "all", "--seed", "3", "--out", str(out)) == 0
+    configs = json.loads((out / "configs.json").read_text())
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    metric_columns = harness.RAW_HEADER[2:-1]
+    for i, row in enumerate(rows):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(configs[row["config_hash"]]))
+        assert run_cli("run", "--instance", str(instance_dir), "--config", str(path),
+                       "--out", str(tmp_path / f"run{i}")) == 0
+        with open(tmp_path / f"run{i}" / "metrics.csv", newline="") as fh:
+            (rerun,) = csv.DictReader(fh)
+        assert [rerun[c] for c in metric_columns] == [row[c] for c in metric_columns]
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["run", "--instance", "x"], {"instance", "out"}),
+    (["sweep", "--instance", "x", "--axis", "lambda", "--values", "1"],
+     {"instance", "out", "axis", "values", "xi_values", "reps"})], ids=["run", "sweep"])
+def test_run_flags_are_the_run_options_fields(argv, own):
+    """cli._resolve_options reads one flag per RunOptions field: a field
+    without a flag would crash every run, and a flag that is no field would
+    be dropped."""
+    args = cli.build_parser().parse_args(argv)
+    dests = set(vars(args)) - {"command", "func", "config"} - own
+    assert dests == {f.name for f in dataclasses.fields(RunOptions)}
 
 
 @pytest.mark.parametrize("flag", [("--density", "2"), ("--sigma", "-1"), ("--sigma", "nan")],
@@ -353,34 +406,60 @@ def test_python_m_kaczsim_runs_the_cli(tmp_path):
     assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1
 
 
+# A config document in the nested layout configs.json used before documents
+# were keyed by RunOptions field names.
+PARENT_LAYOUT_DOCUMENT = {
+    "agents": None,
+    "agent": {"block_size": 5, "lam": None, "sampling": "cycle", "t_min": 0.5, "t_max": 1.0},
+    "topology": {"cap": None, "seed": 0}, "trigger": {"kind": "every_k", "interval": 25},
+    "delay_bound": 1.0, "tol": 0.001, "k_max": 5000, "event_budget": 1000000,
+    "stop_mode": "first", "failure": {"rho": 0.5, "xi": 1.0, "seed": 99}, "seed": 99}
+
+# case -> (manifest edit, config file text, a fragment of the error message)
 BAD_INPUTS = {
-    "manifest-without-files": (lambda manifest: manifest.pop("files"), None),
-    "manifest-agents-zero": (lambda manifest: manifest.update(agents=0), None),
-    "manifest-agents-past-m": (lambda manifest: manifest.update(agents=41), None),
-    "manifest-agents-string": (lambda manifest: manifest.update(agents="4"), None),
-    "manifest-agents-bool": (lambda manifest: manifest.update(agents=True), None),
-    "manifest-agents-missing": (lambda manifest: manifest.pop("agents"), None),
-    "manifest-spec-m": (lambda manifest: manifest["spec"].update(m=999), None),
-    "manifest-spec-n": (lambda manifest: manifest["spec"].update(n=7), None),
-    "config-not-json": (None, "{block_size: 5"),
-    "config-unknown-key": (None, json.dumps({"agnet": {"block_size": 5}})),
-    "config-unknown-section-key": (None, json.dumps({"agent": {"block": 5}})),
-    "config-unknown-trigger": (None, json.dumps({"trigger": {"kind": "sometimes"}})),
-    "config-block-size-string": (None, json.dumps({"agent": {"block_size": "5"}})),
-    "config-tol-string": (None, json.dumps({"tol": "x"})),
-    "config-lam-string": (None, json.dumps({"agent": {"lam": "1"}})),
-    "config-k-max-string": (None, json.dumps({"k_max": "10"})),
-    "config-k-max-fraction": (None, json.dumps({"k_max": 10.5})),
-    "config-k-max-negative": (None, json.dumps({"k_max": -5})),
-    "config-event-budget-negative": (None, json.dumps({"event_budget": -1})),
-    "config-agents-zero": (None, json.dumps({"agents": 0})),
-    "config-failure-rho-negative": (None, json.dumps({"failure": {"rho": -1, "xi": 1.0}})),
+    "manifest-without-files": (lambda manifest: manifest.pop("files"), None,
+                               "missing or bad entry 'files'"),
+    "manifest-agents-zero": (lambda manifest: manifest.update(agents=0), None,
+                             "agents 0 is not an integer in [1, 40]"),
+    "manifest-agents-past-m": (lambda manifest: manifest.update(agents=41), None,
+                               "agents 41 is not an integer in [1, 40]"),
+    "manifest-agents-string": (lambda manifest: manifest.update(agents="4"), None,
+                               "agents '4' is not an integer"),
+    "manifest-agents-bool": (lambda manifest: manifest.update(agents=True), None,
+                             "agents True is not an integer"),
+    "manifest-agents-missing": (lambda manifest: manifest.pop("agents"), None,
+                                "missing or bad entry 'agents'"),
+    "manifest-spec-m": (lambda manifest: manifest["spec"].update(m=999), None,
+                        "spec is 999 x 10 but A.mtx is 40 x 10"),
+    "manifest-spec-n": (lambda manifest: manifest["spec"].update(n=7), None,
+                        "spec is 40 x 7 but A.mtx is 40 x 10"),
+    "config-not-json": (None, "{block_size: 5", "is not valid JSON"),
+    "config-not-object": (None, "[5]", "must be a JSON object"),
+    "config-unknown-key": (None, json.dumps({"agnet": 5}), "unknown config key(s) ['agnet']"),
+    "config-unknown-section-key": (None, json.dumps({"topology_cap": 3, "topology": {"seed": 1}}),
+                                   "unknown config key(s) ['topology']"),
+    "config-nested-layout": (None, json.dumps(PARENT_LAYOUT_DOCUMENT),
+                             "unknown config key(s) ['agent', 'failure', 'topology']"),
+    "config-unknown-trigger": (None, json.dumps({"trigger": "sometimes"}),
+                               "unknown trigger 'sometimes'; pick every_k or global"),
+    "config-block-size-string": (None, json.dumps({"block_size": "5"}),
+                                 "block_size='5' is not a valid int"),
+    "config-tol-string": (None, json.dumps({"tol": "x"}), "tol='x' is not a valid float"),
+    "config-lam-string": (None, json.dumps({"lam": "1"}), "lam='1' is not a valid float or null"),
+    "config-k-max-string": (None, json.dumps({"k_max": "10"}), "k_max='10' is not a valid int"),
+    "config-k-max-fraction": (None, json.dumps({"k_max": 10.5}), "k_max=10.5 is not a valid int"),
+    "config-k-max-negative": (None, json.dumps({"k_max": -5}), "k_max must be at least 1, got -5"),
+    "config-event-budget-negative": (None, json.dumps({"event_budget": -1}),
+                                     "event budget must be at least 1, got -1"),
+    "config-agents-zero": (None, json.dumps({"agents": 0}), "need at least one agent, got 0"),
+    "config-failure-rho-negative": (None, json.dumps({"failure_rho": -1, "failure_xi": 1.0}),
+                                    "rho must lie in [0, 1], got -1.0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
-    break_manifest, config_text = BAD_INPUTS[case]
+    break_manifest, config_text, message = BAD_INPUTS[case]
     inst_dir = tmp_path / "inst"
     shutil.copytree(instance_dir, inst_dir)
     argv = ["run", "--instance", str(inst_dir), "--out", str(tmp_path / "out")]
@@ -394,6 +473,7 @@ def test_cli_bad_input_exit_1(tmp_path, instance_dir, capsys, case):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 BAD_RUN_FLAGS = {
