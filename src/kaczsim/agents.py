@@ -43,13 +43,13 @@ equal-height blocks as one stack, bit for bit what a stack of one gives
 each block).  The agent config owns the chunk table (AgentConfig.chunks)
 and, built on first use, one entry per chunk (AgentConfig.blocks), whose
 rows are a slice and b_J a view into the shard; an iid batch gets its
-entries in one pass when it is drawn.  The step keeps one queue of (draw,
-entry) pairs (AgentState.ready), refilled from next_blocks when empty, and
-uses one pair per step.  A block whose factoring failed raises at the step
-that uses it, in both samplings, as if it had been factored there.  A step
-densifies A_J from the plan, one zero array and one scatter, so that
-entries hold one index per entry of the shard rather than a dense copy of
-every block.  The step updates the agent state in place.  Every operation
+entries in one pass when it is drawn.  An agent keeps one queue of (draw,
+entry) pairs (AgentState.ready); next_block pops one pair per step and
+refills the queue from next_blocks when empty.  A block whose factoring
+failed raises at the step that uses it, in both samplings, as if it had
+been factored there.  A step densifies A_J from the plan, one zero array
+and one scatter, so that entries hold one index per entry of the shard
+rather than a dense copy of every block.  The step updates the agent state in place.  Every operation
 here is numpy.
 """
 from __future__ import annotations
@@ -351,19 +351,31 @@ def next_blocks(state: AgentState, cfg: AgentConfig) -> list[tuple]:
     return [(c, chunks[c]) for c in order]
 
 
+def next_block(state: AgentState, cfg: AgentConfig) -> tuple:
+    """Pop the next (draw, entry) pair off state.ready into (state.chunk,
+    state.block) and return the entry.  An empty queue is first refilled from
+    next_blocks, with entries from cfg.blocks (cyclic) or block_entries (iid)."""
+    if not state.ready:
+        drawn = next_blocks(state, cfg)
+        blocks = [J for _, J in drawn]
+        found = (block_entries(cfg, blocks, blocks) if cfg.sampling == IID
+                 else [cfg.blocks[c] for c, _ in drawn])
+        state.ready = list(zip(drawn, found))[::-1]
+    (state.chunk, state.block), entry = state.ready.pop()
+    return entry
+
+
 def step(state: AgentState, cfg: AgentConfig,
          entries: list[tuple[int, np.ndarray, int]]) -> AgentState:
     """Average the snapshot entries (self and the latest estimate from each
     neighbor heard from), then project onto the sampled block equations.
 
-    The step pops the next (draw, entry) pair off state.ready, which it
-    refills from next_blocks when it runs out: the entries (rows, cols,
-    plan, b_J, factor) of a cyclic pass's chunks from cfg.blocks, those of
-    an iid batch from block_entries.  A block whose factoring failed raises
-    its error here, at the step that uses it, in both samplings.  A_J is
-    densified from the plan.  w[cols] is gathered once into w_c, which
-    serves the residual and takes the update before it is written back:
-    cols are distinct, so that is w[cols] += A_J^T alpha, value for value.
+    The step takes its block's entry (rows, cols, plan, b_J, factor) from
+    next_block.  A block whose factoring failed raises its error here, at
+    the step that uses it, in both samplings.  A_J is densified from the
+    plan.  w[cols] is gathered once into w_c, which serves the residual and
+    takes the update before it is written back: cols are distinct, so that
+    is w[cols] += A_J^T alpha, value for value.
     The state is updated in place (k, block, chunk, the sampler, x rebound
     to the new array aggregate returns, y's block entries) and the same
     object is returned.
@@ -376,13 +388,7 @@ def step(state: AgentState, cfg: AgentConfig,
     whose factor is 1 x 1) therefore keeps @.
     """
     w = aggregate(entries)
-    if not state.ready:
-        drawn = next_blocks(state, cfg)
-        blocks = [J for _, J in drawn]
-        found = (block_entries(cfg, blocks, blocks) if cfg.sampling == IID
-                 else [cfg.blocks[c] for c, _ in drawn])
-        state.ready = list(zip(drawn, found))[::-1]
-    (state.chunk, state.block), (rows, cols, plan, b_J, factor) = state.ready.pop()
+    rows, cols, plan, b_J, factor = next_block(state, cfg)
     if isinstance(factor, Exception):
         raise factor
     A_J = densify(cfg.A, plan)

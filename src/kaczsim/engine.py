@@ -11,7 +11,8 @@ exactly one event sequence.
 Failure injection follows a self-halting scheme: an enabled agent runs K
 iterations (K ~ ceil(Exp(mean 1/xi))), halts for an Exp(mean xi) stretch of
 simulated seconds, then resumes and redraws.  Halted agents neither iterate
-nor broadcast; their mailboxes keep accepting deliveries.
+nor broadcast; their mailboxes keep accepting deliveries.  The run seed
+keys the failure streams, as it keys the run's other streams.
 
 Per-agent iteration intervals and message delays are drawn from the
 agent's scheduling and delay streams 64 at a time (uniform_draws); a batch
@@ -46,7 +47,7 @@ import math
 import operator
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,14 @@ class EveryK:
         if self.interval < 1:
             raise InvalidParameter(f"interval must be >= 1, got {self.interval}")
 
+    def fires(self, k: int, prev_time: float, now: float) -> bool:
+        """Whether iteration k, completed at now, broadcasts."""
+        return k > 0 and k % self.interval == 0
+
+    def period(self, t_max: float) -> float:
+        """Longest simulated time between an agent's broadcasts outside halts."""
+        return self.interval * t_max
+
 
 @dataclass(frozen=True)
 class GlobalSchedule:
@@ -88,12 +97,20 @@ class GlobalSchedule:
         if not 0 < self.spacing < math.inf:
             raise InvalidParameter(f"spacing must be positive and finite, got {self.spacing}")
 
+    def fires(self, k: int, prev_time: float, now: float) -> bool:
+        """Whether the iteration at now is the agent's first past a schedule time."""
+        ticks_now = int(now // self.spacing)
+        return ticks_now >= 1 and ticks_now > int(prev_time // self.spacing)
+
+    def period(self, t_max: float) -> float:
+        """Longest simulated time between an agent's broadcasts outside halts."""
+        return self.spacing + t_max
+
 
 @dataclass(frozen=True)
 class FailurePlan:
     rho: float        # fraction of agents with the halting mechanism
     xi: float         # mean downtime (sim-seconds); mean run length is 1/xi iterations
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
@@ -237,9 +254,8 @@ class MetricsRecord:
     converged: float = 0.0       # 1.0 if the run reached tolerance
     events: float = 0.0
 
-    NUMERIC_FIELDS = ("k_iter", "t_cmp", "c", "t_comm", "T", "e_stop",
-                      "k_stop", "t_stop", "e_stop_oracle", "e_stop_rel",
-                      "converged", "events")
+
+MetricsRecord.NUMERIC_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -307,27 +323,28 @@ class AuditViolation:
     used_time: float
 
 
-def fire_trigger(k: int, prev_time: float, now: float, trigger) -> bool:
-    """Decide whether the iteration that just completed broadcasts."""
-    if isinstance(trigger, EveryK):
-        return k > 0 and k % trigger.interval == 0
-    ticks_now = int(now // trigger.spacing)
-    ticks_prev = int(prev_time // trigger.spacing)
-    return ticks_now >= 1 and ticks_now > ticks_prev
-
-
-def inject_failures(plan: FailurePlan | None, n_agents: int) -> list[FailureState]:
-    """Choose ceil(rho*N) agents and arm their halt schedules."""
+def inject_failures(plan: FailurePlan | None, n_agents: int, seed: int) -> list[FailureState]:
+    """Choose ceil(rho*N) agents and arm their halt schedules, drawing from
+    the run seed's failure streams."""
     states = [FailureState(enabled=False) for _ in range(n_agents)]
     if plan is None or plan.rho == 0.0:
         return states
     count = math.ceil(plan.rho * n_agents)
-    chosen = rng.stream(plan.seed, rng.FAILURE_SELECT).choice(n_agents, size=count, replace=False)
+    chosen = rng.stream(seed, rng.FAILURE_SELECT).choice(n_agents, size=count, replace=False)
     for i in sorted(int(a) for a in chosen):
-        st = FailureState(enabled=True, stream=rng.stream(plan.seed, rng.FAILURE, i))
+        st = FailureState(enabled=True, stream=rng.stream(seed, rng.FAILURE, i))
         st.runs_left = st.draw_run_length(plan.xi)
         states[i] = st
     return states
+
+
+def initial_states(cfg: SimConfig) -> list[AgentState]:
+    """Each agent's start state: its estimate from cfg.init, else zero, its
+    block-sampling stream (seed, BLOCKS, i) and the run's k_max."""
+    return [agents_mod.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i),
+                                     init=None if cfg.init is None else cfg.init[i],
+                                     k_max=cfg.k_max)
+            for i, acfg in enumerate(cfg.agents)]
 
 
 def uniform_draws(stream: np.random.Generator, low: float, high: float):
@@ -369,12 +386,9 @@ def run(cfg: SimConfig) -> RunResult:
     ls_ref = oracle if cfg.ls_reference is None else np.asarray(cfg.ls_reference, dtype=float)
     tol = cfg.tol
 
-    failure = inject_failures(cfg.failure, n)
+    failure = inject_failures(cfg.failure, n, cfg.seed)
     runtimes: list[_Runtime] = []
-    for i, acfg in enumerate(cfg.agents):
-        init = None if cfg.init is None else cfg.init[i]
-        state = agents_mod.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), init=init,
-                                          k_max=cfg.k_max)
+    for i, (acfg, state) in enumerate(zip(cfg.agents, initial_states(cfg))):
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
                       rng.stream(cfg.seed, rng.DELAY, i))
@@ -393,7 +407,7 @@ def run(cfg: SimConfig) -> RunResult:
 
     budget, k_max, delay_bound = cfg.event_budget, cfg.k_max, cfg.delay_bound
     neighbors_of = cfg.topology.neighbors
-    trigger = cfg.trigger
+    fires = cfg.trigger.fires
     c0, c1 = CMP_COST
     xi = cfg.failure.xi if cfg.failure is not None else 0.0
     # each event is packed as all eight RECORD fields, the unused ones at
@@ -463,7 +477,7 @@ def run(cfg: SimConfig) -> RunResult:
             stop_reason = "diverged"
             break
 
-        if fire_trigger(k, prev_time, now, trigger):
+        if fires(k, prev_time, now):
             neighbors = neighbors_of[agent]
             emit(pack(now, _BROADCAST_EV, agent, -1, k, len(neighbors), 0.0, False))
             entry = (agent, agents_mod.snapshot_payload(state), k)

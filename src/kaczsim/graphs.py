@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import agents, engine, linalg, rng
+from . import agents, engine, linalg
 from .errors import DelayBoundViolation, DimensionError, InvalidBasis, InvalidParameter
 
 # ----------------------------------------------------------------- tick trace
@@ -64,19 +64,17 @@ def tick_trace(result) -> list[TickRecord]:
     Tick t is the t-th Iterate record.  Its used entries are the agent's own
     previous iterate, then the keep-latest mailbox (replayed from kept
     Deliver records) in sender order; each entry's stage is counted in ticks
-    by _value_tick.  The sampled rows replay agents.next_blocks on the
-    agent's block-sampling stream, which nothing else draws from, in the
-    calls the run's steps made: each sampler has the run's k_max, its k is
-    set before each refill and its chunk and block after each draw, so the
-    routine sees the state the step gave it.
+    by _value_tick.  The sampled rows replay the run's sampler: each agent
+    starts from engine.initial_states, and each Iterate sets the sampler's k
+    to the step's and calls agents.next_block, as the step did.  A cyclic
+    replay reads the chunk entries the run cached on its agent configs; an
+    iid replay plans and factors its batches again.
     """
     cfg = result.config
     n = len(cfg.agents)
-    samplers = [agents.initial_state(acfg, rng.stream(cfg.seed, rng.BLOCKS, i), k_max=cfg.k_max)
-                for i, acfg in enumerate(cfg.agents)]
+    samplers = engine.initial_states(cfg)
     mailboxes: list[dict[int, int]] = [{} for _ in range(n)]   # sender -> kept iteration
     landed = [[-1] for _ in range(n)]   # per agent: the tick of each iteration, -1 for k = 0
-    queues = [[] for _ in range(n)]     # per agent: the draws not used yet, next last
     iterate, deliver = engine.KINDS.index("Iterate"), engine.KINDS.index("Deliver")
     trace = []
     for time, code, agent, peer, k, count, value, kept in result.log.records():
@@ -84,11 +82,9 @@ def tick_trace(result) -> list[TickRecord]:
             mailboxes[agent][peer] = k
         elif code == iterate:
             tick = len(trace)
-            acfg, state, queue = cfg.agents[agent], samplers[agent], queues[agent]
-            if not queue:
-                state.k = k - 1
-                queue[:] = agents.next_blocks(state, acfg)[::-1]
-            state.chunk, state.block = queue.pop()
+            acfg, state = cfg.agents[agent], samplers[agent]
+            state.k = k - 1
+            agents.next_block(state, acfg)
             landed[agent].append(tick)
             entries = [(agent, k - 1), *sorted(mailboxes[agent].items())]
             used = tuple((sender, tick - _value_tick(landed[sender], h, tick))
@@ -102,18 +98,12 @@ def staleness_stage_bound(cfg) -> int:
     """Upper bound on the global-tick staleness stage in a failure-free run.
 
     A kept value can be used until the sender's next broadcast arrives, i.e.
-    for a window of (trigger period + delay bound + one iteration gap); every
-    agent contributes at most window/t_min + 1 ticks inside that window.
-    The trigger is an EveryK (it has an interval) or a GlobalSchedule.
+    for a window of (trigger.period(t_max) + delay bound + one iteration
+    gap); every agent contributes at most window/t_min + 1 ticks inside it.
     """
     t_min = min(a.t_min for a in cfg.agents)
     t_max = max(a.t_max for a in cfg.agents)
-    interval = getattr(cfg.trigger, "interval", None)
-    if interval is not None:
-        period = interval * t_max
-    else:
-        period = cfg.trigger.spacing + t_max
-    window = period + cfg.delay_bound + t_max
+    window = cfg.trigger.period(t_max) + cfg.delay_bound + t_max
     n = len(cfg.agents)
     return int(math.ceil(n * (window / t_min + 1.0)))
 

@@ -164,7 +164,7 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
         trigger = GlobalSchedule(opts.spacing)
     else:
         raise InvalidParameter(f"unknown trigger {opts.trigger!r}; pick every_k or global")
-    failure = (FailurePlan(opts.failure_rho, opts.failure_xi, seed=opts.seed)
+    failure = (FailurePlan(opts.failure_rho, opts.failure_xi)
                if opts.failure_rho != 0 else None)   # a negative or nan rho is rejected
     return SimConfig(
         topology=topo, agents=acfgs, oracle=oracle, delay_bound=opts.delay_bound,
@@ -178,14 +178,6 @@ def run_single(inst: ProblemInstance, opts: RunOptions) -> engine.RunResult:
     """One simulation; its result's stop_reason says whether it reached tol
     or stopped at k_max, the event budget or a non-finite estimate."""
     return engine.run(build_sim_config(inst, opts))
-
-
-def _reseeded(cfg: SimConfig, seed: int) -> SimConfig:
-    """cfg run with another seed.  build_sim_config reads opts.seed only for
-    the config's seed and its failure plan's, so the rest (agent configs,
-    topology, oracle) is shared."""
-    failure = cfg.failure and replace(cfg.failure, seed=seed)
-    return replace(cfg, seed=seed, failure=failure)
 
 
 @dataclass
@@ -256,7 +248,7 @@ def sweep(inst: ProblemInstance, axis: str, values, base: RunOptions,
             doc["value"] = list(cell.value)
             h = config_hash(doc)
             configs[h] = doc
-            cfg = build_sim_config(inst, opts) if cfg is None else _reseeded(cfg, seed)
+            cfg = build_sim_config(inst, opts) if cfg is None else replace(cfg, seed=seed)
             result = engine.run(cfg)
             records.append(result.metrics)
             rows.append({"cell": cell.cell, "rep": rep, "seed": seed,

@@ -221,11 +221,7 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     g = rng.stream(spec.seed, rng.MATRIX)
     flat = _sample_positions(g, spec.m, spec.n, nnz)
     values = g.normal(size=nnz)
-    # row-major entry order: the positions are distinct, so this is CSR
-    order = np.argsort(flat, kind="stable")
-    flat, values = flat[order], values[order]
-    A = CsrRows((spec.m, spec.n), np.searchsorted(flat, np.arange(spec.m + 1) * spec.n),
-                flat % spec.n, values)
+    A = CsrRows.from_coo((spec.m, spec.n), flat // spec.n, flat % spec.n, values)
     x_planted = rng.stream(spec.seed, rng.SOLUTION).normal(size=spec.n)
     b = A @ x_planted
     if spec.noise > 0.0:

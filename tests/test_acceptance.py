@@ -248,7 +248,7 @@ def test_criterion_08_failure_robustness(consistent_instance, criterion1_runs):
     passed = 0
     for seed in range(10):
         cfg = consistent_config(inst, seed, budget=100_000,
-                                failure=FailurePlan(0.3, 2.0, seed=seed))
+                                failure=FailurePlan(0.3, 2.0))
         res = engine.run(cfg)
         if not res.converged:
             continue
@@ -257,7 +257,7 @@ def test_criterion_08_failure_robustness(consistent_instance, criterion1_runs):
     assert passed >= 9
     # rho = 0 reproduces the failure-free run exactly
     base = criterion1_runs[0][0]
-    res0 = engine.run(consistent_config(inst, 0, failure=FailurePlan(0.0, 2.0, seed=77)))
+    res0 = engine.run(consistent_config(inst, 0, failure=FailurePlan(0.0, 2.0)))
     assert res0.log == base.log
     assert res0.metrics == base.metrics
     verdict(8, f"{passed}/10 seeds converge under failures; rho=0 run bit-identical")
@@ -267,7 +267,7 @@ def test_criterion_09_structural_invariants(consistent_instance):
     inst = consistent_instance
     configs = [
         consistent_config(inst, 5, budget=6000, tol=1e-12,
-                          failure=FailurePlan(0.5, 1.5, seed=4)),
+                          failure=FailurePlan(0.5, 1.5)),
         consistent_config(inst, 6, budget=4000, tol=1e-12, trigger=GlobalSchedule(3.0)),
     ]
     for cfg in configs:

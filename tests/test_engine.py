@@ -355,20 +355,20 @@ def test_event_log_csv_bytes_match_csv_writer(tmp_path, evs):
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-# ---------------------------------------------------------------- fire_trigger
+# ---------------------------------------------------------------- trigger rules
 
 def test_fire_trigger_every_k():
-    assert engine.fire_trigger(50, 0.0, 1.0, EveryK(25))
-    assert not engine.fire_trigger(7, 0.0, 1.0, EveryK(25))
-    assert not engine.fire_trigger(0, 0.0, 1.0, EveryK(25))
+    assert EveryK(25).fires(50, 0.0, 1.0)
+    assert not EveryK(25).fires(7, 0.0, 1.0)
+    assert not EveryK(25).fires(0, 0.0, 1.0)
 
 
 def test_fire_trigger_global_schedule():
     trig = GlobalSchedule(3.0)
-    assert engine.fire_trigger(1, 2.9, 3.05, trig)      # tick 3.0 inside (2.9, 3.05]
-    assert not engine.fire_trigger(1, 3.05, 5.9, trig)  # no tick inside
-    assert engine.fire_trigger(1, 5.9, 6.0, trig)       # tick at the right edge
-    assert not engine.fire_trigger(1, 0.1, 2.9, trig)   # before the first tick
+    assert trig.fires(1, 2.9, 3.05)      # tick 3.0 inside (2.9, 3.05]
+    assert not trig.fires(1, 3.05, 5.9)  # no tick inside
+    assert trig.fires(1, 5.9, 6.0)       # tick at the right edge
+    assert not trig.fires(1, 0.1, 2.9)   # before the first tick
 
 
 def test_global_schedule_at_most_one_broadcast_per_tick(consistent_instance):
@@ -452,14 +452,14 @@ def test_snapshot_weights_row_stochastic(consistent_instance):
 # -------------------------------------------------------------------- failures
 
 def test_inject_failures_counts():
-    states = engine.inject_failures(FailurePlan(0.3, 2.0, seed=1), 13)
+    states = engine.inject_failures(FailurePlan(0.3, 2.0), 13, seed=1)
     assert sum(fs.enabled for fs in states) == 4    # ceil(0.3 * 13)
-    assert sum(fs.enabled for fs in engine.inject_failures(None, 13)) == 0
-    assert sum(fs.enabled for fs in engine.inject_failures(FailurePlan(0.0, 1.0), 13)) == 0
+    assert sum(fs.enabled for fs in engine.inject_failures(None, 13, seed=1)) == 0
+    assert sum(fs.enabled for fs in engine.inject_failures(FailurePlan(0.0, 1.0), 13, seed=1)) == 0
 
 
 def test_failure_draw_means():
-    states = engine.inject_failures(FailurePlan(1.0, 2.0, seed=7), 1)
+    states = engine.inject_failures(FailurePlan(1.0, 2.0), 1, seed=7)
     fs = states[0]
     downtimes = [fs.draw_downtime(2.0) for _ in range(1000)]
     assert abs(np.mean(downtimes) - 2.0) <= 0.2     # mean downtime ~ xi within 10%
@@ -470,14 +470,14 @@ def test_failure_draw_means():
 def test_rho_zero_matches_failure_free_run(consistent_instance):
     base = engine.run(build_cfg(consistent_instance, seed=6))
     with_plan = engine.run(build_cfg(consistent_instance, seed=6,
-                                     failure=FailurePlan(0.0, 5.0, seed=99)))
+                                     failure=FailurePlan(0.0, 5.0)))
     assert base.log == with_plan.log
     assert base.metrics == with_plan.metrics
 
 
 def test_halted_agents_skip_iterates_and_broadcasts(consistent_instance):
     cfg = build_cfg(consistent_instance, seed=1, budget=20_000, tol=1e-12,
-                    failure=FailurePlan(0.5, 1.5, seed=3))
+                    failure=FailurePlan(0.5, 1.5))
     res = engine.run(cfg)
     halts = [(ev.agent, ev.time, ev.value) for ev in res.log if ev.kind == "Halt"]
     assert halts
@@ -491,7 +491,7 @@ def test_halted_agents_skip_iterates_and_broadcasts(consistent_instance):
 
 def test_gaps_respect_bounds_outside_halts(consistent_instance):
     cfg = build_cfg(consistent_instance, seed=2, budget=20_000, tol=1e-12,
-                    failure=FailurePlan(0.5, 1.5, seed=3))
+                    failure=FailurePlan(0.5, 1.5))
     res = engine.run(cfg)
     halt_spans = {}
     for ev in res.log:

@@ -212,7 +212,7 @@ TICK_TRACE_DIGESTS = {
     "cycle-every-k": (dict(seed=2, trigger=engine.EveryK(3)),
                       "debe8e363fecd7c4128364870b530deda3db246d4dbf40605fba6468a23e8046"),
     "iid-global-rho": (dict(seed=3, trigger=engine.GlobalSchedule(0.75), sampling="iid",
-                            failure=engine.FailurePlan(0.5, 2.0, seed=3)),
+                            failure=engine.FailurePlan(0.5, 2.0)),
                        "145ca864592a7c8eec076d65ed158a4c0588f988f8b060d6bc8ed08916cb5d05"),
 }
 
@@ -267,8 +267,10 @@ def test_tick_trace_replays_the_runs_draws(monkeypatch, sampling, k_max, sizes):
     assert all(np.array_equal(t.rows, rows) for t, rows in zip(ticks, used))
 
 
-def test_run_trace_stage_bound():
-    result, _ = _small_run()
+@pytest.mark.parametrize("trigger", [engine.EveryK(3), engine.GlobalSchedule(0.75)],
+                         ids=["EveryK", "GlobalSchedule"])
+def test_run_trace_stage_bound(trigger):
+    result, _ = _small_run(trigger=trigger)
     bound = graphs.staleness_stage_bound(result.config)
     assert graphs.max_observed_stage(graphs.tick_trace(result)) <= bound
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaczsim import cli, harness, problems
+from kaczsim import cli, engine, harness, problems
 from kaczsim.engine import MetricsRecord
 from kaczsim.errors import InvalidParameter, IoError
 from kaczsim.harness import RunOptions
@@ -150,6 +150,20 @@ def test_sweep_builds_each_cell_once(tmp_path, instance_dir, monkeypatch, axis, 
                                  tmp_path / "fresh_aggregated.csv", reps=3)
     for name in ("metrics.csv", "aggregated.csv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
+
+
+def test_reseeded_config_runs_as_built(instance_dir):
+    # the run seed keys every run stream, the failure streams included, so a
+    # built config given another seed runs what building it with that seed runs
+    inst = problems.load(instance_dir)
+    opts = fast_options(failure_rho=0.5, failure_xi=1.0, seed=3)
+    cfg = harness.build_sim_config(inst, opts)
+    for seed in (4, 11):
+        reseeded = engine.run(dataclasses.replace(cfg, seed=seed))
+        built = harness.run_single(inst, dataclasses.replace(opts, seed=seed))
+        assert any(ev.kind == "Halt" for ev in built.log)
+        assert reseeded.log == built.log
+        assert reseeded.metrics == built.metrics
 
 
 def test_sweep_failure_axis_is_cartesian(instance_dir):
