@@ -56,12 +56,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from . import linalg
 from .errors import CorruptMessage, DimensionError, InvalidParameter
-from .problems import CsrRows
+from .problems import CsrRows, partition_sizes
 
 CYCLE = "cycle"
 IID = "iid"
@@ -137,15 +138,10 @@ class AgentConfig:
 
 
 def make_chunks(local_rows: int, block_size: int) -> list[np.ndarray]:
-    """Near-even contiguous chunking into ceil(m_i / block_size) pieces."""
-    count = -(-local_rows // block_size)
-    base, extra = divmod(local_rows, count)
-    chunks, start = [], 0
-    for c in range(count):
-        size = base + (1 if c < extra else 0)
-        chunks.append(np.arange(start, start + size))
-        start += size
-    return chunks
+    """Near-even contiguous chunking into ceil(m_i / block_size) pieces,
+    sized by partition_sizes."""
+    sizes = partition_sizes(local_rows, -(-local_rows // block_size))
+    return [np.arange(stop - size, stop) for size, stop in zip(sizes, accumulate(sizes))]
 
 
 @dataclass

@@ -8,11 +8,13 @@ the event queue are broken by (time, kind priority Deliver < Resume <
 Iterate < Broadcast, agent id, insertion order), so a configuration maps to
 exactly one event sequence.
 
-Failure injection follows a self-halting scheme: an enabled agent runs K
-iterations (K ~ ceil(Exp(mean 1/xi))), halts for an Exp(mean xi) stretch of
-simulated seconds, then resumes and redraws.  Halted agents neither iterate
-nor broadcast; their mailboxes keep accepting deliveries.  The run seed
-keys the failure streams, as it keys the run's other streams.
+Failure injection follows a self-halting scheme (FailurePlan): ceil(rho*N)
+agents are armed, and an armed agent runs K iterations (K ~ ceil(Exp(mean
+1/xi))), halts for an Exp(mean xi) stretch of simulated seconds, then
+resumes and redraws.  A plan with rho 0, the SimConfig default, arms none.
+Halted agents neither iterate nor broadcast; their mailboxes keep accepting
+deliveries.  The run seed keys the failure streams, as it keys the run's
+other streams; an agent's streams and counters live on its _Runtime.
 
 Per-agent iteration intervals and message delays are drawn from the
 agent's scheduling and delay streams 64 at a time (uniform_draws); a batch
@@ -36,9 +38,9 @@ every agent exhausts k_max; "budget" when the event budget is spent.  The
 budget is checked before each popped event, and one Iterate can log an
 Iterate, a Broadcast and a Halt, so a log holds at most event_budget + 2
 events.  run returns its RunResult for every stop reason; callers read
-stop_reason and converged.  A run ignores NumPy's overflow and
-invalid-value warnings: a diverging estimate overflows on its way to the
-"diverged" stop, which reports it.
+stop_reason (converged is stop_reason == "tol").  A run ignores NumPy's
+overflow and invalid-value warnings: a diverging estimate overflows on its
+way to the "diverged" stop, which reports it.
 """
 from __future__ import annotations
 
@@ -97,10 +99,16 @@ class GlobalSchedule:
         if not 0 < self.spacing < math.inf:
             raise InvalidParameter(f"spacing must be positive and finite, got {self.spacing}")
 
+    def index(self, t: float) -> float:
+        """The last schedule time at or before t, counted in spacings; inf
+        when t / spacing overflows."""
+        return t // self.spacing
+
     def fires(self, k: int, prev_time: float, now: float) -> bool:
-        """Whether the iteration at now is the agent's first past a schedule time."""
-        ticks_now = int(now // self.spacing)
-        return ticks_now >= 1 and ticks_now > int(prev_time // self.spacing)
+        """Whether the iteration at now is the agent's first past a schedule
+        time; an infinite index counts as a schedule time passed."""
+        tick = self.index(now)
+        return tick >= 1 and (tick > self.index(prev_time) or tick == math.inf)
 
     def period(self, t_max: float) -> float:
         """Longest simulated time between an agent's broadcasts outside halts."""
@@ -109,27 +117,24 @@ class GlobalSchedule:
 
 @dataclass(frozen=True)
 class FailurePlan:
+    """Which agents halt, and how long they run and rest: a rho of 0 arms none."""
+
     rho: float        # fraction of agents with the halting mechanism
     xi: float         # mean downtime (sim-seconds); mean run length is 1/xi iterations
 
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
             raise InvalidParameter(f"rho must lie in [0, 1], got {self.rho}")
-        if self.rho > 0 and not 0 < self.xi < math.inf:
-            raise InvalidParameter(f"xi must be positive and finite, got {self.xi}")
+        if self.rho > 0 and not (0 < self.xi < math.inf and 1.0 / self.xi < math.inf):
+            raise InvalidParameter(f"xi and 1/xi must be positive and finite, got {self.xi}")
 
+    def run_length(self, stream: np.random.Generator) -> int:
+        """Iterations until the next halt, ceil(Exp(mean 1/xi)) and at least 1."""
+        return max(1, math.ceil(stream.exponential(1.0 / self.xi)))
 
-@dataclass
-class FailureState:
-    enabled: bool
-    runs_left: int = 0                   # iterations until the next halt
-    stream: np.random.Generator | None = None
-
-    def draw_run_length(self, xi: float) -> int:
-        return max(1, math.ceil(self.stream.exponential(1.0 / xi)))
-
-    def draw_downtime(self, xi: float) -> float:
-        return float(self.stream.exponential(xi))
+    def downtime(self, stream: np.random.Generator) -> float:
+        """Simulated seconds of one halt, Exp(mean xi)."""
+        return float(stream.exponential(self.xi))
 
 
 class Message(NamedTuple):
@@ -247,8 +252,8 @@ class MetricsRecord:
     t_comm: float
     T: float
     e_stop: float          # min over agents of |x_i - ls_reference|
-    k_stop: float          # mean halt count over failure-enabled agents
-    t_stop: float          # mean downtime over failure-enabled agents
+    k_stop: float          # mean halt count over armed agents
+    t_stop: float          # mean downtime over armed agents
     e_stop_oracle: float = 0.0   # min over agents of |x_i - oracle|
     e_stop_rel: float = 0.0      # e_stop relative to |ls_reference|
     converged: float = 0.0       # 1.0 if the run reached tolerance
@@ -269,7 +274,7 @@ class SimConfig:
     k_max: int = 5000
     event_budget: int = 1_000_000                 # checked per popped event: a log ends <= budget + 2
     seed: int = 0
-    failure: FailurePlan | None = None
+    failure: FailurePlan = FailurePlan(0.0, 0.0)
     stop_mode: str = "first"                      # "first" | "all"
     ls_reference: np.ndarray | None = None        # e_stop reference; defaults to oracle
     init: list[np.ndarray] | None = None          # explicit per-agent initial estimates
@@ -294,9 +299,12 @@ class RunResult:
     states: list[AgentState]
     metrics: MetricsRecord
     log: EventLog
-    converged: bool
     stop_reason: str                          # tol | k_max | budget | diverged
     config: SimConfig
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
     @property
     def messages(self) -> list[Message]:
@@ -323,19 +331,12 @@ class AuditViolation:
     used_time: float
 
 
-def inject_failures(plan: FailurePlan | None, n_agents: int, seed: int) -> list[FailureState]:
-    """Choose ceil(rho*N) agents and arm their halt schedules, drawing from
-    the run seed's failure streams."""
-    states = [FailureState(enabled=False) for _ in range(n_agents)]
-    if plan is None or plan.rho == 0.0:
-        return states
+def inject_failures(plan: FailurePlan, n_agents: int, seed: int) -> set[int]:
+    """The ceil(rho*N) agents armed with the halting mechanism, chosen from
+    the run seed's FAILURE_SELECT stream."""
     count = math.ceil(plan.rho * n_agents)
     chosen = rng.stream(seed, rng.FAILURE_SELECT).choice(n_agents, size=count, replace=False)
-    for i in sorted(int(a) for a in chosen):
-        st = FailureState(enabled=True, stream=rng.stream(seed, rng.FAILURE, i))
-        st.runs_left = st.draw_run_length(plan.xi)
-        states[i] = st
-    return states
+    return {int(a) for a in chosen}
 
 
 def initial_states(cfg: SimConfig) -> list[AgentState]:
@@ -357,11 +358,13 @@ def uniform_draws(stream: np.random.Generator, low: float, high: float):
 class _Runtime:
     """Mutable per-agent bookkeeping for one run."""
 
-    def __init__(self, cfg: AgentConfig, state: AgentState, sched, delay):
+    def __init__(self, cfg: AgentConfig, state: AgentState, sched, delay, failure, runs_left):
         self.cfg = cfg
         self.state = state
         self.gaps = uniform_draws(sched, cfg.t_min, cfg.t_max)   # iteration intervals
         self.delays = uniform_draws(delay, 0.0, 1.0)             # message delay fractions
+        self.failure = failure       # halt schedule stream; None when not armed
+        self.runs_left = runs_left   # iterations until the next halt
         # keep-latest snapshot entries (sender, estimate, sender iteration), in sender order
         self.mailbox: dict[int, tuple[int, np.ndarray, int]] = {}
         self.last_time = 0.0
@@ -386,12 +389,15 @@ def run(cfg: SimConfig) -> RunResult:
     ls_ref = oracle if cfg.ls_reference is None else np.asarray(cfg.ls_reference, dtype=float)
     tol = cfg.tol
 
-    failure = inject_failures(cfg.failure, n, cfg.seed)
+    plan = cfg.failure
+    armed = inject_failures(plan, n, cfg.seed)
     runtimes: list[_Runtime] = []
     for i, (acfg, state) in enumerate(zip(cfg.agents, initial_states(cfg))):
+        failure = rng.stream(cfg.seed, rng.FAILURE, i) if i in armed else None
         rt = _Runtime(acfg, state,
                       rng.stream(cfg.seed, rng.SCHEDULING, i),
-                      rng.stream(cfg.seed, rng.DELAY, i))
+                      rng.stream(cfg.seed, rng.DELAY, i),
+                      failure, 0 if failure is None else plan.run_length(failure))
         rt.within_tol = _distance(state.x, oracle) <= tol
         runtimes.append(rt)
     within = sum(rt.within_tol for rt in runtimes)   # agents within tol, kept up to date
@@ -409,7 +415,6 @@ def run(cfg: SimConfig) -> RunResult:
     neighbors_of = cfg.topology.neighbors
     fires = cfg.trigger.fires
     c0, c1 = CMP_COST
-    xi = cfg.failure.xi if cfg.failure is not None else 0.0
     # each event is packed as all eight RECORD fields, the unused ones at
     # Event's defaults
     emit = log._data.extend
@@ -418,8 +423,6 @@ def run(cfg: SimConfig) -> RunResult:
     push = heapq.heappush
     pop = heapq.heappop
 
-    converged = False
-    stop_reason = "budget"
     now = 0.0
 
     while heap:
@@ -442,8 +445,7 @@ def run(cfg: SimConfig) -> RunResult:
             continue
 
         if prio == _RESUME:
-            fs = failure[agent]
-            fs.runs_left = fs.draw_run_length(xi)
+            rt.runs_left = plan.run_length(rt.failure)
             emit(pack(now, _RESUME_EV, agent, -1, -1, -1, 0.0, False))
             push(heap, (now + next(rt.gaps), _ITERATE, agent, seq, None))
             seq += 1
@@ -470,7 +472,6 @@ def run(cfg: SimConfig) -> RunResult:
         if rt.within_tol:
             if not stop_all or within == n:
                 emit(pack(now, _CONVERGE_EV, agent, -1, -1, -1, err, False))
-                converged = True
                 stop_reason = "tol"
                 break
         elif not math.isfinite(err):
@@ -491,11 +492,10 @@ def run(cfg: SimConfig) -> RunResult:
         if k >= k_max:
             continue   # this agent is done; the run ends when no Iterate remains
 
-        fs = failure[agent]
-        if fs.enabled:
-            fs.runs_left -= 1
-            if fs.runs_left <= 0:
-                duration = fs.draw_downtime(xi)
+        if rt.failure is not None:
+            rt.runs_left -= 1
+            if rt.runs_left <= 0:
+                duration = plan.downtime(rt.failure)
                 rt.halts += 1
                 rt.downtime += duration
                 emit(pack(now, _HALT_EV, agent, -1, -1, -1, now + duration, False))
@@ -510,18 +510,17 @@ def run(cfg: SimConfig) -> RunResult:
 
     return RunResult(
         states=[rt.state for rt in runtimes],
-        metrics=collect_metrics(runtimes, failure, now, oracle, ls_ref, converged, len(log)),
+        metrics=collect_metrics(runtimes, now, oracle, ls_ref, stop_reason == "tol", len(log)),
         log=log,
-        converged=converged,
         stop_reason=stop_reason,
         config=cfg,
     )
 
 
-def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> MetricsRecord:
+def collect_metrics(runtimes, T, oracle, ls_ref, converged, events) -> MetricsRecord:
     errs_ls = [float(np.linalg.norm(rt.state.x - ls_ref)) for rt in runtimes]
     errs_oracle = [float(np.linalg.norm(rt.state.x - oracle)) for rt in runtimes]
-    enabled = [i for i, fs in enumerate(failure) if fs.enabled]
+    armed = [rt for rt in runtimes if rt.failure is not None]
     ls_scale = float(np.linalg.norm(ls_ref))
     e_stop = min(errs_ls)
     return MetricsRecord(
@@ -531,8 +530,8 @@ def collect_metrics(runtimes, failure, T, oracle, ls_ref, converged, events) -> 
         t_comm=float(np.mean([rt.t_comm for rt in runtimes])),
         T=float(T),
         e_stop=e_stop,
-        k_stop=float(np.mean([runtimes[i].halts for i in enabled])) if enabled else 0.0,
-        t_stop=float(np.mean([runtimes[i].downtime for i in enabled])) if enabled else 0.0,
+        k_stop=float(np.mean([rt.halts for rt in armed])) if armed else 0.0,
+        t_stop=float(np.mean([rt.downtime for rt in armed])) if armed else 0.0,
         e_stop_oracle=min(errs_oracle),
         e_stop_rel=e_stop / ls_scale if ls_scale > 0 else e_stop,
         converged=1.0 if converged else 0.0,
@@ -563,7 +562,7 @@ def audit_broadcast_spacing(result: RunResult) -> list[AuditViolation]:
             unused.setdefault(agent, []).append((peer, sent[peer, k], time))
         elif code == _ITERATE_EV:
             for sender, send_time, arrival_time in unused.pop(agent, ()):
-                t_s = math.floor(send_time / spacing) * spacing
+                t_s = trigger.index(send_time) * spacing
                 t_next = t_s + spacing
                 if time > t_next + 1e-12:
                     violations.append(AuditViolation(t_s, t_next, sender, agent,

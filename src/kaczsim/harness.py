@@ -164,13 +164,11 @@ def build_sim_config(inst: ProblemInstance, opts: RunOptions) -> SimConfig:
         trigger = GlobalSchedule(opts.spacing)
     else:
         raise InvalidParameter(f"unknown trigger {opts.trigger!r}; pick every_k or global")
-    failure = (FailurePlan(opts.failure_rho, opts.failure_xi)
-               if opts.failure_rho != 0 else None)   # a negative or nan rho is rejected
     return SimConfig(
         topology=topo, agents=acfgs, oracle=oracle, delay_bound=opts.delay_bound,
         trigger=trigger, tol=opts.tol, k_max=opts.k_max, event_budget=opts.event_budget,
-        seed=opts.seed, failure=failure, stop_mode=opts.stop_mode,
-        ls_reference=inst.x_star,
+        seed=opts.seed, failure=FailurePlan(opts.failure_rho, opts.failure_xi),
+        stop_mode=opts.stop_mode, ls_reference=inst.x_star,
     )
 
 

@@ -56,6 +56,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not (self.m >= self.agents >= 1):
             raise TooManyAgents(f"need m >= agents >= 1, got m={self.m}, agents={self.agents}")
+        if self.m * self.n > np.iinfo(np.int64).max:   # flat positions are int64
+            raise InvalidParameter(f"m*n must be at most 2**63 - 1, got {self.m}x{self.n}")
         if not (0.0 < self.density <= 1.0):   # False for nan
             raise InvalidParameter(f"density must lie in (0, 1], got {self.density}")
         if not (0.0 <= self.noise < math.inf):

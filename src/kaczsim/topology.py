@@ -19,9 +19,8 @@ min(cap, N-1) or exhausts the legal edges.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import rng
 from .errors import InfeasibleTopology
@@ -39,11 +38,7 @@ class Topology:
 
 def _coords(i: int) -> tuple[int, int]:
     """Triangle coordinates (row, column) of node index i."""
-    r = int((np.sqrt(8 * i + 1) - 1) // 2)
-    while (r + 1) * (r + 2) // 2 <= i:
-        r += 1
-    while r * (r + 1) // 2 > i:
-        r -= 1
+    r = (math.isqrt(8 * i + 1) - 1) // 2
     return r, i - r * (r + 1) // 2
 
 

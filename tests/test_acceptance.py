@@ -41,7 +41,7 @@ def inconsistent_instance():
 
 
 def consistent_config(inst, seed, *, budget=50_000, stop_mode="all", tol_rel=1e-4,
-                      failure=None, init=None, trigger=EveryK(5),
+                      failure=FailurePlan(0.0, 0.0), init=None, trigger=EveryK(5),
                       tol=None, k_max=10**6):
     acfgs = [AgentConfig(i, s.A, s.b, s.rows, 10, t_min=0.5, t_max=1.0)
              for i, s in enumerate(problems.partition(inst.A, inst.b, inst.agents))]

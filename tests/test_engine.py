@@ -15,7 +15,7 @@ from oracles import write_events_csv as csv_writer_events
 
 
 def build_cfg(inst, *, block=10, lam=None, trigger=EveryK(5), tol=None, seed=0,
-              stop_mode="all", budget=50_000, k_max=10**6, failure=None,
+              stop_mode="all", budget=50_000, k_max=10**6, failure=FailurePlan(0.0, 0.0),
               delay_bound=1.0, t_min=0.5, t_max=1.0, oracle=None, **kw):
     n_agents = inst.agents
     topo = topology.build_pascal(n_agents, n_agents, seed=0)
@@ -371,6 +371,16 @@ def test_fire_trigger_global_schedule():
     assert not trig.fires(1, 0.1, 2.9)   # before the first tick
 
 
+def test_global_schedule_index_overflow():
+    """A spacing so small that t / spacing overflows gives an infinite
+    index, which counts as a schedule time passed."""
+    trig = GlobalSchedule(1e-320)
+    assert trig.index(0.5) == math.inf
+    assert trig.fires(1, 0.5, 1.0)
+    assert trig.index(0.0) == 0.0
+    assert GlobalSchedule(0.1).index(1.0) == 9.0   # floor division, as fires reads it
+
+
 def test_global_schedule_at_most_one_broadcast_per_tick(consistent_instance):
     spacing = 3.0  # = 2 * delay_bound + t_max
     cfg = build_cfg(consistent_instance, trigger=GlobalSchedule(spacing),
@@ -452,19 +462,40 @@ def test_snapshot_weights_row_stochastic(consistent_instance):
 # -------------------------------------------------------------------- failures
 
 def test_inject_failures_counts():
-    states = engine.inject_failures(FailurePlan(0.3, 2.0), 13, seed=1)
-    assert sum(fs.enabled for fs in states) == 4    # ceil(0.3 * 13)
-    assert sum(fs.enabled for fs in engine.inject_failures(None, 13, seed=1)) == 0
-    assert sum(fs.enabled for fs in engine.inject_failures(FailurePlan(0.0, 1.0), 13, seed=1)) == 0
+    armed = engine.inject_failures(FailurePlan(0.3, 2.0), 13, seed=1)
+    assert len(armed) == 4    # ceil(0.3 * 13)
+    assert armed <= set(range(13))
+    assert engine.inject_failures(FailurePlan(0.0, 1.0), 13, seed=1) == set()
+    assert engine.inject_failures(SimConfig.failure, 13, seed=1) == set()
+    assert engine.inject_failures(FailurePlan(1.0, 1.0), 13, seed=1) == set(range(13))
 
 
 def test_failure_draw_means():
-    states = engine.inject_failures(FailurePlan(1.0, 2.0), 1, seed=7)
-    fs = states[0]
-    downtimes = [fs.draw_downtime(2.0) for _ in range(1000)]
+    stream = rng.stream(7, rng.FAILURE, 0)
+    downtimes = [FailurePlan(1.0, 2.0).downtime(stream) for _ in range(1000)]
     assert abs(np.mean(downtimes) - 2.0) <= 0.2     # mean downtime ~ xi within 10%
-    runs = [fs.draw_run_length(0.01) for _ in range(1000)]
+    runs = [FailurePlan(1.0, 0.01).run_length(stream) for _ in range(1000)]
     assert abs(np.mean(runs) - 100.0) <= 10.0       # mean run length ~ 1/xi
+
+
+def test_armed_agent_first_halt_after_first_run_length(consistent_instance):
+    """Each armed agent halts first after plan.run_length of its (seed,
+    FAILURE, i) stream iterations; unarmed agents never halt."""
+    plan, seed = FailurePlan(0.5, 1.5), 1
+    res = engine.run(build_cfg(consistent_instance, seed=seed, budget=20_000, tol=1e-12,
+                               failure=plan))
+    armed = engine.inject_failures(plan, consistent_instance.agents, seed)
+    assert armed
+    first_halt_k = {}
+    last_k = {}
+    for ev in res.log:
+        if ev.kind == "Iterate":
+            last_k[ev.agent] = ev.k
+        elif ev.kind == "Halt":
+            first_halt_k.setdefault(ev.agent, last_k[ev.agent])
+    assert set(first_halt_k) == armed
+    for i in armed:
+        assert first_halt_k[i] == plan.run_length(rng.stream(seed, rng.FAILURE, i))
 
 
 def test_rho_zero_matches_failure_free_run(consistent_instance):
@@ -547,6 +578,15 @@ def test_audit_empty_without_broadcasts():
     cfg = build_cfg(inst, block=6, trigger=GlobalSchedule(3.0), tol=1e-8)
     res = engine.run(cfg)
     assert res.messages == []
+    assert engine.audit_broadcast_spacing(res) == []
+
+
+def test_audit_survives_index_overflow(consistent_instance):
+    """At a spacing whose schedule index overflows, every iteration broadcasts
+    and no cascade can miss an infinite next schedule time."""
+    res = engine.run(build_cfg(consistent_instance, trigger=GlobalSchedule(1e-320), budget=2000))
+    kinds = [ev.kind for ev in res.log]
+    assert kinds.count("Broadcast") == kinds.count("Iterate") - res.converged   # a converging Iterate stops first
     assert engine.audit_broadcast_spacing(res) == []
 
 

@@ -185,7 +185,7 @@ def test_delayed_graph_stage_overflow():
 
 
 def _small_run(seed=0, trigger=engine.EveryK(3), budget=3000, agents=3,
-               sampling="cycle", failure=None):
+               sampling="cycle", failure=engine.FailurePlan(0.0, 0.0)):
     inst = problems.generate(problems.ProblemSpec(m=30, n=8, density=0.4, noise=0.0,
                                                   seed=5, agents=agents))
     topo = topology.build_pascal(agents, agents, seed=0)

@@ -384,8 +384,9 @@ def test_run_flags_are_the_run_options_fields(argv, own):
     assert dests == {f.name for f in dataclasses.fields(RunOptions)}
 
 
-@pytest.mark.parametrize("flag", [("--density", "2"), ("--sigma", "-1"), ("--sigma", "nan")],
-                         ids=["density-2", "sigma-negative", "sigma-nan"])
+@pytest.mark.parametrize("flag", [("--density", "2"), ("--sigma", "-1"), ("--sigma", "nan"),
+                                  ("--m", "10000000000", "--n", "10000000000", "--density", "1")],
+                         ids=["density-2", "sigma-negative", "sigma-nan", "m-n-beyond-int64"])
 def test_cli_gen_bad_spec_exit_1(tmp_path, capsys, flag):
     out = tmp_path / "inst"
     assert run_cli("gen", "--m", "30", "--n", "8", *flag, "--out", str(out)) == 1
@@ -393,6 +394,14 @@ def test_cli_gen_bad_spec_exit_1(tmp_path, capsys, flag):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not (out / "b.txt").exists()
+
+
+def test_cli_run_global_spacing_overflow(tmp_path, instance_dir):
+    """A spacing whose schedule index overflows broadcasts on every iteration."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(instance_dir), "--out", str(out),
+                   "--trigger", "global", "--spacing", "1e-320", "--k-max", "20") == 0
+    assert (out / "events.csv").exists()
 
 
 def test_cli_bad_flags_exit_2(capsys):
@@ -497,6 +506,7 @@ BAD_RUN_FLAGS = {
     "t-max-inf": ["--t-max", "inf"],
     "spacing-nan": ["--trigger", "global", "--spacing", "nan"],
     "xi-nan": ["--rho", "0.5", "--xi", "nan"],
+    "xi-reciprocal-overflows": ["--rho", "0.5", "--xi", "1e-320"],
     "rho-negative": ["--rho", "-1"],
     "rho-nan": ["--rho", "nan"],
     "lam-square-underflows": ["--lam", "1e-170"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kaczsim import cli, linalg, problems, rng
-from kaczsim.errors import DegenerateInstance, IoError, TooManyAgents
+from kaczsim.errors import DegenerateInstance, InvalidParameter, IoError, TooManyAgents
 from kaczsim.linalg import min_norm_solve
 from oracles import coo_dense, sample_positions
 
@@ -96,6 +96,16 @@ def test_partition_rejects_too_many_agents():
         problems.partition_sizes(3, 4)
     with pytest.raises(TooManyAgents):
         problems.ProblemSpec(m=3, n=2, density=0.5, agents=4)
+
+
+def test_spec_m_n_within_int64():
+    """Flat positions m*n are int64: a spec up to 2**63 - 1 is accepted, one
+    past it raises; building a spec allocates nothing."""
+    n = (2**63 - 1) // 7    # 7 * n == 2**63 - 1
+    assert 7 * n == np.iinfo(np.int64).max
+    problems.ProblemSpec(m=7, n=n, density=1e-9)
+    with pytest.raises(InvalidParameter, match="2\\*\\*63 - 1"):
+        problems.ProblemSpec(m=7, n=n + 1, density=1e-9)
 
 
 def test_shards_reassemble_exactly():
